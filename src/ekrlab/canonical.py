@@ -1,41 +1,73 @@
 """Canonical forms of labeled k-uniform families under vertex relabeling.
 
-Iterated color refinement on the vertex/edge incidence structure, with
-individualization on the first non-singleton cell.  The canonical form
-is the minimum relabeled edge tuple over all refinement-consistent
-orderings, which is a well-defined class representative: two families
-have the same form exactly when some relabeling maps one to the other.
-Isolated vertices never affect the edge tuple, so only the support is
-ordered.  Intended for the small ground sets (n <= 9) the deduplicated
-enumeration targets.
+Individualization-refinement in the style of McKay & Piperno, "Practical
+graph isomorphism, II" (J. Symb. Comput. 2014), cut down to the small
+ground sets (n <= 9) the deduplicated enumeration targets.
+
+Only the support is ordered, since isolated vertices never affect the
+edge tuple.  Each call maps the support to positions ``0..s-1`` and
+builds every vertex's list of incident edge indices once.
+
+*Refinement.*  Colours are a list indexed by position.  An edge's colour
+is the multiset of its vertices' colours, coded as the integer
+``sum(1 << (shift * c))``; the distinct edge codes are ranked, and a
+vertex's new colour is the rank of (old colour, multiset of incident
+edge ranks).  Rounds repeat until the number of colours stops growing.
+Every step depends only on colours and incidences, never on labels, so
+relabeling the family relabels the refined colouring with it.
+
+*Search.*  A node whose colouring is not discrete individualizes, in
+turn, each vertex of its first non-singleton colour cell.  A leaf's
+colouring orders the support, and its form is the sorted tuple of the
+relabeled edge masks.  The canonical form is the minimum form over all
+leaves.  Because the search tree of a relabeled family is the relabeled
+tree, two families get equal forms exactly when some relabeling maps one
+to the other.
+
+*Pruning.*  Two leaves with the same form give an automorphism ``g``:
+the map that sends each vertex of the earlier leaf to the vertex at the
+same position in the later one.  Every automorphism found is recorded.
+At a node that has individualized ``v1..vm``, a child ``u`` is skipped
+when the recorded automorphisms that fix ``v1..vm`` pointwise map an
+explored sibling onto ``u``.  When a new ``g`` fixes the path of the
+deepest node the two leaves share and maps the earlier leaf's branch
+there, already searched, onto the current one, the search also returns
+to that node at once.  Both rules keep the minimum leaf: an automorphism
+that fixes a node's individualized vertices maps the node to itself and
+the subtree under child ``w`` onto the subtree under ``g(w)``, leaf for
+leaf with equal forms, so a skipped subtree holds no form below the
+minimum of one already searched.
 """
 
 from __future__ import annotations
 
-from .masks import Mask, iter_bits, labels
+from .masks import Mask, labels
 
 
-def _refine(support: list[int], edges: list[tuple[int, ...]], colors: dict[int, int]) -> dict[int, int]:
+def _refine(
+    colors: list[int],
+    edges: list[tuple[int, ...]],
+    incidence: list[list[int]],
+    shift: int,
+    dshift: int,
+) -> list[int]:
+    """Refine ``colors`` (ranks ``0..c-1`` by position) until stable.
+
+    ``shift`` bits hold one colour's count inside an edge code and
+    ``dshift`` bits hold one edge class's count at a vertex.
+    """
+    ncolors = len(set(colors))
     while True:
-        ecols = {}
-        for idx, e in enumerate(edges):
-            ecols[idx] = tuple(sorted(colors[v] for v in e))
-        new_keys = {}
-        for v in support:
-            incident = tuple(sorted(ecols[idx] for idx, e in enumerate(edges) if v in e))
-            new_keys[v] = (colors[v], incident)
-        ranked = {key: i for i, key in enumerate(sorted(set(new_keys.values())))}
-        new_colors = {v: ranked[new_keys[v]] for v in support}
-        if len(set(new_colors.values())) == len(set(colors.values())):
-            return new_colors
-        colors = new_colors
-
-
-def _cells(support: list[int], colors: dict[int, int]) -> list[list[int]]:
-    by_color: dict[int, list[int]] = {}
-    for v in support:
-        by_color.setdefault(colors[v], []).append(v)
-    return [sorted(by_color[c]) for c in sorted(by_color)]
+        weight = [1 << (shift * c) for c in colors]
+        codes = [sum(map(weight.__getitem__, e)) for e in edges]
+        rank = {code: i for i, code in enumerate(sorted(set(codes)))}
+        eweight = [1 << (dshift * rank[code]) for code in codes]
+        keys = [(colors[v], sum(map(eweight.__getitem__, inc))) for v, inc in enumerate(incidence)]
+        ranked = {key: i for i, key in enumerate(sorted(set(keys)))}
+        colors = [ranked[key] for key in keys]
+        if len(ranked) == ncolors:
+            return colors
+        ncolors = len(ranked)
 
 
 def canonical_form(n: int, edges: tuple[Mask, ...]) -> tuple[Mask, ...]:
@@ -45,37 +77,67 @@ def canonical_form(n: int, edges: tuple[Mask, ...]) -> tuple[Mask, ...]:
     support_mask = 0
     for e in edges:
         support_mask |= e
-    support = [b.bit_length() for b in iter_bits(support_mask)]
-    edge_tuples = [labels(e) for e in edges]
+    position = {v: i for i, v in enumerate(labels(support_mask))}
+    s = len(position)
+    edge_pos = [tuple(position[v] for v in labels(e)) for e in edges]
+    incidence: list[list[int]] = [[] for _ in range(s)]
+    for i, e in enumerate(edge_pos):
+        for v in e:
+            incidence[v].append(i)
+    shift = max(len(e) for e in edge_pos).bit_length()
+    dshift = max(len(inc) for inc in incidence).bit_length()
 
-    best: list[tuple[Mask, ...]] = []
+    leaves: dict[tuple[Mask, ...], tuple[list[int], list[int]]] = {}
+    automorphisms: list[list[int]] = []
+    jump: int | None = None  # depth of the node to resume at, while unwinding
 
-    def descend(colors: dict[int, int]) -> None:
-        colors = _refine(support, edge_tuples, colors)
-        cells = _cells(support, colors)
-        target = None
-        for cell in cells:
-            if len(cell) > 1:
-                target = cell
-                break
-        if target is None:
-            order = [v for cell in cells for v in cell]
-            relabel = {v: i + 1 for i, v in enumerate(order)}
-            form = tuple(
-                sorted(sum(1 << (relabel[v] - 1) for v in e) for e in edge_tuples)
-            )
-            if not best or form < best[0]:
-                best[:] = [form]
+    def leaf(colors: list[int], path: list[int]) -> None:
+        nonlocal jump
+        bits = [1 << c for c in colors]
+        form = tuple(sorted(sum(map(bits.__getitem__, e)) for e in edge_pos))
+        if form not in leaves:
+            leaves[form] = (colors, path)
             return
-        ncolors = max(colors.values()) + 1
-        for u in target:
-            child = dict(colors)
+        seen_colors, seen_path = leaves[form]
+        at = [0] * s
+        for v, c in enumerate(colors):
+            at[c] = v
+        g = [at[c] for c in seen_colors]  # earlier leaf -> this leaf
+        automorphisms.append(g)
+        depth = next(i for i, (a, b) in enumerate(zip(seen_path, path)) if a != b)
+        if all(g[seen_path[i]] == path[i] for i in range(depth + 1)):
+            jump = depth
+
+    def descend(colors: list[int], path: list[int]) -> None:
+        nonlocal jump
+        colors = _refine(colors, edge_pos, incidence, shift, dshift)
+        ncolors = max(colors) + 1
+        if ncolors == s:
+            leaf(colors, path)
+            return
+        target = next(c for c in range(ncolors) if colors.count(c) > 1)
+        orbit = list(range(s))  # orbit ids under the automorphisms fixing path
+        absorbed = 0
+        explored: list[int] = []
+        for u in (v for v in range(s) if colors[v] == target):
+            if explored:
+                for g in automorphisms[absorbed:]:
+                    if all(g[v] == v for v in path):
+                        for v in range(s):
+                            a, b = orbit[v], orbit[g[v]]
+                            if a != b:
+                                orbit = [a if o == b else o for o in orbit]
+                absorbed = len(automorphisms)
+                if any(orbit[w] == orbit[u] for w in explored):
+                    continue
+            explored.append(u)
+            child = colors[:]
             child[u] = ncolors
-            descend(child)
+            descend(child, path + [u])
+            if jump is not None:
+                if jump < len(path):
+                    return
+                jump = None
 
-    descend({v: 0 for v in support})
-    return best[0]
-
-
-def are_isomorphic(n: int, edges_a: tuple[Mask, ...], edges_b: tuple[Mask, ...]) -> bool:
-    return canonical_form(n, edges_a) == canonical_form(n, edges_b)
+    descend([0] * s, [])
+    return min(leaves)

@@ -52,10 +52,6 @@ def iter_bits(m: Mask) -> Iterator[Mask]:
         m ^= low
 
 
-def lowest_bit(m: Mask) -> Mask:
-    return m & -m
-
-
 def lowest_vertex(m: Mask) -> int:
     """Smallest 1-based label in a nonempty mask."""
     return (m & -m).bit_length()
@@ -117,9 +113,3 @@ def iter_subsets_within(pool: Mask, r: int) -> Iterator[Mask]:
             out |= positions[i]
             c &= c - 1
         yield out
-
-
-def count_subsets(pool: Mask, r: int) -> int:
-    from math import comb
-
-    return comb(pool.bit_count(), r)

@@ -8,7 +8,7 @@ the two routes can check each other.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -88,6 +88,23 @@ def brute_force_maximal_families(n: int, k: int) -> set[tuple[Mask, ...]]:
         if maximal:
             out.add(tuple(edges[i] for i in range(m) if subset >> i & 1))
     return out
+
+
+def ref_canonical_form(edges: tuple[Mask, ...]) -> tuple[Mask, ...]:
+    """Minimum sorted relabeled edge tuple over every bijection support -> [s].
+
+    Plain brute force over all s! orderings of the support, so only for
+    supports of at most about 8 vertices.
+    """
+    edge_sets = [[i + 1 for i in range(m.bit_length()) if m >> i & 1] for m in edges]
+    support = sorted({v for e in edge_sets for v in e})
+    best = None
+    for image in permutations(range(len(support))):
+        relabel = dict(zip(support, image))
+        form = tuple(sorted(sum(1 << relabel[v] for v in e) for e in edge_sets))
+        if best is None or form < best:
+            best = form
+    return best
 
 
 def random_family(rng: random.Random, n: int, k: int, m: int) -> Family:
