@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .bounds import (
     ceil_cbrt_poly,
@@ -43,6 +43,7 @@ from .oracles import ExplicitOracle, FamilyOracle
 
 SAMPLE_BUDGET = 10_000  # seeded final-claim samples on non-explicit oracles
 SPOT_BUDGET = 256  # per-window spot checks on non-explicit oracles
+SAMPLE_BATCH = 256  # samples drawn per numpy batch in _sample_subsets
 
 
 class InternalContradictionError(RuntimeError):
@@ -285,36 +286,52 @@ def _as_oracle(source: FamilyOracle | Family) -> FamilyOracle:
     return ExplicitOracle(source) if isinstance(source, Family) else source
 
 
-def _and_edges(edges: Sequence[Mask], full: Mask) -> Mask:
-    c = full
-    for e in edges:
-        c &= e
-    return c
-
-
 def _link_pairs(co: FamilyOracle, base: Mask) -> tuple[Mask, ...]:
     return tuple(sorted(e & ~base for e in co.enumerate_extensions(base)))
 
 
-def _pool_bits(pool: Mask) -> list[Mask]:
-    return list(iter_bits(pool))
+def _sample_subsets(rng: random.Random, pool: Mask, r: int, count: int) -> Iterator[Mask]:
+    """``count`` uniform r-subsets of the pool, as masks.
 
-
-def _sample_subset(rng: random.Random, pool_bits: list[Mask], r: int) -> Mask:
-    """Uniform r-subset of the pool as a mask, by partial Fisher-Yates.
-
-    Float-driven index draws keep the 10^4-sample verification loops
-    cheap; the sampler only feeds spot checks, never proofs.
+    Each sample is a partial Fisher-Yates shuffle of the pool's bits in
+    ascending order: step i swaps positions i and
+    ``i + int(rng.random() * (size - i))``.  Samples are drawn
+    SAMPLE_BATCH at a time: the batch's floats come from ``rng.random()``
+    in sample order, then its swaps run as numpy column operations
+    across the batch.  The masks and the final ``rng`` state therefore
+    equal ``count`` one-at-a-time draws.  The sampler only feeds spot
+    checks, never proofs.
     """
-    arr = pool_bits[:]
-    n = len(arr)
-    m = 0
+    import numpy as np
+
+    nbytes = (pool.bit_length() + 7) // 8
+    members = np.array([m.bit_length() - 1 for m in iter_bits(pool)], np.min_scalar_type(nbytes * 8))
+    size = len(members)
+    if not 0 <= r <= size:
+        raise ValueError(f"cannot sample {r} of {size} pool vertices")
+    span = size - np.arange(r, dtype=np.float64)
+    steps = np.arange(r)
     rand = rng.random
-    for i in range(r):
-        j = i + int(rand() * (n - i))
-        arr[i], arr[j] = arr[j], arr[i]
-        m |= arr[i]
-    return m
+    while count > 0:
+        b = min(SAMPLE_BATCH, count)
+        count -= b
+        u = np.array([rand() for _ in range(b * r)]).reshape(b, r)
+        j = (u * span).astype(np.intp) + steps
+        # shuffled[i, c] is position i of sample c; flat index i * b + c
+        shuffled = np.repeat(members[:, None], b, axis=1)
+        flat = shuffled.reshape(-1)
+        cols = np.arange(b)
+        targets = (j * b + cols[:, None]).T.copy()
+        for i in range(r):
+            t = targets[i]
+            head = flat[i * b : (i + 1) * b].copy()
+            flat[i * b : (i + 1) * b] = flat[t]
+            flat[t] = head
+        chosen = np.zeros((b, nbytes * 8), np.uint8)
+        chosen[cols, shuffled[:r]] = 1
+        data = np.packbits(chosen, axis=1, bitorder="little").tobytes()
+        for o in range(0, len(data), nbytes):
+            yield int.from_bytes(data[o : o + nbytes], "little")
 
 
 # ---------------------------------------------------------------------------
@@ -867,10 +884,7 @@ def _window_check_k1(
         if sv.kind == "offending":
             return _gap_probe_k1(co, tuple(ctx.edges) + (sv.edge,), ctx.vertex_set | sv.edge, window)
         return _missing_edge_probe_k1(co, ctx, window, v, sv.edge & ~bit(v))
-    pool = _pool_bits(window & ~bit(v))
-    k = co.params.k
-    for _ in range(spot):
-        w = _sample_subset(rng, pool, k - 1)
+    for w in _sample_subsets(rng, window & ~bit(v), co.params.k - 1, spot):
         if not co.contains(w | bit(v)):
             return _missing_edge_probe_k1(co, ctx, window, v, w)
     return None
@@ -948,9 +962,7 @@ def _final_check_k1(
         if f is None:
             return ZeroCodegree(w)
         return offending_violation(f)
-    pool = _pool_bits(p.full & ~vb)
-    for _ in range(samples):
-        w = _sample_subset(rng, pool, p.k - 1)
+    for w in _sample_subsets(rng, p.full & ~vb, p.k - 1, samples):
         if co.contains(w | vb):
             continue
         f = co.extension(w, 0)
@@ -981,6 +993,8 @@ def certify_star_k1(
     n, k = p.n, p.k
     if k < 2:
         raise ValueError("k >= 2 required")
+    if samples < 0 or spot < 0:
+        raise ValueError(f"samples and spot must be >= 0, got samples={samples} spot={spot}")
     need = certify_threshold_k1(k)
     if n < need:
         raise ValueError(f"certification at codegree k-1 requires n >= {need}, got n={n}")
@@ -1144,10 +1158,7 @@ def _window_check_k2(
         if sv.kind == "offending":
             return _offending_probe_k2(co, ctx, sv.edge, v, required)
         return _missing_edge_probe_k2(co, ctx, sv.edge, v, required)
-    pool = _pool_bits(window & ~bit(v))
-    k = co.params.k
-    for _ in range(spot):
-        w = _sample_subset(rng, pool, k - 1)
+    for w in _sample_subsets(rng, window & ~bit(v), co.params.k - 1, spot):
         if not co.contains(w | bit(v)):
             return _missing_edge_probe_k2(co, ctx, w | bit(v), v, required)
     return None
@@ -1171,15 +1182,12 @@ def _final_check_k2(
         if sv.kind == "offending":
             return _offending_probe_k2(co, ctx, sv.edge, v, required)
         return _missing_edge_probe_k2(co, ctx, sv.edge, v, required)
-    pool = _pool_bits(p.full & ~vb)
-    zchoices = None
-    for _ in range(samples):
-        w = _sample_subset(rng, pool, p.k - 2)
+    pool = p.full & ~vb
+    zchoices = list(iter_bits(pool))
+    for w in _sample_subsets(rng, pool, p.k - 2, samples):
         deg = co.degree(w)
         if deg < required:
             return LowCodegree(w, deg, required)
-        if zchoices is None:
-            zchoices = pool
         zb = rng.choice(zchoices)
         while zb & w:
             zb = rng.choice(zchoices)
@@ -1209,6 +1217,8 @@ def certify_star_k2(
     n, k = p.n, p.k
     if k < 3:
         raise ValueError("k >= 3 required")
+    if samples < 0 or spot < 0:
+        raise ValueError(f"samples and spot must be >= 0, got samples={samples} spot={spot}")
     need = certify_threshold_k2(k)
     if n < need:
         raise ValueError(f"certification at codegree k-2 requires n >= {need}, got n={n}")

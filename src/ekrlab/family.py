@@ -29,7 +29,7 @@ class FamilyParams:
         if not (1 <= self.k <= self.n):
             raise ValueError(f"require 1 <= k <= n, got n={self.n} k={self.k}")
 
-    @property
+    @cached_property
     def full(self) -> Mask:
         return full_mask(self.n)
 
@@ -168,14 +168,6 @@ def covers_size2(fam: Family, area: Mask) -> CoverPairs:
             if not av_a & avoid[b]:
                 pairs.append(a | b)
     return CoverPairs(area=area, pairs=tuple(sorted(pairs)))
-
-
-def link_of_family(fam: Family, base: Mask) -> LinkGraph:
-    """Link of a (k-2)-set: the pair graph {e - base : base <= e in F}."""
-    if popcount(base) != fam.params.k - 2:
-        raise ValueError(f"base must have size k-2 = {fam.params.k - 2}")
-    pairs = tuple(sorted(e & ~base for e in fam.edges if e & base == base))
-    return LinkGraph(base=base, vertices=fam.params.full & ~base, pairs=pairs)
 
 
 def is_complete_star_on(fam: Family, window: Mask, center: int) -> Optional[StarViolation]:

@@ -107,6 +107,22 @@ def ref_canonical_form(edges: tuple[Mask, ...]) -> tuple[Mask, ...]:
     return best
 
 
+def ref_sample_subset(rng: random.Random, pool: Mask, r: int) -> Mask:
+    """Uniform r-subset of the pool by one partial Fisher-Yates shuffle.
+
+    Step i swaps positions i and i + int(rng.random() * (size - i)) of
+    the pool's bits in ascending order; the first r positions form the
+    sample.
+    """
+    arr = [1 << i for i in range(pool.bit_length()) if pool >> i & 1]
+    m = 0
+    for i in range(r):
+        j = i + int(rng.random() * (len(arr) - i))
+        arr[i], arr[j] = arr[j], arr[i]
+        m |= arr[i]
+    return m
+
+
 def random_family(rng: random.Random, n: int, k: int, m: int) -> Family:
     pool = list(iter_ksubsets(n, k))
     chosen = rng.sample(pool, min(m, len(pool)))

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from conftest import ref_sample_subset
 from ekrlab.bounds import (
     certify_threshold_k1,
     certify_threshold_k2,
@@ -8,6 +11,7 @@ from ekrlab.bounds import (
     shrink_vertex_bound_k2,
 )
 from ekrlab.constructions import (
+    SAMPLE_BATCH,
     DisjointEdges,
     LowCodegree,
     TracedFamily,
@@ -17,17 +21,48 @@ from ekrlab.constructions import (
     cherry_reduce,
     shrink_core_k1,
     shrink_core_k2,
+    _sample_subsets,
 )
 from ekrlab.family import Family, FamilyParams, covers_size2, is_complete_star_on
 from ekrlab.generators import complete_star, hilton_milner
 from ekrlab.graphs import MATCHING3, PATTERN_Q
-from ekrlab.masks import full_mask, labels, mask_of, popcount
+from ekrlab.masks import bit, full_mask, labels, mask_of, popcount
 from ekrlab.oracles import ExplicitOracle, StarOracle
 
 
 def star_minus_first_edge(n, k, v):
     star = complete_star(n, k, v)
     return Family(star.params, star.edges[1:])
+
+
+GAPPY_POOL = mask_of([2, 3, 7, 11, 12, 30, 31, 64, 65, 100, 101, 150])
+
+
+class TestSampleSubsets:
+    @pytest.mark.parametrize(
+        "pool,r,count",
+        [
+            (full_mask(20), 5, 0),
+            (full_mask(20), 5, SAMPLE_BATCH + 37),
+            (full_mask(20), 5, 2 * SAMPLE_BATCH),
+            (full_mask(20), 1, 300),
+            (full_mask(20), 20, 300),
+            (full_mask(20), 0, 10),
+            (GAPPY_POOL, 7, 300),
+            (GAPPY_POOL, 12, 40),
+            (full_mask(441) & ~bit(17), 38, 300),  # k-2 final check at k = 40
+        ],
+        ids=["count0", "count-ragged", "count-2batches", "r1", "r-all", "r0", "gaps", "gaps-r-all", "440-bit"],
+    )
+    def test_matches_scalar_reference(self, pool, r, count):
+        ref_rng, rng = random.Random(2024), random.Random(2024)
+        expected = [ref_sample_subset(ref_rng, pool, r) for _ in range(count)]
+        assert list(_sample_subsets(rng, pool, r, count)) == expected
+        assert rng.getstate() == ref_rng.getstate()
+
+    def test_rejects_oversized_sample(self):
+        with pytest.raises(ValueError, match="cannot sample 3 of 2"):
+            next(_sample_subsets(random.Random(0), mask_of([4, 9]), 3, 1))
 
 
 class TestShrinkK1:
@@ -237,6 +272,31 @@ class TestCertifyK2:
     def test_threshold_error(self):
         with pytest.raises(ValueError, match="n >= 232"):
             certify_star_k2(StarOracle(231, 3, 1))
+
+
+class TestSampledChecks:
+    # query counts on StarOracle runs, pinned so that a sampler that
+    # yields fewer samples than asked for shows up
+    @pytest.mark.parametrize(
+        "certify,threshold,k,center,seed,queries",
+        [
+            (certify_star_k1, certify_threshold_k1, 2, 2, 11, 10520),
+            (certify_star_k1, certify_threshold_k1, 17, 9, 5, 10537),
+            (certify_star_k1, certify_threshold_k1, 62, 100, 3, 10588),
+            (certify_star_k2, certify_threshold_k2, 3, 7, 2, 20526),
+            (certify_star_k2, certify_threshold_k2, 40, 400, 9, 20540),
+        ],
+    )
+    def test_query_counts(self, certify, threshold, k, center, seed, queries):
+        cert = certify(StarOracle(threshold(k), k, center), seed=seed)
+        assert cert.center == center
+        assert cert.trace.queries_used == queries
+
+    @pytest.mark.parametrize("certify,n,k", [(certify_star_k1, 11, 3), (certify_star_k2, 232, 3)])
+    @pytest.mark.parametrize("budget", [{"samples": -1}, {"spot": -1}])
+    def test_negative_budgets_rejected(self, certify, n, k, budget):
+        with pytest.raises(ValueError, match="samples and spot must be >= 0"):
+            certify(StarOracle(n, k, 1), **budget)
 
 
 class TestCertifiedStarsCrossCheck:

@@ -31,6 +31,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             FamilyParams(0, 0)
 
+    def test_full_computed_once(self):
+        p = FamilyParams(300, 3)
+        assert p.full == full_mask(300)
+        assert p.full is p.full
+        assert p == FamilyParams(300, 3) and hash(p) == hash(FamilyParams(300, 3))
+
     def test_edge_size(self):
         with pytest.raises(ValueError, match="size"):
             Family(FamilyParams(4, 2), (mask_of([1, 2, 3]),))
