@@ -34,6 +34,9 @@ class FamilyParams:
         return full_mask(self.n)
 
 
+INCIDENCE_BLOCK = 2048  # edges per block of the incidence build; a multiple of 8
+
+
 @dataclass(frozen=True)
 class Family:
     """An explicit k-uniform family: strictly increasing, deduplicated edge masks."""
@@ -42,13 +45,13 @@ class Family:
     edges: tuple[Mask, ...]
 
     def __post_init__(self) -> None:
-        k, full = self.params.k, self.params.full
+        k, outside = self.params.k, ~self.params.full
         prev = -1
         for e in self.edges:
-            if e & ~full:
+            if e & outside:
                 raise ValueError(f"edge {labels(e)} not within ground set [..{self.params.n}]")
-            if popcount(e) != k:
-                raise ValueError(f"edge {labels(e)} has size {popcount(e)}, expected {k}")
+            if e.bit_count() != k:
+                raise ValueError(f"edge {labels(e)} has size {e.bit_count()}, expected {k}")
             if e <= prev:
                 raise ValueError("edges not strictly increasing in canonical order")
             prev = e
@@ -66,6 +69,26 @@ class Family:
         return frozenset(self.edges)
 
     @cached_property
+    def incidence(self) -> tuple[int, ...]:
+        """Per-vertex edge-incidence bitsets: bit j of entry v-1 is set iff edge j contains v.
+
+        Setting bit j of a growing int costs O(j) words, so bits are set
+        within blocks of ``INCIDENCE_BLOCK`` edges and each vertex's
+        blocks are joined once, as bytes; the build stays linear in the
+        total edge size.
+        """
+        n, edges = self.params.n, self.edges
+        if len(edges) <= INCIDENCE_BLOCK:
+            return tuple(_incidence_block(edges, n))
+        width = INCIDENCE_BLOCK // 8
+        parts = [bytearray() for _ in range(n)]
+        for start in range(0, len(edges), INCIDENCE_BLOCK):
+            block = _incidence_block(edges[start : start + INCIDENCE_BLOCK], n)
+            for part, bits in zip(parts, block):
+                part += bits.to_bytes(width, "little")
+        return tuple(int.from_bytes(part, "little") for part in parts)
+
+    @cached_property
     def vertex_union(self) -> Mask:
         u = 0
         for e in self.edges:
@@ -77,6 +100,18 @@ class Family:
 
     def __contains__(self, e: Mask) -> bool:
         return e in self.edge_set
+
+
+def _incidence_block(edges: tuple[Mask, ...], n: int) -> list[int]:
+    """Incidence bitsets of a run of edges, bit j for the run's j-th edge."""
+    inc = [0] * n
+    for j, e in enumerate(edges):
+        jb = 1 << j
+        while e:
+            low = e & -e
+            inc[low.bit_length() - 1] |= jb
+            e ^= low
+    return inc
 
 
 @dataclass(frozen=True)
@@ -139,28 +174,15 @@ def covers_size1(fam: Family) -> tuple[Mask, bool]:
     return c, False
 
 
-def _avoidance_masks(edges: tuple[Mask, ...], area: Mask) -> dict[Mask, int]:
-    """For each vertex bit of ``area``, the edge-index set (as int) of edges avoiding it."""
-    m = len(edges)
-    hit = {v: 0 for v in iter_bits(area)}
-    for j, e in enumerate(edges):
-        jb = 1 << j
-        rel = e & area
-        while rel:
-            low = rel & -rel
-            hit[low] |= jb
-            rel ^= low
-    all_edges = (1 << m) - 1
-    return {v: all_edges ^ h for v, h in hit.items()}
-
-
 def covers_size2(fam: Family, area: Mask) -> CoverPairs:
     """All 2-subsets of ``area`` that meet every edge of the family.
 
-    Edge-incidence bitsets make each pair test one AND over |F| bits.
+    Edge-incidence bitsets make each pair test one AND over |F| bits:
+    the pair {a, b} is a cover when no edge avoids both.
     """
-    avoid = _avoidance_masks(fam.edges, area)
+    inc, all_edges = fam.incidence, (1 << len(fam.edges)) - 1
     verts = list(iter_bits(area))
+    avoid = {a: all_edges ^ inc[a.bit_length() - 1] for a in verts}
     pairs = []
     for i, a in enumerate(verts):
         av_a = avoid[a]

@@ -48,7 +48,9 @@ def hilton_milner(n: int, k: int) -> Family:
         if rest & base:
             edges.append(one | rest)
     fam = Family.from_masks(params, edges)
-    assert len(fam) == comb(n - 1, k - 1) - comb(n - k - 1, k - 1) + 1
+    expected = comb(n - 1, k - 1) - comb(n - k - 1, k - 1) + 1
+    if len(fam) != expected:
+        raise RuntimeError(f"Hilton-Milner ({n},{k}) has {len(fam)} edges, expected {expected}")
     return fam
 
 

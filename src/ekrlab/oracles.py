@@ -9,6 +9,8 @@ materializing its C(n-1, k-1) edges.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import Counter
+from itertools import chain, combinations
 from math import comb
 from typing import Iterator, Optional
 
@@ -19,6 +21,7 @@ from .masks import (
     iter_ksubsets,
     iter_subsets_within,
     labels,
+    mask_of,
     popcount,
     smallest_subset,
 )
@@ -153,8 +156,8 @@ def link(source: FamilyOracle | Family, base: Mask) -> LinkGraph:
 def min_degree_scan(oracle: FamilyOracle, d: int) -> tuple[int, Mask]:
     """Minimum d-degree by exhaustive iteration over all d-subsets of [n].
 
-    The slow, assumption-free route; kept independent of the counting
-    path so the two can check each other.
+    The slow, assumption-free route; kept independent of the walk and
+    counting routes for explicit families so they can check each other.
     """
     p = oracle.params
     if not (1 <= d <= p.k):
@@ -166,27 +169,67 @@ def min_degree_scan(oracle: FamilyOracle, d: int) -> tuple[int, Mask]:
             best_val, best_arg = v, s
             if v == 0:
                 break
-    assert best_val is not None and best_arg is not None
+    if best_val is None or best_arg is None:
+        raise RuntimeError(f"no {d}-subset of [{p.n}] was scanned")
     return best_val, best_arg
 
 
 def _min_degree_explicit(family: Family, d: int) -> tuple[int, Mask]:
-    """Counting route: tally the d-subsets of every edge, then take the minimum."""
+    """Minimum d-degree of a nonempty explicit family, with the canonical argmin.
+
+    The walk costs about C(n, d) ANDs of |F|/64 words, the tally |F| C(k, d)
+    dict updates; the cheaper route by that count answers.
+    """
+    p, m = family.params, len(family.edges)
+    if comb(p.n, d) * (m // 64 + 1) <= m * comb(p.k, d):
+        return _min_degree_walk(family, d)
+    return _min_degree_counting(family, d)
+
+
+def _min_degree_walk(family: Family, d: int) -> tuple[int, Mask]:
+    """Walk route: AND incidence bitsets down the canonical walk of the d-subsets of [n].
+
+    The first strict minimum in canonical order is the canonical argmin,
+    and the walk stops at the first degree 0.
+    """
+    inc = family.incidence
+    best_val, best_arg = len(family.edges) + 1, 0
+
+    def walk(acc: int, s: Mask, r: int, top: int) -> bool:
+        # the sets s | T, T an r-subset of vertices 0..top-1, in canonical
+        # order: the top vertex of T ascends outermost; True stops the walk
+        nonlocal best_val, best_arg
+        if r == 1:
+            for t in range(top):
+                c = (acc & inc[t]).bit_count()
+                if c < best_val:
+                    best_val, best_arg = c, s | 1 << t
+                    if not c:
+                        return True
+            return False
+        for t in range(r - 1, top):
+            if walk(acc & inc[t], s | 1 << t, r - 1, t):
+                return True
+        return False
+
+    walk((1 << len(family.edges)) - 1, 0, d, family.params.n)
+    return best_val, best_arg
+
+
+def _min_degree_counting(family: Family, d: int) -> tuple[int, Mask]:
+    """Counting route: tally the d-subsets of every edge, then take the minimum.
+
+    Subsets are tallied as label tuples, which cost less to form and hash
+    than masks; reversed, they compare in canonical order.
+    """
     p = family.params
-    counts: dict[Mask, int] = {}
-    for e in family.edges:
-        for s in iter_subsets_within(e, d):
-            counts[s] = counts.get(s, 0) + 1
+    counts = Counter(chain.from_iterable(combinations(labels(e), d) for e in family.edges))
     if len(counts) < comb(p.n, d):
         for s in iter_ksubsets(p.n, d):
-            if s not in counts:
+            if labels(s) not in counts:
                 return 0, s
-    best_val, best_arg = None, None
-    for s, v in counts.items():
-        if best_val is None or v < best_val or (v == best_val and s < best_arg):
-            best_val, best_arg = v, s
-    assert best_val is not None and best_arg is not None
-    return best_val, best_arg
+    best_val = min(counts.values())
+    return best_val, mask_of(min(t[::-1] for t, v in counts.items() if v == best_val))
 
 
 def min_degree(oracle: FamilyOracle | Family, d: int) -> tuple[int, Mask]:

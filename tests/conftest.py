@@ -30,6 +30,14 @@ def ref_min_degree(fam: Family, d: int) -> tuple[int, Mask]:
     return best_val, best_arg
 
 
+def ref_incidence(fam: Family) -> tuple[int, ...]:
+    """Per-vertex scan: bit j of entry v-1 is set when edge j contains v."""
+    return tuple(
+        sum(1 << j for j, e in enumerate(fam.edges) if e >> (v - 1) & 1)
+        for v in range(1, fam.params.n + 1)
+    )
+
+
 def ref_covers_size2(fam: Family, area: Mask) -> set[Mask]:
     """Independent double loop: try every pair, scan every edge."""
     verts = [v for v in range(1, fam.params.n + 1) if area >> (v - 1) & 1]

@@ -1,7 +1,10 @@
 import json
+from math import comb
 
 from ekrlab.cli import main
 from ekrlab.io import read_family
+from ekrlab.masks import labels
+from ekrlab.oracles import StarOracle, min_degree
 
 
 def run(capsys, *argv):
@@ -46,6 +49,18 @@ class TestStatsAndCertify:
         payload = json.loads(out)
         assert payload["intersecting"] is True
         assert payload["min_degree"]["2"]["value"] == 1
+
+    def test_stats_min_degree_of_star(self, tmp_path, capsys):
+        # 2,300 edges: a two-block incidence build, the walk at d = 1, 2
+        # and the counting route at d = 3
+        fam_path = tmp_path / "s.fam"
+        main(["gen", "star", "--n", "26", "--k", "4", "--center", "2", "--out", str(fam_path)])
+        code, out = run(capsys, "stats", "--in", str(fam_path))
+        assert code == 0
+        deltas = json.loads(out)["min_degree"]
+        for d in (1, 2, 3):
+            _, arg = min_degree(StarOracle(26, 4, 2), d)
+            assert deltas[str(d)] == {"value": comb(26 - d - 1, 4 - d - 1), "argmin": list(labels(arg))}
 
     def test_certify_star_file(self, tmp_path, capsys):
         fam_path = tmp_path / "s.fam"

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ref_covers_size2, ref_is_intersecting, random_family
+from conftest import ref_covers_size2, ref_incidence, ref_is_intersecting, random_family
 from ekrlab.family import (
     Family,
     FamilyParams,
@@ -16,7 +16,7 @@ from ekrlab.family import (
     restrict,
 )
 from ekrlab.generators import complete_star
-from ekrlab.masks import full_mask, labels, mask_of
+from ekrlab.masks import full_mask, iter_ksubsets, labels, mask_of
 from ekrlab.oracles import link
 
 
@@ -106,6 +106,18 @@ class TestCovers2:
             f = random_family(rng, n, k, rng.randrange(1, 9))
             area = rng.randrange(1 << n)
             assert set(covers_size2(f, area).pairs) == ref_covers_size2(f, area)
+        # the incidence index at the word edge (64, 65 edges) and across
+        # build blocks (the (26,4) star has 2,300 edges)
+        triples = tuple(iter_ksubsets(9, 3))
+        for f in [
+            Family(FamilyParams(9, 3), ()),
+            Family(FamilyParams(9, 3), triples[:64]),
+            Family(FamilyParams(9, 3), triples[:65]),
+            complete_star(26, 4, 5),
+        ]:
+            assert f.incidence == ref_incidence(f)
+            full = f.params.full
+            assert set(covers_size2(f, full).pairs) == ref_covers_size2(f, full)
 
 
 class TestRestrict:

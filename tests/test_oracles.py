@@ -1,12 +1,25 @@
+import ast
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import ekrlab
 from conftest import random_family, ref_degree, ref_min_degree
 from ekrlab.family import Family, FamilyParams
-from ekrlab.generators import complete_star, hilton_milner
+from ekrlab.generators import complete_star, enumerate_maximal_intersecting, hilton_milner
 from ekrlab.masks import iter_ksubsets, labels, mask_of
-from ekrlab.oracles import ExplicitOracle, StarOracle, min_degree, min_degree_scan
+from ekrlab.oracles import (
+    ExplicitOracle,
+    StarOracle,
+    _min_degree_counting,
+    _min_degree_walk,
+    min_degree,
+    min_degree_scan,
+)
 
 
 class TestStarOracleClosedForms:
@@ -74,14 +87,38 @@ class TestMinDegree:
             min_degree(complete_star(6, 3, 1), 4)
 
     def test_counting_matches_scan_and_reference(self, rng):
+        cases = []
         for _ in range(40):
             n = rng.randrange(4, 9)
             k = rng.randrange(2, min(4, n) + 1)
             f = random_family(rng, n, k, rng.randrange(1, 10))
-            for d in range(1, k + 1):
-                got = min_degree(f, d)
-                assert got == min_degree_scan(ExplicitOracle(f), d)
-                assert got == ref_min_degree(f, d)
+            cases += [(f, d) for d in range(1, k + 1)]
+        # min_degree counts on the 7-edge (8,3) maximal family at d = 2 and
+        # walks on the 10-edge one; it walks on the (26,4) star at d = 1
+        # and counts at d = 3
+        maximal = {}
+        for f in enumerate_maximal_intersecting(8, 3):
+            maximal.setdefault(len(f), f)
+            if 7 in maximal and 10 in maximal:
+                break
+        star = complete_star(26, 4, 2)
+        cases += [(maximal[7], 2), (maximal[10], 2), (star, 1), (star, 3)]
+        # ties: pairs {2,3} and {1,4} share the minimum 2-degree and the
+        # triples {2,3,5} and {1,4,5} are missing; canonical order puts
+        # {2,3} and {2,3,5} first (lexicographic order would not)
+        full = Family(FamilyParams(5, 3), tuple(iter_ksubsets(5, 3)))
+        missing = (mask_of([1, 4, 5]), mask_of([2, 3, 5]))
+        ties = Family(full.params, tuple(e for e in full.edges if e not in missing))
+        assert ref_min_degree(ties, 2) == (2, mask_of([2, 3]))
+        assert ref_min_degree(ties, 3) == (0, mask_of([2, 3, 5]))
+        cases += [(ties, d) for d in (1, 2, 3)] + [(full, d) for d in (1, 2, 3)]
+        for f, d in cases:
+            want = ref_min_degree(f, d)
+            assert min_degree(f, d) == want
+            assert min_degree_scan(ExplicitOracle(f), d) == want
+            # each route on its own, whichever min_degree picks
+            assert _min_degree_walk(f, d) == want
+            assert _min_degree_counting(f, d) == want
 
     def test_hilton_milner_top_codegree_vanishes(self):
         # brute-force derivation: pairs avoiding the anchor inside the
@@ -90,6 +127,34 @@ class TestMinDegree:
         val, arg = min_degree(hm, 2)
         assert val == 0
         assert ref_degree(hm, arg) == 0
+
+
+FANO_LINES = [[1, 2, 4], [2, 3, 5], [3, 4, 6], [4, 5, 7], [1, 5, 6], [2, 6, 7], [1, 3, 7]]
+
+
+def test_min_degree_under_optimize_flag():
+    """``python -O`` strips asserts; both explicit routes, the scan and the
+    Hilton-Milner size check still give the reference answers."""
+    script = f"""
+import sys
+from ekrlab.family import Family, FamilyParams
+from ekrlab.generators import complete_star, hilton_milner
+from ekrlab.oracles import ExplicitOracle, min_degree, min_degree_scan
+assert False, "asserts are live"
+fano = Family.from_labels(FamilyParams(8, 3), {FANO_LINES})
+star, hm = complete_star(26, 4, 2), hilton_milner(9, 3)
+print(repr((sys.flags.optimize, min_degree(fano, 2), min_degree(star, 1), min_degree(star, 3),
+            min_degree_scan(ExplicitOracle(hm), 2), len(hm))))
+"""
+    src = str(Path(ekrlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    fano = Family.from_labels(FamilyParams(8, 3), FANO_LINES)
+    star, hm = complete_star(26, 4, 2), hilton_milner(9, 3)
+    refs = [ref_min_degree(fano, 2), ref_min_degree(star, 1), ref_min_degree(star, 3), ref_min_degree(hm, 2)]
+    assert ast.literal_eval(done.stdout) == (1, *refs, comb(8, 2) - comb(5, 2) + 1)
 
 
 class TestOracleEquivalence:
