@@ -1035,8 +1035,9 @@ def certify_star_k1(
         f = co.extension(wb, 0)
         if f is None:
             return finish(None, ZeroCodegree(wb))
+        if f & bit(v):
+            raise InternalContradictionError(f"oracle returned the edge {labels(f)} it reported absent")
         h = smallest_subset(window_x & ~(f | bit(v)), k - 1) | bit(v)
-        assert not h & f
         if co.contains(h):
             return finish(None, DisjointEdges(f, h))
         return finish(None, _missing_edge_probe_k1(co, h1, window_x, v, h & ~bit(v)))

@@ -5,10 +5,18 @@ families and synthetic oracles steer into the second window, the
 cross-window edge derivation, and the phase-2 case analysis.
 """
 
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
+import pytest
+
+import ekrlab
 from ekrlab.constructions import (
     DisjointEdges,
+    InternalContradictionError,
     LowCodegree,
     ZeroCodegree,
     certify_star_k1,
@@ -18,7 +26,7 @@ from ekrlab.constructions import (
 from ekrlab.family import Family, FamilyParams
 from ekrlab.generators import complete_star
 from ekrlab.masks import bit, iter_bits, iter_subsets_within, labels, mask_of, popcount, smallest_subset
-from ekrlab.oracles import ExplicitOracle, FamilyOracle
+from ekrlab.oracles import ExplicitOracle, FamilyOracle, StarOracle
 
 
 def without_edge(star: Family, edge_labels) -> Family:
@@ -114,6 +122,93 @@ class TwoStarOracle(FamilyOracle):
                 if e not in seen:
                     seen.add(e)
                     yield e
+
+
+class SplitStarOracle(FamilyOracle):
+    """The complete star at ``low``, except that the query kinds named in
+    ``split`` answer as the star at ``high`` when the queried set meets
+    every mask in ``zones``.  No single family answers this way."""
+
+    def __init__(self, n: int, k: int, low: int, high: int, zones: tuple[int, ...], split: frozenset[str]):
+        self.lo, self.hi = StarOracle(n, k, low), StarOracle(n, k, high)
+        self.zones, self.split = zones, split
+
+    @property
+    def params(self):
+        return self.lo.params
+
+    def _star(self, kind: str, s: int) -> StarOracle:
+        return self.hi if kind in self.split and all(s & z for z in self.zones) else self.lo
+
+    def contains(self, e):
+        return self._star("contains", e).contains(e)
+
+    def degree(self, s):
+        return self._star("degree", s).degree(s)
+
+    def extension(self, base, forbidden=0):
+        return self._star("extension", base).extension(base, forbidden)
+
+    def enumerate_extensions(self, base):
+        return self._star("enumerate", base).enumerate_extensions(base)
+
+
+class PuncturedStarOracle(FamilyOracle):
+    """The complete star at ``center`` minus every edge through ``hole``."""
+
+    def __init__(self, n: int, k: int, center: int, hole: int):
+        self.star, self.hole = StarOracle(n, k, center), bit(hole)
+
+    @property
+    def params(self):
+        return self.star.params
+
+    def contains(self, e):
+        return not e & self.hole and self.star.contains(e)
+
+    def degree(self, s):
+        through = s | self.hole
+        return self.star.degree(s) - (self.star.degree(through) if popcount(through) <= self.params.k else 0)
+
+    def extension(self, base, forbidden=0):
+        return None if base & self.hole else self.star.extension(base, forbidden | self.hole)
+
+    def enumerate_extensions(self, base):
+        return (e for e in self.star.enumerate_extensions(base) if not e & self.hole)
+
+
+class TestCrossingAnswers:
+    # contains answers as the star at 7 for edges with a vertex >= 8 and
+    # as the star at 3 otherwise; extension answers as the star at 3, so
+    # the crossing step gets back the very edge it was told is absent
+    SCRIPT = """
+from ekrlab.constructions import certify_star_k1
+from ekrlab.masks import mask_of
+from test_constructions_adversarial import SplitStarOracle
+oracle = SplitStarOracle(9, 2, 3, 7, (mask_of([8, 9]),), frozenset({"contains"}))
+try:
+    print(certify_star_k1(oracle, samples=300, spot=64, seed=18))
+except Exception as exc:
+    print(type(exc).__name__, exc)
+"""
+
+    def test_returned_absent_edge_is_a_contradiction(self):
+        oracle = SplitStarOracle(9, 2, 3, 7, (mask_of([8, 9]),), frozenset({"contains"}))
+        with pytest.raises(InternalContradictionError, match=r"edge \(3, 8\) it reported absent"):
+            certify_star_k1(oracle, samples=300, spot=64, seed=18)
+
+    def test_returned_absent_edge_under_optimize_flag(self):
+        src = str(Path(ekrlab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, str(Path(__file__).parent), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", self.SCRIPT],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        assert done.stdout.startswith("InternalContradictionError oracle returned the edge (3, 8)")
 
 
 class TestTwoStarUnion:
