@@ -3,7 +3,6 @@
 Subcommands: gen {star|hm|random|all-maximal}, stats, check, search,
 construct {k1|k2}, certify {k1|k2}, bounds.  Exit codes: 0 for
 holds/exhausted/star, 2 for violated/found, 1 for usage errors.
-EKRLAB_THREADS sets the default worker count for check.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io as _io
-import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -48,14 +46,6 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         Path(args.out).write_text(text if text.endswith("\n") else text + "\n")
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _default_threads() -> int:
-    try:
-        t = int(os.environ.get("EKRLAB_THREADS", "1"))
-    except ValueError:
-        t = 1
-    return max(t, 1)
 
 
 def _load_oracle(args: argparse.Namespace) -> FamilyOracle:
@@ -122,7 +112,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    report = check_theorem(args.n, args.k, args.d, dedup_mode=args.dedup, threads=args.threads, budget=_budget(args))
+    report = check_theorem(args.n, args.k, args.d, dedup_mode=args.dedup, budget=_budget(args))
     if args.format == "csv":
         buf = _io.StringIO()
         w = csv.writer(buf)
@@ -157,7 +147,7 @@ def _construct_payload(procedure: str, oracle: FamilyOracle, result, vertex_boun
     if result.ok:
         payload["subfamily"] = result.subfamily
         payload["vertex_actual"] = result.subfamily.vertex_set.bit_count()
-        if getattr(result, "cover_vertex", None) is not None:
+        if result.cover_vertex is not None:
             payload["cover_vertex"] = result.cover_vertex
     else:
         payload["witness"] = result.violation
@@ -256,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--k", type=int, required=True)
     check.add_argument("--d", type=int, required=True)
     check.add_argument("--dedup", choices=["labeled", "canonical"], default="labeled")
-    check.add_argument("--threads", type=int, default=_default_threads())
     check.add_argument("--budget-ms", type=int, default=None)
     check.add_argument("--budget-nodes", type=int, default=None)
     check.set_defaults(func=cmd_check)
@@ -298,9 +287,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if getattr(args, "threads", 1) < 1:
-        sys.stderr.write("error: --threads must be >= 1\n")
-        return EXIT_USAGE
     try:
         return args.func(args)
     except (ValueError, OSError, ResourceLimitError) as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .bounds import (
     ceil_cbrt_poly,
@@ -39,7 +39,7 @@ from .masks import (
     smallest_subset,
     fill_to_size,
 )
-from .oracles import ExplicitOracle, FamilyOracle
+from .oracles import ExplicitOracle, FamilyOracle, link
 
 SAMPLE_BUDGET = 10_000  # seeded final-claim samples on non-explicit oracles
 SPOT_BUDGET = 256  # per-window spot checks on non-explicit oracles
@@ -189,22 +189,11 @@ class TracedFamily:
 
 
 @dataclass(frozen=True)
-class ShrinkK1Result:
+class ShrinkResult:
     subfamily: Optional[TracedFamily]
     violation: Optional[Violation]
     trace: ConstructionTrace
-
-    @property
-    def ok(self) -> bool:
-        return self.violation is None
-
-
-@dataclass(frozen=True)
-class ShrinkK2Result:
-    subfamily: Optional[TracedFamily]
-    cover_vertex: Optional[int]
-    violation: Optional[Violation]
-    trace: ConstructionTrace
+    cover_vertex: Optional[int] = None  # set by the k-2 shrink on success
 
     @property
     def ok(self) -> bool:
@@ -286,10 +275,6 @@ def _as_oracle(source: FamilyOracle | Family) -> FamilyOracle:
     return ExplicitOracle(source) if isinstance(source, Family) else source
 
 
-def _link_pairs(co: FamilyOracle, base: Mask) -> tuple[Mask, ...]:
-    return tuple(sorted(e & ~base for e in co.enumerate_extensions(base)))
-
-
 def _sample_subsets(rng: random.Random, pool: Mask, r: int, count: int) -> Iterator[Mask]:
     """``count`` uniform r-subsets of the pool, as masks.
 
@@ -338,7 +323,7 @@ def _sample_subsets(rng: random.Random, pool: Mask, r: int, count: int) -> Itera
 # k-1 core shrinking
 
 
-def shrink_core_k1(source: FamilyOracle | Family, e: Mask) -> ShrinkK1Result:
+def shrink_core_k1(source: FamilyOracle | Family, e: Mask) -> ShrinkResult:
     """Shrink the common core around ``e`` to at most one vertex.
 
     Produces a subfamily H containing ``e`` with |core(H)| <= 1 on a
@@ -370,15 +355,15 @@ def shrink_core_k1(source: FamilyOracle | Family, e: Mask) -> ShrinkK1Result:
             stray = co.extension(0, e)
             trace.queries_used = co.queries
             if stray is not None:
-                return ShrinkK1Result(None, DisjointEdges(e, stray), trace)
+                return ShrinkResult(None, DisjointEdges(e, stray), trace)
             w = smallest_subset(p.full & ~e, 1)
-            return ShrinkK1Result(None, ZeroCodegree(w), trace)
+            return ShrinkResult(None, ZeroCodegree(w), trace)
         sub = TracedFamily(p, tuple(sorted((e, partner))), e | partner)
         trace.record(1, smallest_subset(e, 1), partner, e & partner, e | partner, k)
         trace.final_vertex_set = sub.vertex_set
         trace.queries_used = co.queries
         trace.parameters["D"] = 1
-        return ShrinkK1Result(sub, None, trace)
+        return ShrinkResult(sub, None, trace)
 
     extra = smallest_subset(p.full & ~e, 1)
     edges: list[Mask] = [e]
@@ -399,7 +384,7 @@ def shrink_core_k1(source: FamilyOracle | Family, e: Mask) -> ShrinkK1Result:
         f = co.extension(w, 0)
         if f is None:
             trace.queries_used = co.queries
-            return ShrinkK1Result(None, ZeroCodegree(w), trace)
+            return ShrinkResult(None, ZeroCodegree(w), trace)
         prev_core, prev_excess = core, popcount(vertex_set) - k
         if f not in edges:
             edges.append(f)
@@ -428,7 +413,7 @@ def shrink_core_k1(source: FamilyOracle | Family, e: Mask) -> ShrinkK1Result:
     trace.final_vertex_set = vertex_set
     trace.queries_used = co.queries
     trace.parameters["D"] = big_d
-    return ShrinkK1Result(sub, None, trace)
+    return ShrinkResult(sub, None, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +440,7 @@ def cherry_reduce(
         raise ValueError("base and area must be disjoint")
     if n < k + 5:
         raise ValueError(f"n >= k+5 = {k + 5} required")
-    pairs = _link_pairs(co, base)
+    pairs = link(co, base).pairs
     required = n - k + 1
     if len(pairs) < required:
         raise ValueError(
@@ -482,18 +467,16 @@ def cherry_reduce(
 # k-2 core shrinking (two phases)
 
 
-def _low_codegree_or_pairs(
-    co: FamilyOracle, w: Mask, required: int
-) -> tuple[Optional[LowCodegree], tuple[Mask, ...]]:
-    pairs = _link_pairs(co, w)
+def _low_codegree_or_pairs(co: FamilyOracle, w: Mask) -> tuple[Optional[LowCodegree], tuple[Mask, ...]]:
+    """The link pairs of the (k-2)-set ``w``, or a witness that it has fewer than n-k+1."""
+    pairs = link(co, w).pairs
+    required = co.params.n - co.params.k + 1
     if len(pairs) < required:
         return LowCodegree(w, len(pairs), required), ()
     return None, pairs
 
 
-def _refute_by_outside_query(
-    co: FamilyOracle, ctx_edges: Sequence[Mask], ctx_vertex_set: Mask, required: int
-) -> Violation:
+def _refute_by_outside_query(co: FamilyOracle, ctx_edges: Sequence[Mask], ctx_vertex_set: Mask) -> Violation:
     """Produce a witness from a (k-2)-set outside a small context family.
 
     Any extension of such a set must either be scarce (LowCodegree) or
@@ -506,7 +489,7 @@ def _refute_by_outside_query(
     if popcount(avail) < p.k - 2:
         raise InternalContradictionError("context vertex set too large for an outside query")
     w = smallest_subset(avail, p.k - 2)
-    viol, pairs = _low_codegree_or_pairs(co, w, required)
+    viol, pairs = _low_codegree_or_pairs(co, w)
     if viol is not None:
         return viol
     for t in pairs:
@@ -519,7 +502,7 @@ def _refute_by_outside_query(
     )
 
 
-def shrink_core_k2(source: FamilyOracle | Family, e: Mask) -> ShrinkK2Result:
+def shrink_core_k2(source: FamilyOracle | Family, e: Mask) -> ShrinkResult:
     """Build a subfamily around ``e`` whose size-two covers share a vertex.
 
     Phase 1 drives the common core below two vertices with (k-2)-set
@@ -561,10 +544,10 @@ def shrink_core_k2(source: FamilyOracle | Family, e: Mask) -> ShrinkK2Result:
             carved = core | smallest_subset(base_vset & ~core, x + 2 - popcount(core))
         w = base_vset & ~carved
         assert popcount(w) == k - 2
-        viol, pairs = _low_codegree_or_pairs(co, w, required)
+        viol, pairs = _low_codegree_or_pairs(co, w)
         if viol is not None:
             trace.queries_used = co.queries
-            return ShrinkK2Result(None, None, viol, trace)
+            return ShrinkResult(None, viol, trace)
         f = w | pairs[0]
         if f not in edges:
             edges.append(f)
@@ -580,10 +563,10 @@ def shrink_core_k2(source: FamilyOracle | Family, e: Mask) -> ShrinkK2Result:
 
     if popcount(core) == 2:
         w = smallest_subset(vertex_set & ~core, k - 2)
-        viol, pairs = _low_codegree_or_pairs(co, w, required)
+        viol, pairs = _low_codegree_or_pairs(co, w)
         if viol is not None:
             trace.queries_used = co.queries
-            return ShrinkK2Result(None, None, viol, trace)
+            return ShrinkResult(None, viol, trace)
         link_graph = PairGraph(p.full & ~w, pairs)
         matching = max_matching_upto(link_graph, 2)
         if len(matching) == 2:
@@ -651,7 +634,7 @@ def shrink_core_k2(source: FamilyOracle | Family, e: Mask) -> ShrinkK2Result:
                 if popcount(pool) < k - 2:
                     raise InternalContradictionError("padding left no room for a base set")
                 sel = smallest_subset(pool, k - 2)
-                viol, pairs = _low_codegree_or_pairs(co, sel, required)
+                viol, pairs = _low_codegree_or_pairs(co, sel)
                 if viol is not None:
                     return viol
                 star = is_star_graph(PairGraph(p.full & ~sel, pairs))
@@ -667,7 +650,7 @@ def shrink_core_k2(source: FamilyOracle | Family, e: Mask) -> ShrinkK2Result:
             entries = entry_links(i, j)
             if isinstance(entries, Violation):
                 trace.queries_used = co.queries
-                return ShrinkK2Result(None, None, entries, trace)
+                return ShrinkResult(None, entries, trace)
             nonstar = [ent for ent in entries if ent[2] is None]
             if nonstar:
                 sel, pairs, _ = nonstar[0]
@@ -728,10 +711,10 @@ def shrink_core_k2(source: FamilyOracle | Family, e: Mask) -> ShrinkK2Result:
             current = TracedFamily(p, current.edges, grown)
             pool = current.vertex_set & ~(cover_union | bit(v))
         sel = smallest_subset(pool, k - 2)
-        viol, pairs = _low_codegree_or_pairs(co, sel, required)
+        viol, pairs = _low_codegree_or_pairs(co, sel)
         if viol is not None:
             trace.queries_used = co.queries
-            return ShrinkK2Result(None, None, viol, trace)
+            return ShrinkResult(None, viol, trace)
         star = is_star_graph(PairGraph(p.full & ~sel, pairs))
         if star.center == v:
             vbit = bit(v)
@@ -755,9 +738,7 @@ def shrink_core_k2(source: FamilyOracle | Family, e: Mask) -> ShrinkK2Result:
                     added.append(sel | pr)
             ctx = current.add(added)
             trace.queries_used = co.queries
-            return ShrinkK2Result(
-                None, None, _refute_by_outside_query(co, ctx.edges, ctx.vertex_set, required), trace
-            )
+            return ShrinkResult(None, _refute_by_outside_query(co, ctx.edges, ctx.vertex_set), trace)
         else:
             res = cherry_reduce(co, current, sel, cover_union)
             assert res.reduced is not None
@@ -773,18 +754,16 @@ def shrink_core_k2(source: FamilyOracle | Family, e: Mask) -> ShrinkK2Result:
                 current = TracedFamily(p, current.edges, grown)
                 pool2 = current.vertex_set & ~(aux_union | bit(v))
             sel2 = smallest_subset(pool2, k - 2)
-            viol, pairs2 = _low_codegree_or_pairs(co, sel2, required)
+            viol, pairs2 = _low_codegree_or_pairs(co, sel2)
             if viol is not None:
                 trace.queries_used = co.queries
-                return ShrinkK2Result(None, None, viol, trace)
+                return ShrinkResult(None, viol, trace)
             off = next((t for t in pairs2 if not t & bit(v)), None)
             if off is not None:
                 # An edge through sel2 avoiding v caps the covers at k + 2.
                 ctx = current.add([sel2 | off])
                 trace.queries_used = co.queries
-                return ShrinkK2Result(
-                    None, None, _refute_by_outside_query(co, ctx.edges, ctx.vertex_set, required), trace
-                )
+                return ShrinkResult(None, _refute_by_outside_query(co, ctx.edges, ctx.vertex_set), trace)
             if popcount(current.vertex_set & ~(sel2 | bit(v))) <= 3:
                 raise InternalContradictionError(
                     "no room to extend past the consolidated query set"
@@ -812,17 +791,15 @@ def shrink_core_k2(source: FamilyOracle | Family, e: Mask) -> ShrinkK2Result:
             )
     if not e & cvbit:
         trace.queries_used = co.queries
-        return ShrinkK2Result(
-            None, None, _refute_by_outside_query(co, current.edges, current.vertex_set, required), trace
-        )
+        return ShrinkResult(None, _refute_by_outside_query(co, current.edges, current.vertex_set), trace)
 
     trace.final_vertex_set = current.vertex_set
     trace.queries_used = co.queries
-    return ShrinkK2Result(current, cover_vertex, None, trace)
+    return ShrinkResult(current, None, trace, cover_vertex)
 
 
 # ---------------------------------------------------------------------------
-# star certification, codegree level k-1
+# star certification: witness probes
 
 
 def _gap_probe_k1(
@@ -851,9 +828,10 @@ def _gap_probe_k1(
 
 
 def _missing_edge_probe_k1(
-    co: FamilyOracle, ctx: TracedFamily, window: Mask, v: int, w: Mask
+    co: FamilyOracle, ctx: TracedFamily, window: Mask, v: int, m: Mask
 ) -> Violation:
-    """Witness from a (k-1)-set w in the window whose star edge is absent."""
+    """Witness from a star edge ``m`` (through v) in the window reported absent."""
+    w = m & ~bit(v)
     f = co.extension(w, 0)
     if f is None:
         return ZeroCodegree(w)
@@ -864,232 +842,7 @@ def _missing_edge_probe_k1(
     return _gap_probe_k1(co, tuple(ctx.edges) + (f,), ctx.vertex_set | f, window)
 
 
-def _window_check_k1(
-    co: FamilyOracle,
-    ctx: TracedFamily,
-    window: Mask,
-    v: int,
-    explicit: Optional[Family],
-    rng: random.Random,
-    spot: int,
-) -> Optional[Violation]:
-    """Verify the restriction to ``window`` is the complete star at ``v``.
-
-    Exhaustive on explicit families; seeded spot checks on oracles.
-    """
-    if explicit is not None:
-        sv = is_complete_star_on(explicit, window, v)
-        if sv is None:
-            return None
-        if sv.kind == "offending":
-            return _gap_probe_k1(co, tuple(ctx.edges) + (sv.edge,), ctx.vertex_set | sv.edge, window)
-        return _missing_edge_probe_k1(co, ctx, window, v, sv.edge & ~bit(v))
-    for w in _sample_subsets(rng, window & ~bit(v), co.params.k - 1, spot):
-        if not co.contains(w | bit(v)):
-            return _missing_edge_probe_k1(co, ctx, window, v, w)
-    return None
-
-
-def _distinct_centers_k1(
-    co: FamilyOracle,
-    ctx_x: TracedFamily,
-    ctx_y: TracedFamily,
-    window_x: Mask,
-    window_y: Mask,
-    v: int,
-    v2: int,
-) -> Violation:
-    """Two windows certified with different centers force disjoint edges.
-
-    If either claimed star edge turns out absent, that window's star
-    claim was wrong and the missing-edge route applies instead.
-    """
-    p = co.params
-    w1 = smallest_subset(window_x & ~(bit(v) | bit(v2)), p.k - 1)
-    e1 = w1 | bit(v)
-    w2 = smallest_subset(p.full & ~window_x & ~(bit(v) | bit(v2)), p.k - 1)
-    e2 = w2 | bit(v2)
-    assert not e1 & e2
-    if not co.contains(e1):
-        return _missing_edge_probe_k1(co, ctx_x, window_x, v, w1)
-    if not co.contains(e2):
-        return _missing_edge_probe_k1(co, ctx_y, window_y, v2, w2)
-    return DisjointEdges(e1, e2)
-
-
-def _final_check_k1(
-    co: FamilyOracle,
-    ctx: TracedFamily,
-    window_x: Mask,
-    window_y: Mask,
-    v: int,
-    explicit: Optional[Family],
-    rng: random.Random,
-    samples: int,
-) -> Optional[Violation]:
-    """Global star verification: exhaustive when explicit, sampled otherwise."""
-    p = co.params
-    vb = bit(v)
-
-    def offending_violation(f: Mask) -> Violation:
-        for window in (window_x, window_y):
-            pool = window & ~(f | vb)
-            if popcount(pool) >= p.k - 1:
-                h = smallest_subset(pool, p.k - 1) | vb
-                if co.contains(h):
-                    return DisjointEdges(f, h)
-        if explicit is not None:
-            from .family import disjoint_pair
-            from .oracles import min_degree
-
-            pair = disjoint_pair(explicit)
-            if pair is not None:
-                return DisjointEdges(*pair)
-            val, arg = min_degree(explicit, p.k - 1)
-            if val == 0:
-                return ZeroCodegree(arg)
-        # the off-center edge itself is a checkable refutation of the star claim
-        return NotStar(missing=None, offending=f)
-
-    if explicit is not None:
-        sv = is_complete_star_on(explicit, p.full, v)
-        if sv is None:
-            return None
-        if sv.kind == "offending":
-            return offending_violation(sv.edge)
-        w = sv.edge & ~vb
-        f = co.extension(w, 0)
-        if f is None:
-            return ZeroCodegree(w)
-        return offending_violation(f)
-    for w in _sample_subsets(rng, p.full & ~vb, p.k - 1, samples):
-        if co.contains(w | vb):
-            continue
-        f = co.extension(w, 0)
-        if f is None:
-            return ZeroCodegree(w)
-        return offending_violation(f)
-    return None
-
-
-def certify_star_k1(
-    source: FamilyOracle | Family,
-    *,
-    samples: int = SAMPLE_BUDGET,
-    spot: int = SPOT_BUDGET,
-    seed: int = 0,
-) -> Certificate:
-    """Certify that an intersecting family with minimum (k-1)-degree one
-    is a complete star, or return a violation witness.
-
-    Runs the two-window argument: shrink a core around a first edge,
-    certify the restriction to a window of size n-k, repeat from an
-    edge across the window, merge the two centers, then verify the
-    star claim globally (exhaustively for explicit families, by seeded
-    sampling for oracles).
-    """
-    oracle = _as_oracle(source)
-    p = oracle.params
-    n, k = p.n, p.k
-    if k < 2:
-        raise ValueError("k >= 2 required")
-    if samples < 0 or spot < 0:
-        raise ValueError(f"samples and spot must be >= 0, got samples={samples} spot={spot}")
-    need = certify_threshold_k1(k)
-    if n < need:
-        raise ValueError(f"certification at codegree k-1 requires n >= {need}, got n={n}")
-    co = CountingOracle(oracle)
-    explicit = oracle.family if isinstance(oracle, ExplicitOracle) else None
-    rng = random.Random(seed)
-    trace = ConstructionTrace()
-    trace.parameters["seed"] = seed
-
-    e0 = co.first_edge()
-    if e0 is None:
-        raise ValueError("the family is empty")
-
-    def finish(center: Optional[int], violation: Optional[Violation]) -> Certificate:
-        trace.queries_used = co.queries
-        return Certificate(center, violation, trace)
-
-    r1 = shrink_core_k1(co, e0)
-    trace.steps.extend(r1.trace.steps)
-    if not r1.ok:
-        return finish(None, r1.violation)
-    assert r1.subfamily is not None
-    h1 = r1.subfamily
-    window_x = fill_to_size(h1.vertex_set, n - k, p.full)
-    core1 = h1.core
-    if not core1:
-        return finish(None, _gap_probe_k1(co, h1.edges, h1.vertex_set, window_x))
-    v = lowest_vertex(core1)
-    viol = _window_check_k1(co, h1, window_x, v, explicit, rng, spot)
-    if viol is not None:
-        return finish(None, viol)
-
-    wb = smallest_subset(p.full & ~window_x, k - 1)
-    g = wb | bit(v)
-    if not co.contains(g):
-        # Any extension of wb misses v, so it is disjoint from a window
-        # star edge steered away from it.
-        f = co.extension(wb, 0)
-        if f is None:
-            return finish(None, ZeroCodegree(wb))
-        if f & bit(v):
-            raise InternalContradictionError(f"oracle returned the edge {labels(f)} it reported absent")
-        h = smallest_subset(window_x & ~(f | bit(v)), k - 1) | bit(v)
-        if co.contains(h):
-            return finish(None, DisjointEdges(f, h))
-        return finish(None, _missing_edge_probe_k1(co, h1, window_x, v, h & ~bit(v)))
-    r2 = shrink_core_k1(co, g)
-    trace.steps.extend(r2.trace.steps)
-    if not r2.ok:
-        return finish(None, r2.violation)
-    assert r2.subfamily is not None
-    h2 = r2.subfamily
-    stray = p.full & ~(window_x | h2.vertex_set)
-    h2 = TracedFamily(p, h2.edges, h2.vertex_set | (stray & -stray if stray else 0))
-    window_y = fill_to_size((p.full & ~window_x) | h2.vertex_set, n - k, p.full)
-    assert window_x | window_y == p.full
-    core2 = h2.core
-    if not core2:
-        return finish(None, _gap_probe_k1(co, h2.edges, h2.vertex_set, window_y))
-    v2 = lowest_vertex(core2)
-    viol = _window_check_k1(co, h2, window_y, v2, explicit, rng, spot)
-    if viol is not None:
-        return finish(None, viol)
-    if v2 != v:
-        return finish(None, _distinct_centers_k1(co, h1, h2, window_x, window_y, v, v2))
-
-    # Propagation bookkeeping: the disjoint split of the window overlap
-    # carries the star property across the whole ground set.
-    ell = sqrt_term(k) - 1
-    overlap = (window_x & window_y) & ~bit(v)
-    assert popcount(overlap) == n - 2 * k - 1 and n - 2 * k >= ell + 3
-    half = (popcount(overlap) + 1) // 2
-    z1 = smallest_subset(overlap, half)
-    z2 = overlap & ~z1
-    x0 = (window_x & ~window_y) | z1
-    y0 = (window_y & ~window_x) | z2
-    assert not x0 & y0
-    assert min(popcount(z1), popcount(z2)) >= (ell + 1) // 2 + 1
-    assert min(popcount(x0), popcount(y0)) >= k + (ell + 1) // 2 + 1
-    trace.parameters.update({"ell": ell, "Z1": z1, "Z2": z2, "X0": x0, "Y0": y0})
-
-    viol = _final_check_k1(co, h1, window_x, window_y, v, explicit, rng, samples)
-    if viol is not None:
-        return finish(None, viol)
-    trace.final_vertex_set = p.full
-    return finish(v, None)
-
-
-# ---------------------------------------------------------------------------
-# star certification, codegree level k-2
-
-
-def _offending_probe_k2(
-    co: FamilyOracle, ctx: TracedFamily, f: Mask, v: int, required: int
-) -> Violation:
+def _offending_probe_k2(co: FamilyOracle, ctx: TracedFamily, f: Mask, v: int) -> Violation:
     """Witness from an edge ``f`` avoiding the designated cover vertex.
 
     A (k-2)-set disjoint from both the context and ``f`` can only reach
@@ -1108,11 +861,12 @@ def _offending_probe_k2(
             if pair is not None:
                 return DisjointEdges(*pair)
             val, arg = min_degree(fam, p.k - 2)
+            required = p.n - p.k + 1
             if val < required:
                 return LowCodegree(arg, val, required)
         raise InternalContradictionError("no room for an outside probe against the off-center edge")
     w = smallest_subset(avail, p.k - 2)
-    viol, pairs = _low_codegree_or_pairs(co, w, required)
+    viol, pairs = _low_codegree_or_pairs(co, w)
     if viol is not None:
         return viol
     for t in pairs:
@@ -1126,75 +880,358 @@ def _offending_probe_k2(
     return NotStar(missing=None, offending=f)
 
 
-def _missing_edge_probe_k2(
-    co: FamilyOracle, ctx: TracedFamily, m: Mask, v: int, required: int
-) -> Violation:
+def _missing_edge_probe_k2(co: FamilyOracle, ctx: TracedFamily, m: Mask, v: int) -> Violation:
     """Witness from a star edge ``m`` (through v) reported absent."""
     sel = smallest_subset(m & ~bit(v), co.params.k - 2)
-    viol, pairs = _low_codegree_or_pairs(co, sel, required)
+    viol, pairs = _low_codegree_or_pairs(co, sel)
     if viol is not None:
         return viol
     off = next((t for t in pairs if not t & bit(v)), None)
     if off is not None:
-        return _offending_probe_k2(co, ctx, sel | off, v, required)
+        return _offending_probe_k2(co, ctx, sel | off, v)
     raise InternalContradictionError(
         f"complete star link at {v} contradicts the missing edge {labels(m)}"
     )
 
 
-def _window_check_k2(
+# ---------------------------------------------------------------------------
+# star certification: the two-window skeleton
+
+
+def _star_check(
     co: FamilyOracle,
-    ctx: TracedFamily,
     window: Mask,
     v: int,
     explicit: Optional[Family],
     rng: random.Random,
-    spot: int,
-    required: int,
+    count: int,
+    offending: Callable[[Mask], Violation],
+    missing: Callable[[Mask], Violation],
 ) -> Optional[Violation]:
+    """Check that the restriction to ``window`` is the complete star at ``v``.
+
+    On an explicit family the check is exhaustive: the first edge that
+    avoids v goes to ``offending``, else the first absent star edge to
+    ``missing``.  On an oracle, ``count`` seeded (k-1)-subsets of
+    window - v are spot-checked and the first absent star edge goes to
+    ``missing``.
+    """
+    vb = bit(v)
     if explicit is not None:
         sv = is_complete_star_on(explicit, window, v)
         if sv is None:
             return None
-        if sv.kind == "offending":
-            return _offending_probe_k2(co, ctx, sv.edge, v, required)
-        return _missing_edge_probe_k2(co, ctx, sv.edge, v, required)
-    for w in _sample_subsets(rng, window & ~bit(v), co.params.k - 1, spot):
-        if not co.contains(w | bit(v)):
-            return _missing_edge_probe_k2(co, ctx, w | bit(v), v, required)
+        return offending(sv.edge) if sv.kind == "offending" else missing(sv.edge)
+    for w in _sample_subsets(rng, window & ~vb, co.params.k - 1, count):
+        if not co.contains(w | vb):
+            return missing(w | vb)
     return None
 
 
-def _final_check_k2(
-    co: FamilyOracle,
-    ctx: TracedFamily,
-    v: int,
-    explicit: Optional[Family],
-    rng: random.Random,
-    samples: int,
-    required: int,
-) -> Optional[Violation]:
-    p = co.params
-    vb = bit(v)
-    if explicit is not None:
-        sv = is_complete_star_on(explicit, p.full, v)
-        if sv is None:
-            return None
-        if sv.kind == "offending":
-            return _offending_probe_k2(co, ctx, sv.edge, v, required)
-        return _missing_edge_probe_k2(co, ctx, sv.edge, v, required)
-    pool = p.full & ~vb
-    zchoices = list(iter_bits(pool))
-    for w in _sample_subsets(rng, pool, p.k - 2, samples):
-        deg = co.degree(w)
-        if deg < required:
-            return LowCodegree(w, deg, required)
-        zb = rng.choice(zchoices)
-        while zb & w:
+class _K1:
+    """Codegree level k-1: the steps of the two-window argument that differ from k-2."""
+
+    name, min_k, ell_key, copied = "k-1", 2, "ell", ()
+
+    def threshold(self, k: int) -> int:
+        return certify_threshold_k1(k)
+
+    def shrink(self, co: FamilyOracle, e: Mask) -> ShrinkResult:
+        return shrink_core_k1(co, e)
+
+    def center(
+        self, co: FamilyOracle, sub: TracedFamily, cover_vertex: Optional[int], window: Mask
+    ) -> int | Violation:
+        """The lowest core vertex; an empty core yields a gap-probe witness."""
+        core = sub.core
+        if not core:
+            return _gap_probe_k1(co, sub.edges, sub.vertex_set, window)
+        return lowest_vertex(core)
+
+    def probes(self, co: FamilyOracle, ctx: TracedFamily, window: Mask, v: int):
+        """(offending, missing): witness routes for one window's star check."""
+        return (
+            lambda edge: _gap_probe_k1(co, tuple(ctx.edges) + (edge,), ctx.vertex_set | edge, window),
+            lambda edge: _missing_edge_probe_k1(co, ctx, window, v, edge),
+        )
+
+    def cross(self, co: FamilyOracle, ctx: TracedFamily, window_x: Mask, v: int) -> Mask | Violation:
+        """The star edge through v and the lowest k-1 vertices outside window X."""
+        p = co.params
+        vb = bit(v)
+        wb = smallest_subset(p.full & ~window_x, p.k - 1)
+        if co.contains(wb | vb):
+            return wb | vb
+        # Any extension of wb misses v, so it is disjoint from a window
+        # star edge steered away from it.
+        f = co.extension(wb, 0)
+        if f is None:
+            return ZeroCodegree(wb)
+        if f & vb:
+            raise InternalContradictionError(f"oracle returned the edge {labels(f)} it reported absent")
+        h = smallest_subset(window_x & ~(f | vb), p.k - 1) | vb
+        if co.contains(h):
+            return DisjointEdges(f, h)
+        return _missing_edge_probe_k1(co, ctx, window_x, v, h)
+
+    def ell(self, k: int) -> int:
+        return sqrt_term(k) - 1
+
+    def split_bounds(self, k: int, ell: int) -> tuple[int, int]:
+        """Lower bounds on min(|Z1|, |Z2|) and on min(|X0|, |Y0|)."""
+        return (ell + 1) // 2 + 1, k + (ell + 1) // 2 + 1
+
+    def final_check(
+        self,
+        co: FamilyOracle,
+        ctx: TracedFamily,
+        window_x: Mask,
+        window_y: Mask,
+        v: int,
+        explicit: Optional[Family],
+        rng: random.Random,
+        samples: int,
+    ) -> Optional[Violation]:
+        """Global star verification: exhaustive when explicit, sampled otherwise."""
+        p = co.params
+        vb = bit(v)
+
+        def offending(f: Mask) -> Violation:
+            for window in (window_x, window_y):
+                pool = window & ~(f | vb)
+                if popcount(pool) >= p.k - 1:
+                    h = smallest_subset(pool, p.k - 1) | vb
+                    if co.contains(h):
+                        return DisjointEdges(f, h)
+            if explicit is not None:
+                from .family import disjoint_pair
+                from .oracles import min_degree
+
+                pair = disjoint_pair(explicit)
+                if pair is not None:
+                    return DisjointEdges(*pair)
+                val, arg = min_degree(explicit, p.k - 1)
+                if val == 0:
+                    return ZeroCodegree(arg)
+            # the off-center edge itself is a checkable refutation of the star claim
+            return NotStar(missing=None, offending=f)
+
+        def missing(edge: Mask) -> Violation:
+            w = edge & ~vb
+            f = co.extension(w, 0)
+            if f is None:
+                return ZeroCodegree(w)
+            return offending(f)
+
+        return _star_check(co, p.full, v, explicit, rng, samples, offending, missing)
+
+
+class _K2:
+    """Codegree level k-2: the steps of the two-window argument that differ from k-1."""
+
+    name, min_k, ell_key, copied = "k-2", 3, "ell_cert", ("x", "s", "ell")
+
+    def threshold(self, k: int) -> int:
+        return certify_threshold_k2(k)
+
+    def shrink(self, co: FamilyOracle, e: Mask) -> ShrinkResult:
+        return shrink_core_k2(co, e)
+
+    def center(
+        self, co: FamilyOracle, sub: TracedFamily, cover_vertex: Optional[int], window: Mask
+    ) -> int | Violation:
+        """The cover vertex the shrink designated."""
+        return cover_vertex
+
+    def probes(self, co: FamilyOracle, ctx: TracedFamily, window: Mask, v: int):
+        """(offending, missing): witness routes for one window's star check."""
+        return (
+            lambda edge: _offending_probe_k2(co, ctx, edge, v),
+            lambda edge: _missing_edge_probe_k2(co, ctx, edge, v),
+        )
+
+    def cross(self, co: FamilyOracle, ctx: TracedFamily, window_x: Mask, v: int) -> Mask | Violation:
+        """An edge through v and k-2 of the k vertices outside window X.
+
+        Every extension of that (k-2)-set must go through v; one that
+        avoids v is disjoint from an edge of the shrunken family.
+        """
+        p = co.params
+        vb = bit(v)
+        w0 = smallest_subset(p.full & ~window_x, p.k - 2)
+        viol, pairs0 = _low_codegree_or_pairs(co, w0)
+        if viol is not None:
+            return viol
+        for t in pairs0:
+            if not t & vb:
+                g = w0 | t
+                partner = next((h for h in ctx.edges if not h & g), None)
+                if partner is None:
+                    raise InternalContradictionError(
+                        "an off-center extension of the outside set covers the shrunken family"
+                    )
+                return DisjointEdges(g, partner)
+        return w0 | vb | min(t & ~vb for t in pairs0)
+
+    def ell(self, k: int) -> int:
+        return ell_param(k)
+
+    def split_bounds(self, k: int, ell: int) -> tuple[int, int]:
+        """Lower bounds on min(|Z1|, |Z2|) and on min(|X0|, |Y0|)."""
+        return ceil_cbrt_poly(1, 0, k), k + ell + 2
+
+    def final_check(
+        self,
+        co: FamilyOracle,
+        ctx: TracedFamily,
+        window_x: Mask,
+        window_y: Mask,
+        v: int,
+        explicit: Optional[Family],
+        rng: random.Random,
+        samples: int,
+    ) -> Optional[Violation]:
+        """Global star verification: exhaustive when explicit; on an oracle,
+        seeded (k-2)-sets get a degree check and one random star edge each."""
+        p = co.params
+        vb = bit(v)
+        if explicit is not None:
+            return _star_check(co, p.full, v, explicit, rng, samples, *self.probes(co, ctx, p.full, v))
+        required = p.n - p.k + 1
+        pool = p.full & ~vb
+        zchoices = list(iter_bits(pool))
+        for w in _sample_subsets(rng, pool, p.k - 2, samples):
+            deg = co.degree(w)
+            if deg < required:
+                return LowCodegree(w, deg, required)
             zb = rng.choice(zchoices)
-        if not co.contains(w | vb | zb):
-            return _missing_edge_probe_k2(co, ctx, w | vb | zb, v, required)
-    return None
+            while zb & w:
+                zb = rng.choice(zchoices)
+            if not co.contains(w | vb | zb):
+                return _missing_edge_probe_k2(co, ctx, w | vb | zb, v)
+        return None
+
+
+def _certify(
+    level: _K1 | _K2, source: FamilyOracle | Family, samples: int, spot: int, seed: int
+) -> Certificate:
+    """The two-window argument shared by both codegree levels.
+
+    Shrink a subfamily around a first edge and certify the star on a
+    window X of size n-k around it; cross to an edge outside X, shrink
+    again and certify a window Y; distinct centers give a witness, a
+    common center is checked globally.
+    """
+    oracle = _as_oracle(source)
+    p = oracle.params
+    n, k = p.n, p.k
+    if k < level.min_k:
+        raise ValueError(f"k >= {level.min_k} required")
+    if samples < 0 or spot < 0:
+        raise ValueError(f"samples and spot must be >= 0, got samples={samples} spot={spot}")
+    need = level.threshold(k)
+    if n < need:
+        raise ValueError(f"certification at codegree {level.name} requires n >= {need}, got n={n}")
+    co = CountingOracle(oracle)
+    explicit = oracle.family if isinstance(oracle, ExplicitOracle) else None
+    rng = random.Random(seed)
+    trace = ConstructionTrace()
+    trace.parameters["seed"] = seed
+
+    e0 = co.first_edge()
+    if e0 is None:
+        raise ValueError("the family is empty")
+
+    def finish(center: Optional[int], violation: Optional[Violation]) -> Certificate:
+        trace.queries_used = co.queries
+        return Certificate(center, violation, trace)
+
+    r1 = level.shrink(co, e0)
+    trace.steps.extend(r1.trace.steps)
+    trace.parameters.update({key: r1.trace.parameters[key] for key in level.copied if key in r1.trace.parameters})
+    if not r1.ok:
+        return finish(None, r1.violation)
+    ctx_x = r1.subfamily
+    window_x = fill_to_size(ctx_x.vertex_set, n - k, p.full)
+    v = level.center(co, ctx_x, r1.cover_vertex, window_x)
+    if isinstance(v, Violation):
+        return finish(None, v)
+    offending_x, missing_x = level.probes(co, ctx_x, window_x, v)
+    viol = _star_check(co, window_x, v, explicit, rng, spot, offending_x, missing_x)
+    if viol is not None:
+        return finish(None, viol)
+
+    g = level.cross(co, ctx_x, window_x, v)
+    if isinstance(g, Violation):
+        return finish(None, g)
+    r2 = level.shrink(co, g)
+    trace.steps.extend(r2.trace.steps)
+    if not r2.ok:
+        return finish(None, r2.violation)
+    outside = p.full & ~window_x  # exactly k vertices
+    ctx_y = r2.subfamily
+    window_y = fill_to_size(outside | ctx_y.vertex_set, n - k, p.full)
+    assert window_x | window_y == p.full
+    v2 = level.center(co, ctx_y, r2.cover_vertex, window_y)
+    if isinstance(v2, Violation):
+        return finish(None, v2)
+    offending_y, missing_y = level.probes(co, ctx_y, window_y, v2)
+    viol = _star_check(co, window_y, v2, explicit, rng, spot, offending_y, missing_y)
+    if viol is not None:
+        return finish(None, viol)
+    if v2 != v:
+        # Star edges of the two windows, one inside X and one through the
+        # vertices outside X, are disjoint; an absent one instead reopens
+        # that window's missing-edge route.
+        pair = bit(v) | bit(v2)
+        e1 = smallest_subset(window_x & ~pair, k - 1) | bit(v)
+        e2 = smallest_subset(outside & ~pair, k - 1) | bit(v2)
+        if not co.contains(e1):
+            return finish(None, missing_x(e1))
+        if not co.contains(e2):
+            return finish(None, missing_y(e2))
+        return finish(None, DisjointEdges(e1, e2))
+
+    # Propagation bookkeeping: the disjoint split of the window overlap
+    # carries the star property across the whole ground set.
+    ell = level.ell(k)
+    overlap = (window_x & window_y) & ~bit(v)
+    assert popcount(overlap) == n - 2 * k - 1
+    half = (popcount(overlap) + 1) // 2
+    z1 = smallest_subset(overlap, half)
+    z2 = overlap & ~z1
+    x0 = (window_x & ~window_y) | z1
+    y0 = (window_y & ~window_x) | z2
+    z_min, xy_min = level.split_bounds(k, ell)
+    assert not x0 & y0
+    assert min(popcount(z1), popcount(z2)) >= z_min
+    assert min(popcount(x0), popcount(y0)) >= xy_min
+    trace.parameters.update({level.ell_key: ell, "Z1": z1, "Z2": z2, "X0": x0, "Y0": y0})
+
+    viol = level.final_check(co, ctx_x, window_x, window_y, v, explicit, rng, samples)
+    if viol is not None:
+        return finish(None, viol)
+    trace.final_vertex_set = p.full
+    return finish(v, None)
+
+
+def certify_star_k1(
+    source: FamilyOracle | Family,
+    *,
+    samples: int = SAMPLE_BUDGET,
+    spot: int = SPOT_BUDGET,
+    seed: int = 0,
+) -> Certificate:
+    """Certify that an intersecting family with minimum (k-1)-degree one
+    is a complete star, or return a violation witness.
+
+    Runs the two-window argument: shrink a core around a first edge,
+    certify the restriction to a window of size n-k, repeat from an
+    edge across the window, merge the two centers, then verify the
+    star claim globally (exhaustively for explicit families, by seeded
+    sampling for oracles).
+    """
+    return _certify(_K1(), source, samples, spot, seed)
 
 
 def certify_star_k2(
@@ -1213,104 +1250,4 @@ def certify_star_k2(
     verifies the global star claim (exhaustive on explicit input,
     seeded sampling on oracles).
     """
-    oracle = _as_oracle(source)
-    p = oracle.params
-    n, k = p.n, p.k
-    if k < 3:
-        raise ValueError("k >= 3 required")
-    if samples < 0 or spot < 0:
-        raise ValueError(f"samples and spot must be >= 0, got samples={samples} spot={spot}")
-    need = certify_threshold_k2(k)
-    if n < need:
-        raise ValueError(f"certification at codegree k-2 requires n >= {need}, got n={n}")
-    assert certify_threshold_k2(k) - shrink_threshold_k2(k) == 2
-    required = n - k + 1
-    co = CountingOracle(oracle)
-    explicit = oracle.family if isinstance(oracle, ExplicitOracle) else None
-    rng = random.Random(seed)
-    trace = ConstructionTrace()
-    trace.parameters["seed"] = seed
-
-    e0 = co.first_edge()
-    if e0 is None:
-        raise ValueError("the family is empty")
-
-    def finish(center: Optional[int], violation: Optional[Violation]) -> Certificate:
-        trace.queries_used = co.queries
-        return Certificate(center, violation, trace)
-
-    r1 = shrink_core_k2(co, e0)
-    trace.steps.extend(r1.trace.steps)
-    trace.parameters.update({k_: r1.trace.parameters[k_] for k_ in ("x", "s", "ell") if k_ in r1.trace.parameters})
-    if not r1.ok:
-        return finish(None, r1.violation)
-    assert r1.subfamily is not None and r1.cover_vertex is not None
-    f1, v = r1.subfamily, r1.cover_vertex
-    assert popcount(f1.vertex_set) <= n - k - 2
-    window_x = fill_to_size(f1.vertex_set, n - k, p.full)
-    viol = _window_check_k2(co, f1, window_x, v, explicit, rng, spot, required)
-    if viol is not None:
-        return finish(None, viol)
-
-    outside = p.full & ~window_x  # exactly k vertices
-    w0 = smallest_subset(outside, k - 2)
-    viol, pairs0 = _low_codegree_or_pairs(co, w0, required)
-    if viol is not None:
-        return finish(None, viol)
-    vb = bit(v)
-    for t in pairs0:
-        if not t & vb:
-            g = w0 | t
-            partner = next((h for h in f1.edges if not h & g), None)
-            if partner is None:
-                raise InternalContradictionError(
-                    "an off-center extension of the outside set covers the shrunken family"
-                )
-            return finish(None, DisjointEdges(g, partner))
-    ubit = min(t & ~vb for t in pairs0)
-    g = w0 | vb | ubit
-
-    r2 = shrink_core_k2(co, g)
-    trace.steps.extend(r2.trace.steps)
-    if not r2.ok:
-        return finish(None, r2.violation)
-    assert r2.subfamily is not None and r2.cover_vertex is not None
-    f2, v2 = r2.subfamily, r2.cover_vertex
-    window_y = fill_to_size(outside | f2.vertex_set, n - k, p.full)
-    assert window_x | window_y == p.full
-    viol = _window_check_k2(co, f2, window_y, v2, explicit, rng, spot, required)
-    if viol is not None:
-        return finish(None, viol)
-    if v2 != v:
-        # Every extension of w0 goes through v, so a second window
-        # centered elsewhere yields an explicit disjoint pair; an absent
-        # star edge instead reopens that window's missing-edge route.
-        e1 = smallest_subset(window_x & ~(vb | bit(v2)), k - 1) | vb
-        e2pool = outside & ~bit(v2)
-        e2 = smallest_subset(e2pool, k - 1) | bit(v2)
-        assert not e1 & e2
-        if not co.contains(e1):
-            return finish(None, _missing_edge_probe_k2(co, f1, e1, v, required))
-        if not co.contains(e2):
-            return finish(None, _missing_edge_probe_k2(co, f2, e2, v2, required))
-        return finish(None, DisjointEdges(e1, e2))
-
-    ell = ell_param(k)
-    overlap = (window_x & window_y) & ~vb
-    assert popcount(overlap) == n - 2 * k - 1
-    half = (popcount(overlap) + 1) // 2
-    z1 = smallest_subset(overlap, half)
-    z2 = overlap & ~z1
-    x0 = (p.full & ~window_y) | z1
-    y0 = (p.full & ~window_x) | z2
-    c23 = ceil_cbrt_poly(1, 0, k)
-    assert min(popcount(z1), popcount(z2)) >= c23
-    assert min(popcount(x0), popcount(y0)) >= k + ell + 2
-    assert not x0 & y0
-    trace.parameters.update({"ell_cert": ell, "Z1": z1, "Z2": z2, "X0": x0, "Y0": y0})
-
-    viol = _final_check_k2(co, f1, v, explicit, rng, samples, required)
-    if viol is not None:
-        return finish(None, viol)
-    trace.final_vertex_set = p.full
-    return finish(v, None)
+    return _certify(_K2(), source, samples, spot, seed)

@@ -140,12 +140,22 @@ class StarViolation:
 
 
 def disjoint_pair(fam: Family) -> Optional[tuple[Mask, Mask]]:
-    """First (canonical order) pair of disjoint edges, or None if intersecting."""
-    edges = fam.edges
+    """First (canonical order) pair of disjoint edges, or None if intersecting.
+
+    The OR of the incidence bitsets of edge i's vertices marks every edge
+    that meets it; the lowest unmarked bit above i is its first partner.
+    """
+    edges, inc = fam.edges, fam.incidence
+    all_edges = (1 << len(edges)) - 1
     for i, e in enumerate(edges):
-        for f in edges[i + 1 :]:
-            if not e & f:
-                return (e, f)
+        meets = 0
+        while e:
+            low = e & -e
+            meets |= inc[low.bit_length() - 1]
+            e ^= low
+        later = (all_edges ^ meets) >> (i + 1)
+        if later:
+            return edges[i], edges[i + (later & -later).bit_length()]
     return None
 
 

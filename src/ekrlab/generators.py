@@ -9,7 +9,7 @@ from math import comb
 from typing import Callable, Iterator, Optional
 
 from .canonical import canonical_form
-from .family import Family, FamilyParams
+from .family import Family, FamilyParams, is_intersecting
 from .masks import Mask, bit, iter_ksubsets, iter_subsets_within
 
 ENUMERATION_GUARD = 10_000
@@ -185,12 +185,9 @@ def enumerate_maximal_intersecting(
 
 def is_maximal_intersecting(fam: Family) -> bool:
     """Saturation re-check: intersecting, and no outside k-set fits."""
-    edges = fam.edges
-    for i, e in enumerate(edges):
-        for f in edges[i + 1 :]:
-            if not e & f:
-                return False
-    edge_set = fam.edge_set
+    if not is_intersecting(fam):
+        return False
+    edges, edge_set = fam.edges, fam.edge_set
     for c in iter_ksubsets(fam.params.n, fam.params.k):
         if c not in edge_set and all(c & e for e in edges):
             return False

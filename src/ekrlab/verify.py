@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -73,7 +72,6 @@ def check_theorem(
     k: int,
     d: int,
     dedup_mode: str = "labeled",
-    threads: int = 1,
     budget: Optional[Budget] = None,
 ) -> BoundReport:
     """Compare the maximum of delta_d over all maximal intersecting
@@ -95,32 +93,18 @@ def check_theorem(
     truncated = False
     count = 0
 
-    def evaluate(fam: Family) -> tuple[int, Family]:
+    for fam in enumerate_maximal_intersecting(n, k, dedup_mode, budget=budget):
         val, _ = min_degree(fam, d)
-        return val, fam
-
-    stream = enumerate_maximal_intersecting(n, k, dedup_mode, budget=budget)
-    if threads > 1:
-        executor = ThreadPoolExecutor(max_workers=threads)
-        results = executor.map(evaluate, stream)
-    else:
-        executor = None
-        results = map(evaluate, stream)
-    try:
-        for val, fam in results:
-            count += 1
-            if val > best:
-                best = val
-                achievers = [fam.edges]
-                truncated = False
-            elif val == best:
-                if len(achievers) < ACHIEVER_CAP:
-                    achievers.append(fam.edges)
-                else:
-                    truncated = True
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False)
+        count += 1
+        if val > best:
+            best = val
+            achievers = [fam.edges]
+            truncated = False
+        elif val == best:
+            if len(achievers) < ACHIEVER_CAP:
+                achievers.append(fam.edges)
+            else:
+                truncated = True
 
     achievers.sort()
     all_stars: Optional[bool] = None

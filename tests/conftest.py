@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, permutations
+from typing import Optional
 
 import pytest
 
@@ -47,6 +48,11 @@ def ref_covers_size2(fam: Family, area: Mask) -> set[Mask]:
         if all(e & pair for e in fam.edges):
             out.add(pair)
     return out
+
+
+def ref_disjoint_pair(fam: Family) -> Optional[tuple[Mask, Mask]]:
+    """First disjoint pair (e, f), e before f, over all pairs in edge order."""
+    return next(((e, f) for e, f in combinations(fam.edges, 2) if not e & f), None)
 
 
 def ref_is_intersecting(fam: Family) -> bool:

@@ -21,6 +21,7 @@ from ekrlab.bounds import (
     shrink_threshold_k2,
     shrink_vertex_bound_k1,
     shrink_vertex_bound_k2,
+    sqrt_term,
     x_param,
 )
 
@@ -72,6 +73,15 @@ def test_threshold_size_bound_slack():
     for k in (3, 4, 8, 27, 100):
         assert certify_threshold_k2(k) - shrink_threshold_k2(k) == 2
         assert shrink_threshold_k2(k) - shrink_vertex_bound_k2(k) == k
+
+
+def test_k1_window_overlap_leaves_room_for_the_split():
+    # certify_star_k1 splits the n-2k-1 shared window vertices into two
+    # halves of at least (ell+1)//2 + 1, with ell = sqrt_term(k) - 1
+    for k in range(2, 2000):
+        ell = sqrt_term(k) - 1
+        assert certify_threshold_k1(k) - 2 * k >= ell + 3
+        assert (certify_threshold_k1(k) - 2 * k - 1) // 2 >= (ell + 1) // 2 + 1
 
 
 def test_codegree_bound_values():

@@ -105,7 +105,6 @@ def golden_cases() -> dict:
     k2("punctured-232-3", PuncturedStarOracle(232, 3, 1, 200))
     for name, (low, high, zones, split, seed) in {
         "split-all-232-3": (1, 231, [range(229, 233)], every, 0),
-        "split-contains-232-3": (1, 230, [range(229, 233)], {"contains"}, 0),
         "split-all-232-3-low-cut": (9, 15, [range(94, 233)], every, 2),
         "split-all-232-3-high-cut": (109, 229, [range(228, 233)], every, 32),
         "split-no-degree-232-3": (16, 106, [[231, 232]], no_degree, 23),
@@ -205,7 +204,6 @@ GOLDEN: dict[str, str] = {
     "k2/star-oracle-274-8": "cbdb08b71e7f021453fcdc0f9be6f6a1350dbd02779147dc6d8b0f65d4fb11cd",
     "k2/punctured-232-3": "00fe66f27f5bf9de92175300ddf605d0778b207154071499a14806adc01b89b5",
     "k2/split-all-232-3": "7906fb923cbd5cf5a4232183519732c4e8fcc705bc201b19bb184b1cc615a069",
-    "k2/split-contains-232-3": "7906fb923cbd5cf5a4232183519732c4e8fcc705bc201b19bb184b1cc615a069",
     "k2/split-all-232-3-low-cut": "efdd2a6d719640c8fc13c4f04ef86785e5f52f97d1d1ada3b1c84d0669d67bab",
     "k2/split-all-232-3-high-cut": "0a85ae2bbea7fa492e2a93355f0b42176d61d6d4574c6592f0c72d9a0c2b00c4",
     "k2/split-no-degree-232-3": "5ecbe46f4f5ff194cefe833b37290e87acb272af49633d37e94eb9e8710bfa6b",

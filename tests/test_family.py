@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ref_covers_size2, ref_incidence, ref_is_intersecting, random_family
+from conftest import ref_covers_size2, ref_disjoint_pair, ref_incidence, ref_is_intersecting, random_family
 from ekrlab.family import (
     Family,
     FamilyParams,
@@ -66,6 +66,30 @@ class TestIntersecting:
     def test_first_witness_in_canonical_order(self):
         f = fam(6, 2, [[1, 2], [3, 4], [5, 6]])
         assert disjoint_pair(f) == (mask_of([1, 2]), mask_of([3, 4]))
+
+    def test_random_families_match_reference(self, rng):
+        for _ in range(300):
+            n = rng.randrange(2, 12)
+            k = rng.randrange(1, min(5, n) + 1)
+            f = random_family(rng, n, k, rng.randrange(0, 30))
+            assert disjoint_pair(f) == ref_disjoint_pair(f)
+
+    def test_late_pair_past_the_first_incidence_block(self):
+        # the star at 1 on [20] cut to edges meeting {2,3,4,5}, plus one
+        # star edge and one off-center edge that miss each other: 2,513
+        # edges whose only disjoint pair sits at positions past 2,048
+        star = complete_star(20, 5, 1)
+        hub = mask_of([2, 3, 4, 5])
+        late, off = mask_of([1, 16, 17, 18, 19]), mask_of([2, 3, 4, 5, 20])
+        f = Family.from_masks(star.params, [e for e in star.edges if e & hub] + [late, off])
+        assert len(f.edges) > 2048 and f.edges.index(late) > 2048
+        assert disjoint_pair(f) == ref_disjoint_pair(f) == (late, off)
+
+    def test_star_with_a_last_disjoint_edge(self):
+        star = complete_star(19, 5, 1)
+        f = Family.from_masks(star.params, star.edges + (mask_of([15, 16, 17, 18, 19]),))
+        assert disjoint_pair(f) == ref_disjoint_pair(f) == (f.edges[0], f.edges[-1])
+        assert is_intersecting(star)
 
 
 class TestCovers1:
