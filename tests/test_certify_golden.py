@@ -4,7 +4,8 @@ The inputs drive both star certifications down their happy paths and
 into every refutation branch that a known family or oracle reaches:
 explicit stars, stars with edges removed or off-center edges added,
 Hilton-Milner families, two-star unions, implicit stars (complete and
-punctured) and oracles whose star center depends on the query.  A
+punctured) and oracles whose star center depends on the query or
+switches partway through a run.  A
 procedure that raises is pinned by its error type and message.
 
 The same digests must come out under ``python -O``, which strips bare
@@ -29,7 +30,7 @@ from ekrlab.generators import complete_star, hilton_milner
 from ekrlab.io import to_json
 from ekrlab.masks import bit, iter_ksubsets, mask_of
 from ekrlab.oracles import ExplicitOracle, StarOracle
-from test_constructions_adversarial import PuncturedStarOracle, SplitStarOracle, TwoStarOracle
+from test_constructions_adversarial import PuncturedStarOracle, SplitStarOracle, SwitchingStarOracle, TwoStarOracle
 
 
 def _perturbed_star(n: int, k: int, seed: int) -> Family:
@@ -93,6 +94,13 @@ def golden_cases() -> dict:
     }.items():
         oracle = SplitStarOracle(n, k, low, high, tuple(mask_of(z) for z in zones), frozenset(split))
         k1(name, oracle, samples=300, spot=64, seed=seed)
+    for name, (n, k, first, second, trigger, seed) in {
+        "switch-11-3": (11, 3, 7, 10, [7, 9, 10], 29),
+        "switch-14-4": (14, 4, 13, 9, [11, 12, 13, 14], 38),
+        "switch-9-2": (9, 2, 8, 7, [7], 43),
+        "switch-11-3-cross": (11, 3, 3, 1, [3, 6, 7], 2),
+    }.items():
+        k1(name, SwitchingStarOracle(n, k, first, second, mask_of(trigger)), samples=300, spot=64, seed=seed)
 
     star232 = complete_star(232, 3, 1)
     k2("star-232-3", star232)
@@ -112,6 +120,11 @@ def golden_cases() -> dict:
     }.items():
         oracle = SplitStarOracle(232, 3, low, high, tuple(mask_of(z) for z in zones), frozenset(split))
         k2(name, oracle, samples=300, spot=64, seed=seed)
+    for name, (n, k, first, second, trigger, seed) in {
+        "switch-232-3": (232, 3, 2, 125, [69], 46),
+        "switch-242-4": (242, 4, 3, 1, [239, 240], 17),
+    }.items():
+        k2(name, SwitchingStarOracle(n, k, first, second, mask_of(trigger)), samples=300, spot=64, seed=seed)
     return cases
 
 
@@ -196,6 +209,10 @@ GOLDEN: dict[str, str] = {
     "k1/split-all-16-5": "05de6a197f3df767bdc0f94cade0f0e3099c591558458419d0b97f95e1d7b59d",
     "k1/split-extension-16-5": "9f12f2e34e69ba82f695c5393ede05041e748ecc685540e0915c6189b6bd3494",
     "k1/split-straddle-16-5": "a7b6e71f33f97d2880fc2b187ea4282defd6b9b1362af61eab96a10330eeed12",
+    "k1/switch-11-3": "f1c5dadc9042a00e4ec27ce1ebaa81a32a4c30750c6874f377b28c10d3921cec",
+    "k1/switch-14-4": "37b4481a00c079830ca1d43cbc2b91dec00291f9e33547af72a98cee22a9a72d",
+    "k1/switch-9-2": "6c8bf0e9e6fe7ce8ba0f54b7b6b7dc7f5354f5c74262b49beb32297396f55aad",
+    "k1/switch-11-3-cross": "a560e3daa7a9a72cf16c2fc8ec62775ed3cc482b26f89e022f9656c90c1e023a",
     "k2/star-232-3": "2bda0f49b37a547c3d0a4f60d280d7a6388324ba5eadfc1a55e671b00fd01136",
     "k2/star-232-3-minus-1-2-3": "d76293e90fd368fbcdad1c15cdb88c347bb8db8c56cf452af0788f610cb38d2a",
     "k2/star-232-3-minus-1-231-232": "59109439e483d73c7ab092fd296f7beb39bd77d39b59a59fbb5bc4d40a2b6c9a",
@@ -208,6 +225,8 @@ GOLDEN: dict[str, str] = {
     "k2/split-all-232-3-high-cut": "0a85ae2bbea7fa492e2a93355f0b42176d61d6d4574c6592f0c72d9a0c2b00c4",
     "k2/split-no-degree-232-3": "5ecbe46f4f5ff194cefe833b37290e87acb272af49633d37e94eb9e8710bfa6b",
     "k2/split-one-vertex-232-3": "b3cd762e78ea0cfbdc64c4bd00426d673a3333db4e82dbe0c0bb25c999962edc",
+    "k2/switch-232-3": "99eb2c6c457a790b62fd9d155c779f2e0c03e794e9e92558c3db1e0e20751d11",
+    "k2/switch-242-4": "7c70a72880c5090996452208a6fe8a1701f89ddf11a76c9ae7b5a2f9b94b3868",
 }
 
 

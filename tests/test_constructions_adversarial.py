@@ -177,6 +177,37 @@ class PuncturedStarOracle(FamilyOracle):
         return (e for e in self.star.enumerate_extensions(base) if not e & self.hole)
 
 
+class SwitchingStarOracle(FamilyOracle):
+    """The complete star at ``first`` until a query on the set ``trigger``
+    has been answered, then the star at ``second``.  Stateful: build one
+    per run."""
+
+    def __init__(self, n: int, k: int, first: int, second: int, trigger: int):
+        self.stars = (StarOracle(n, k, first), StarOracle(n, k, second))
+        self.trigger, self.switched = trigger, False
+
+    @property
+    def params(self):
+        return self.stars[0].params
+
+    def _star(self, s: int) -> StarOracle:
+        star = self.stars[self.switched]
+        self.switched |= s == self.trigger
+        return star
+
+    def contains(self, e):
+        return self._star(e).contains(e)
+
+    def degree(self, s):
+        return self._star(s).degree(s)
+
+    def extension(self, base, forbidden=0):
+        return self._star(base).extension(base, forbidden)
+
+    def enumerate_extensions(self, base):
+        return self._star(base).enumerate_extensions(base)
+
+
 class TestCrossingAnswers:
     # contains answers as the star at 7 for edges with a vertex >= 8 and
     # as the star at 3 otherwise; extension answers as the star at 3, so
