@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from math import comb
 from typing import Iterable, Optional
 
 from .masks import (
@@ -65,10 +68,6 @@ class Family:
         return cls.from_masks(params, (mask_of(e) for e in edges))
 
     @cached_property
-    def edge_set(self) -> frozenset[Mask]:
-        return frozenset(self.edges)
-
-    @cached_property
     def incidence(self) -> tuple[int, ...]:
         """Per-vertex edge-incidence bitsets: bit j of entry v-1 is set iff edge j contains v.
 
@@ -88,18 +87,12 @@ class Family:
                 part += bits.to_bytes(width, "little")
         return tuple(int.from_bytes(part, "little") for part in parts)
 
-    @cached_property
-    def vertex_union(self) -> Mask:
-        u = 0
-        for e in self.edges:
-            u |= e
-        return u
-
     def __len__(self) -> int:
         return len(self.edges)
 
     def __contains__(self, e: Mask) -> bool:
-        return e in self.edge_set
+        i = bisect_left(self.edges, e)
+        return i < len(self.edges) and self.edges[i] == e
 
 
 def _incidence_block(edges: tuple[Mask, ...], n: int) -> list[int]:
@@ -207,19 +200,22 @@ def is_complete_star_on(fam: Family, window: Mask, center: int) -> Optional[Star
 
     Returns the first offending edge (inside the window, avoiding the
     center) or else the first missing star edge, in canonical order.
+    One scan collects the edges inside the window; when none avoids the
+    center and there are C(|W|-1, k-1) of them the star is complete, and
+    only otherwise are the star edges enumerated to name the missing one.
     """
     cbit = bit(center)
     if not window & cbit:
         raise ValueError("center must lie inside the window")
-    if popcount(window) < fam.params.k:
-        raise ValueError("window smaller than the edge size")
-    for e in fam.edges:
-        if not e & ~window and not e & cbit:
-            return StarViolation("offending", e)
     k = fam.params.k
-    edge_set = fam.edge_set
-    for rest in iter_subsets_within(window & ~cbit, k - 1):
-        e = rest | cbit
-        if e not in edge_set:
-            return StarViolation("missing", e)
-    return None
+    if popcount(window) < k:
+        raise ValueError("window smaller than the edge size")
+    outside = ~window
+    inside = [e for e in fam.edges if not e & outside]
+    offending = next((e for e in inside if not e & cbit), None)
+    if offending is not None:
+        return StarViolation("offending", offending)
+    if len(inside) == comb(popcount(window) - 1, k - 1):
+        return None
+    star = (rest | cbit for rest in iter_subsets_within(window & ~cbit, k - 1))
+    return next(StarViolation("missing", e) for e, have in zip(star, chain(inside, [0])) if e != have)

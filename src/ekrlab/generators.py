@@ -187,9 +187,8 @@ def is_maximal_intersecting(fam: Family) -> bool:
     """Saturation re-check: intersecting, and no outside k-set fits."""
     if not is_intersecting(fam):
         return False
-    edges, edge_set = fam.edges, fam.edge_set
     for c in iter_ksubsets(fam.params.n, fam.params.k):
-        if c not in edge_set and all(c & e for e in edges):
+        if c not in fam and all(c & e for e in fam.edges):
             return False
     return True
 

@@ -13,11 +13,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .masks import Mask, bit, iter_bits, labels, lowest_vertex
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MATCHING3 = "matching3"
 PATTERN_Q = "Q"
@@ -70,30 +71,38 @@ class StarCheck:
 
 
 def max_matching_upto(g: PairGraph, cap: int) -> list[Mask]:
-    """A maximum matching truncated at ``cap`` in {1,2,3}, canonical-first."""
+    """A maximum matching truncated at ``cap`` in {1,2,3}, canonical-first.
+
+    Bit j of ``avoid[i]`` marks edge j as disjoint from edge i, so the
+    first triple (i, j, l) takes, for each i and each j in avoid[i]
+    above i, the lowest bit above j of avoid[i] & avoid[j].
+    """
     if cap not in (1, 2, 3):
         raise ValueError("cap must be 1, 2, or 3")
     edges = g.edges
-    m = len(edges)
-    if m == 0:
+    if not edges:
         return []
+    inc: dict[Mask, int] = {}
+    for j, e in enumerate(edges):
+        for v in iter_bits(e):
+            inc[v] = inc.get(v, 0) | 1 << j
+    all_edges = (1 << len(edges)) - 1
+    avoid = [all_edges ^ (inc[e & -e] | inc[e & (e - 1)]) for e in edges]
     if cap >= 3:
-        for i in range(m):
-            ei = edges[i]
-            for j in range(i + 1, m):
-                ej = edges[j]
-                if ei & ej:
-                    continue
-                eij = ei | ej
-                for l in range(j + 1, m):
-                    if not edges[l] & eij:
-                        return [ei, ej, edges[l]]
+        for i, av_i in enumerate(avoid):
+            later = av_i >> (i + 1) << (i + 1)
+            while later:
+                low = later & -later
+                j = low.bit_length() - 1
+                third = (av_i & avoid[j]) >> (j + 1)
+                if third:
+                    return [edges[i], edges[j], edges[j + (third & -third).bit_length()]]
+                later ^= low
     if cap >= 2:
-        for i in range(m):
-            ei = edges[i]
-            for j in range(i + 1, m):
-                if not ei & edges[j]:
-                    return [ei, edges[j]]
+        for i, av_i in enumerate(avoid):
+            later = av_i >> (i + 1)
+            if later:
+                return [edges[i], edges[i + (later & -later).bit_length()]]
     return [edges[0]]
 
 
@@ -143,19 +152,19 @@ def find_pattern(g: PairGraph) -> Optional[PatternWitness]:
                 for l in range(m):
                     if l != i and l != j and not edges[l] & cherry:
                         return PatternWitness(PATTERN_Q, (edges[l], ei, ej))
-    edge_set = set(edges)
+    present = set(edges)
     support = [b.bit_length() for b in iter_bits(g.support)]
     for quad in combinations(support, 4):
         needed = [bit(a) | bit(b) for a, b in combinations(quad, 2)]
-        if all(e in edge_set for e in needed):
+        if all(e in present for e in needed):
             return PatternWitness(PATTERN_K4, tuple(sorted(needed)))
     return None
 
 
 def verify_witness(g: PairGraph, w: PatternWitness) -> bool:
     """Witness edges exist in the graph and satisfy the claimed shape."""
-    edge_set = set(g.edges)
-    if any(e not in edge_set for e in w.edges):
+    present = set(g.edges)
+    if any(e not in present for e in w.edges):
         return False
     if w.kind == MATCHING3:
         a, b, c = w.edges
@@ -228,6 +237,8 @@ def pattern_table(nv: int) -> tuple[np.ndarray, list[Mask]]:
     order (returned alongside).  Built by seeding every embedded
     3-matching/Q/K4 and closing upward under the subset-sum transform.
     """
+    import numpy as np
+
     pairs = sorted(bit(a) | bit(b) for a, b in combinations(range(1, nv + 1), 2))
     pair_index = {p: i for i, p in enumerate(pairs)}
     ne = len(pairs)
@@ -251,6 +262,8 @@ def structure_sweep(nv: int = 7) -> SweepResult:
     violation list (empty in every verified case) carries graph masks
     for replay through :func:`find_pattern`.
     """
+    import numpy as np
+
     start = time.monotonic()
     has_pattern, pairs = pattern_table(nv)
     ne = len(pairs)

@@ -68,7 +68,7 @@ class ExplicitOracle(FamilyOracle):
         return self.family.params
 
     def contains(self, e: Mask) -> bool:
-        return e in self.family.edge_set
+        return e in self.family
 
     def degree(self, s: Mask) -> int:
         self._check_degree_arg(s)
@@ -134,10 +134,6 @@ class StarOracle(FamilyOracle):
             return
         for rest in iter_subsets_within(p.full & ~core, need):
             yield core | rest
-
-
-def degree(oracle: FamilyOracle, s: Mask) -> int:
-    return oracle.degree(s)
 
 
 def link(source: FamilyOracle | Family, base: Mask) -> LinkGraph:

@@ -7,9 +7,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bounds import applicable_threshold, codegree_bound
-from .family import Family, FamilyParams, covers_size1, is_intersecting
+from .family import Family, FamilyParams, covers_size1, is_complete_star_on, is_intersecting
 from .generators import Budget, BudgetExceeded, enumerate_maximal_intersecting
-from .masks import Mask
+from .masks import Mask, lowest_vertex
 from .oracles import ExplicitOracle, min_degree, min_degree_scan
 
 ACHIEVER_CAP = 64
@@ -48,15 +48,6 @@ class BoundReport:
 
 
 CSV_HEADER = ["theorem", "n", "k", "d", "threshold", "bound", "max_delta", "verdict", "families", "ms"]
-
-
-def _is_complete_star_family(fam: Family) -> bool:
-    from math import comb
-
-    common, vacuous = covers_size1(fam)
-    if vacuous or not common:
-        return False
-    return len(fam) == comb(fam.params.n - 1, fam.params.k - 1)
 
 
 def _reverify_excess(fam: Family, d: int, bound: int) -> bool:
@@ -110,9 +101,13 @@ def check_theorem(
     all_stars: Optional[bool] = None
     if best == bound:
         params = FamilyParams(n, k)
-        all_stars = not truncated and all(
-            _is_complete_star_family(Family(params, edges)) for edges in achievers
-        )
+        all_stars = not truncated
+        for edges in achievers if all_stars else ():
+            fam = Family(params, edges)
+            common, _ = covers_size1(fam)
+            if not common or is_complete_star_on(fam, params.full, lowest_vertex(common)) is not None:
+                all_stars = False
+                break
     if n < threshold:
         verdict = "below-threshold"
     elif best <= bound:

@@ -63,9 +63,41 @@ def ref_is_maximal_intersecting(fam: Family) -> bool:
     if not ref_is_intersecting(fam):
         return False
     for c in iter_ksubsets(fam.params.n, fam.params.k):
-        if c not in fam.edge_set and all(c & e for e in fam.edges):
+        if c not in fam.edges and all(c & e for e in fam.edges):
             return False
     return True
+
+
+def ref_star_violation(fam: Family, window: Mask, center: int) -> Optional[tuple[str, Mask]]:
+    """First offending edge by a plain edge scan, else the smallest absent star edge.
+
+    The star edges are formed from ``itertools.combinations`` of the
+    window's other vertices and looked up in a Python set of the edges.
+    """
+    cbit = 1 << (center - 1)
+    for e in fam.edges:
+        if not e & ~window and not e & cbit:
+            return "offending", e
+    have = set(fam.edges)
+    others = [v for v in range(1, fam.params.n + 1) if window >> (v - 1) & 1 and v != center]
+    star = (cbit | sum(1 << (v - 1) for v in rest) for rest in combinations(others, fam.params.k - 1))
+    missing = [e for e in star if e not in have]
+    return ("missing", min(missing)) if missing else None
+
+
+def ref_max_matching_upto(edges: tuple[Mask, ...], cap: int) -> list[Mask]:
+    """First pairwise-disjoint triple, else pair, of edge positions (i < j < l), by plain loops."""
+    if not edges:
+        return []
+    if cap >= 3:
+        for a, b, c in combinations(edges, 3):
+            if not (a & b or a & c or b & c):
+                return [a, b, c]
+    if cap >= 2:
+        for a, b in combinations(edges, 2):
+            if not a & b:
+                return [a, b]
+    return [edges[0]]
 
 
 def brute_force_maximal_families(n: int, k: int) -> set[tuple[Mask, ...]]:
@@ -110,12 +142,12 @@ def ref_canonical_form(edges: tuple[Mask, ...]) -> tuple[Mask, ...]:
     Plain brute force over all s! orderings of the support, so only for
     supports of at most about 8 vertices.
     """
-    edge_sets = [[i + 1 for i in range(m.bit_length()) if m >> i & 1] for m in edges]
-    support = sorted({v for e in edge_sets for v in e})
+    edge_labels = [[i + 1 for i in range(m.bit_length()) if m >> i & 1] for m in edges]
+    support = sorted({v for e in edge_labels for v in e})
     best = None
     for image in permutations(range(len(support))):
         relabel = dict(zip(support, image))
-        form = tuple(sorted(sum(1 << relabel[v] for v in e) for e in edge_sets))
+        form = tuple(sorted(sum(1 << relabel[v] for v in e) for e in edge_labels))
         if best is None or form < best:
             best = form
     return best

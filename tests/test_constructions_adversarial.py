@@ -31,7 +31,7 @@ from ekrlab.oracles import ExplicitOracle, FamilyOracle, StarOracle
 
 def without_edge(star: Family, edge_labels) -> Family:
     gone = mask_of(edge_labels)
-    assert gone in star.edge_set
+    assert gone in star.edges
     return Family(star.params, tuple(e for e in star.edges if e != gone))
 
 

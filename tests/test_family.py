@@ -4,10 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ref_covers_size2, ref_disjoint_pair, ref_incidence, ref_is_intersecting, random_family
+import ekrlab.family
+from conftest import (
+    random_family,
+    ref_covers_size2,
+    ref_disjoint_pair,
+    ref_incidence,
+    ref_is_intersecting,
+    ref_star_violation,
+)
 from ekrlab.family import (
     Family,
     FamilyParams,
+    StarViolation,
     covers_size1,
     covers_size2,
     disjoint_pair,
@@ -172,6 +181,67 @@ class TestCompleteStarOn:
     def test_precondition(self):
         with pytest.raises(ValueError):
             is_complete_star_on(complete_star(7, 3, 1), mask_of([2, 3, 4]), 1)
+
+    def test_precondition_order(self):
+        with pytest.raises(ValueError, match="center"):
+            is_complete_star_on(complete_star(7, 3, 1), mask_of([2, 3]), 1)
+        with pytest.raises(ValueError, match="smaller"):
+            is_complete_star_on(complete_star(7, 3, 1), mask_of([1, 2]), 1)
+
+    @staticmethod
+    def check(f, window, center):
+        sv = is_complete_star_on(f, window, center)
+        assert (None if sv is None else (sv.kind, sv.edge)) == ref_star_violation(f, window, center)
+        return sv
+
+    @staticmethod
+    def random_window(rng, n, k, center):
+        others = [v for v in range(1, n + 1) if v != center]
+        return mask_of([center] + rng.sample(others, rng.randrange(k - 1, n)))
+
+    def test_random_families_against_reference(self, rng):
+        for _ in range(300):
+            n = rng.randrange(3, 10)
+            k = rng.randrange(1, min(4, n) + 1)
+            center = rng.randrange(1, n + 1)
+            window = self.random_window(rng, n, k, center)
+            star = [e for e in complete_star(n, k, center).edges if not e & ~window]
+            extra = random_family(rng, n, k, rng.randrange(0, 6)).edges
+            keep = [e for e in star if rng.random() < 0.9] if rng.random() < 0.5 else star
+            self.check(Family.from_masks(FamilyParams(n, k), keep + list(extra)), window, center)
+            self.check(random_family(rng, n, k, rng.randrange(0, 12)), window, center)
+
+    def test_star_minus_one_edge(self, rng):
+        cases = [(7, 3, 1, full_mask(7)), (9, 4, 5, mask_of([2, 3, 5, 7, 8, 9])), (26, 4, 2, full_mask(26))]
+        for _ in range(20):
+            n = rng.randrange(4, 12)
+            k = rng.randrange(2, min(5, n) + 1)
+            center = rng.randrange(1, n + 1)
+            cases.append((n, k, center, self.random_window(rng, n, k, center)))
+        for n, k, center, window in cases:
+            full = complete_star(n, k, center)
+            assert self.check(full, window, center) is None
+            inside = [i for i, e in enumerate(full.edges) if not e & ~window]
+            for i in {inside[0], inside[-1], rng.choice(inside)}:
+                f = Family(full.params, full.edges[:i] + full.edges[i + 1 :])
+                assert self.check(f, window, center) == StarViolation("missing", full.edges[i])
+
+    def test_counts_before_enumerating(self, monkeypatch):
+        calls = []
+        real = ekrlab.family.iter_subsets_within
+
+        def spy(pool, r):
+            calls.append((pool, r))
+            return real(pool, r)
+
+        monkeypatch.setattr(ekrlab.family, "iter_subsets_within", spy)
+        star = complete_star(26, 4, 2)
+        assert is_complete_star_on(star, full_mask(26), 2) is None
+        assert is_complete_star_on(star, mask_of(range(2, 20)), 2) is None
+        assert calls == []
+        sv = is_complete_star_on(Family(star.params, star.edges[:-1]), full_mask(26), 2)
+        assert sv == StarViolation("missing", star.edges[-1])
+        assert calls == [(full_mask(26) & ~mask_of([2]), 3)]
 
 
 class TestLink:

@@ -1,7 +1,14 @@
+import os
+import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import ekrlab
+from conftest import ref_max_matching_upto
 from ekrlab.graphs import (
     MATCHING3,
     PATTERN_K4,
@@ -37,6 +44,22 @@ class TestMatching:
         m = max_matching_upto(pg(6, [(1, 2), (3, 4), (5, 6)]), 2)
         assert len(m) == 2
 
+    def test_against_triple_loop(self):
+        rng = random.Random(0x3A7C)
+        for _ in range(3000):
+            nv = rng.randrange(2, 10)
+            pairs = [mask_of(p) for p in combinations(range(1, nv + 1), 2)]
+            g = PairGraph.from_edges(full_mask(nv), rng.sample(pairs, rng.randrange(0, len(pairs) + 1)))
+            for cap in (1, 2, 3):
+                assert max_matching_upto(g, cap) == ref_max_matching_upto(g.edges, cap)
+
+    def test_double_star_has_no_three_matching(self):
+        # two stars at 1 and 2 over 3..40: every edge meets {1, 2}
+        edges = [mask_of((c, x)) for c in (1, 2) for x in range(3, 41)] + [mask_of((1, 2))]
+        g = PairGraph.from_edges(full_mask(40), edges)
+        assert max_matching_upto(g, 3) == ref_max_matching_upto(g.edges, 3)
+        assert len(max_matching_upto(g, 3)) == 2
+
     def test_gallai_sanity_exhaustive_6_vertices(self):
         # max matching 1 <=> star or triangle, over all graphs on <= 6 vertices
         pairs = [mask_of(p) for p in combinations(range(1, 7), 2)]
@@ -48,6 +71,14 @@ class TestMatching:
             is_triangle = len(edges) == 3 and support.bit_count() == 3
             star = is_star_graph(g)
             assert (m == 1) == (star.center is not None or is_triangle)
+
+
+def test_import_leaves_numpy_unloaded():
+    src = str(Path(ekrlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = "import sys, ekrlab; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout.strip() == "False"
 
 
 class TestStarGraph:

@@ -182,7 +182,7 @@ class TestOracleEquivalence:
                 ]
             for e in f.edges:
                 assert o.contains(e)
-            assert not o.contains(mask_of(range(1, k + 1))) or mask_of(range(1, k + 1)) in f.edge_set
+            assert not o.contains(mask_of(range(1, k + 1))) or mask_of(range(1, k + 1)) in f.edges
 
 
 def test_degree_monotone_under_edge_subsets(rng):
