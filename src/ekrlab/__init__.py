@@ -32,10 +32,8 @@ from .constructions import (
     shrink_core_k2,
 )
 from .family import (
-    CoverPairs,
     Family,
     FamilyParams,
-    LinkGraph,
     covers_size1,
     covers_size2,
     disjoint_pair,
@@ -55,7 +53,6 @@ from .generators import (
     random_maximal_intersecting,
 )
 from .graphs import (
-    PairGraph,
     PatternWitness,
     find_pattern,
     is_star_graph,

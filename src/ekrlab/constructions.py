@@ -28,7 +28,7 @@ from .bounds import (
     x_param,
 )
 from .family import Family, FamilyParams, covers_size2, is_complete_star_on
-from .graphs import PairGraph, find_pattern, is_star_graph, is_subgraph_of_cherry, max_matching_upto
+from .graphs import find_pattern, is_star_graph, is_subgraph_of_cherry, max_matching_upto
 from .masks import (
     Mask,
     bit,
@@ -440,17 +440,16 @@ def cherry_reduce(
         raise ValueError("base and area must be disjoint")
     if n < k + 5:
         raise ValueError(f"n >= k+5 = {k + 5} required")
-    pairs = link(co, base).pairs
+    lk = link(co, base)
     required = n - k + 1
-    if len(pairs) < required:
+    if len(lk) < required:
         raise ValueError(
-            f"degree of {labels(base)} is {len(pairs)}, below the required {required}"
+            f"degree of {labels(base)} is {len(lk)}, below the required {required}"
         )
-    link_graph = PairGraph(p.full & ~base, pairs)
-    star = is_star_graph(link_graph)
+    star = is_star_graph(lk)
     if star.center is not None:
         return CherryReduceResult(star_center=star.center, reduced=None, pattern=None)
-    witness = find_pattern(link_graph)
+    witness = find_pattern(lk)
     if witness is None:
         raise InternalContradictionError(
             "link with >= 6 edges and no star center admits no 3-matching, Q, or K4"
@@ -459,7 +458,7 @@ def cherry_reduce(
     reduced = sub.add(new_edges)
     assert popcount(reduced.vertex_set) <= popcount(sub.vertex_set) + 6
     cov = covers_size2(reduced.family, area)
-    assert is_subgraph_of_cherry(cov.pairs)
+    assert is_subgraph_of_cherry(cov.edges)
     return CherryReduceResult(star_center=None, reduced=reduced, pattern=witness)
 
 
@@ -467,13 +466,11 @@ def cherry_reduce(
 # k-2 core shrinking (two phases)
 
 
-def _low_codegree_or_pairs(co: FamilyOracle, w: Mask) -> tuple[Optional[LowCodegree], tuple[Mask, ...]]:
-    """The link pairs of the (k-2)-set ``w``, or a witness that it has fewer than n-k+1."""
-    pairs = link(co, w).pairs
+def _link_or_low_codegree(co: FamilyOracle, w: Mask) -> tuple[Optional[LowCodegree], Family]:
+    """The link of the (k-2)-set ``w``, and a witness when it has fewer than n-k+1 pairs."""
+    lk = link(co, w)
     required = co.params.n - co.params.k + 1
-    if len(pairs) < required:
-        return LowCodegree(w, len(pairs), required), ()
-    return None, pairs
+    return (LowCodegree(w, len(lk), required) if len(lk) < required else None), lk
 
 
 def _refute_by_outside_query(co: FamilyOracle, ctx_edges: Sequence[Mask], ctx_vertex_set: Mask) -> Violation:
@@ -489,10 +486,10 @@ def _refute_by_outside_query(co: FamilyOracle, ctx_edges: Sequence[Mask], ctx_ve
     if popcount(avail) < p.k - 2:
         raise InternalContradictionError("context vertex set too large for an outside query")
     w = smallest_subset(avail, p.k - 2)
-    viol, pairs = _low_codegree_or_pairs(co, w)
+    viol, lk = _link_or_low_codegree(co, w)
     if viol is not None:
         return viol
-    for t in pairs:
+    for t in lk.edges:
         g = w | t
         for h in ctx_edges:
             if not g & h:
@@ -544,11 +541,11 @@ def shrink_core_k2(source: FamilyOracle | Family, e: Mask) -> ShrinkResult:
             carved = core | smallest_subset(base_vset & ~core, x + 2 - popcount(core))
         w = base_vset & ~carved
         assert popcount(w) == k - 2
-        viol, pairs = _low_codegree_or_pairs(co, w)
+        viol, lk = _link_or_low_codegree(co, w)
         if viol is not None:
             trace.queries_used = co.queries
             return ShrinkResult(None, viol, trace)
-        f = w | pairs[0]
+        f = w | lk.edges[0]
         if f not in edges:
             edges.append(f)
         prev = vertex_set
@@ -563,12 +560,11 @@ def shrink_core_k2(source: FamilyOracle | Family, e: Mask) -> ShrinkResult:
 
     if popcount(core) == 2:
         w = smallest_subset(vertex_set & ~core, k - 2)
-        viol, pairs = _low_codegree_or_pairs(co, w)
+        viol, lk = _link_or_low_codegree(co, w)
         if viol is not None:
             trace.queries_used = co.queries
             return ShrinkResult(None, viol, trace)
-        link_graph = PairGraph(p.full & ~w, pairs)
-        matching = max_matching_upto(link_graph, 2)
+        matching = max_matching_upto(lk, 2)
         if len(matching) == 2:
             f1, f2 = (w | matching[0], w | matching[1])
             for f in (f1, f2):
@@ -578,11 +574,11 @@ def shrink_core_k2(source: FamilyOracle | Family, e: Mask) -> ShrinkResult:
             vertex_set |= f1 | f2
             trace.record(1, w, f1, core, vertex_set, k)
         else:
-            star = is_star_graph(link_graph)
+            star = is_star_graph(lk)
             assert star.center is not None  # >= 6 pairwise-meeting pairs share a vertex
             cbit = bit(star.center)
             partner = None
-            for t in pairs:
+            for t in lk.edges:
                 if t & cbit and not (t & ~cbit) & core:
                     partner = t
                     break
@@ -621,7 +617,7 @@ def shrink_core_k2(source: FamilyOracle | Family, e: Mask) -> ShrinkResult:
     current = TracedFamily(p, tuple(sorted(edges)), vertex_set)
     cover_vertex: Optional[int] = None
 
-    def entry_links(i: int, j: int) -> list[tuple[Mask, tuple[Mask, ...], Optional[int]]] | Violation:
+    def entry_links(i: int, j: int) -> list[tuple[Mask, Family, Optional[int]]] | Violation:
         area = parts[i] | parts[j]
         out = []
         for r in range(s):
@@ -634,11 +630,10 @@ def shrink_core_k2(source: FamilyOracle | Family, e: Mask) -> ShrinkResult:
                 if popcount(pool) < k - 2:
                     raise InternalContradictionError("padding left no room for a base set")
                 sel = smallest_subset(pool, k - 2)
-                viol, pairs = _low_codegree_or_pairs(co, sel)
+                viol, lk = _link_or_low_codegree(co, sel)
                 if viol is not None:
                     return viol
-                star = is_star_graph(PairGraph(p.full & ~sel, pairs))
-                out.append((sel, pairs, star.center))
+                out.append((sel, lk, is_star_graph(lk).center))
         return out
 
     done = False
@@ -653,7 +648,7 @@ def shrink_core_k2(source: FamilyOracle | Family, e: Mask) -> ShrinkResult:
                 return ShrinkResult(None, entries, trace)
             nonstar = [ent for ent in entries if ent[2] is None]
             if nonstar:
-                sel, pairs, _ = nonstar[0]
+                sel, _, _ = nonstar[0]
                 res = cherry_reduce(co, current, sel, area)
                 assert not res.is_star_link
                 assert res.reduced is not None
@@ -665,28 +660,26 @@ def shrink_core_k2(source: FamilyOracle | Family, e: Mask) -> ShrinkResult:
                 first = entries[0]
                 second = next(ent for ent in entries if ent[2] != first[2])
                 added: list[Mask] = []
-                for sel, pairs, w_center in (first, second):
+                for sel, lk, w_center in (first, second):
                     wbit = bit(w_center)
-                    pair_set = set(pairs)
                     for zbit in iter_bits(phase1_vset & ~(sel | wbit)):
                         pr = wbit | zbit
-                        assert pr in pair_set  # complete star link carries every partner
+                        assert pr in lk  # complete star link carries every partner
                         added.append(sel | pr)
                 current = current.add(added)
                 trace.record(2, first[0], added[0], current.core, current.vertex_set, k)
                 cov = covers_size2(current.family, area)
                 allowed = bit(first[2]) | bit(second[2])
-                assert all(pr == allowed for pr in cov.pairs)
+                assert all(pr == allowed for pr in cov.edges)
                 continue
             # all links are stars at one common vertex: finish globally
             w_center = centers[0]
             wbit = bit(w_center)
             added = []
-            for sel, pairs, _ in entries:
-                pair_set = set(pairs)
+            for sel, lk, _ in entries:
                 for zbit in iter_bits(area & ~wbit):
                     pr = wbit | zbit
-                    assert pr in pair_set
+                    assert pr in lk
                     added.append(sel | pr)
             current = current.add(added)
             trace.record(2, entries[0][0], added[0], current.core, current.vertex_set, k)
@@ -701,8 +694,8 @@ def shrink_core_k2(source: FamilyOracle | Family, e: Mask) -> ShrinkResult:
         for i in range(s):
             for j in range(i + 1, s):
                 cov = covers_size2(current.family, parts[i] | parts[j])
-                assert is_subgraph_of_cherry(cov.pairs)
-                for pr in cov.pairs:
+                assert is_subgraph_of_cherry(cov.edges)
+                for pr in cov.edges:
                     cover_union |= pr
         assert popcount(cover_union) <= 3 * s * s
         pool = current.vertex_set & ~(cover_union | bit(v))
@@ -711,18 +704,17 @@ def shrink_core_k2(source: FamilyOracle | Family, e: Mask) -> ShrinkResult:
             current = TracedFamily(p, current.edges, grown)
             pool = current.vertex_set & ~(cover_union | bit(v))
         sel = smallest_subset(pool, k - 2)
-        viol, pairs = _low_codegree_or_pairs(co, sel)
+        viol, lk = _link_or_low_codegree(co, sel)
         if viol is not None:
             trace.queries_used = co.queries
             return ShrinkResult(None, viol, trace)
-        star = is_star_graph(PairGraph(p.full & ~sel, pairs))
+        star = is_star_graph(lk)
         if star.center == v:
             vbit = bit(v)
-            pair_set = set(pairs)
             added = []
             for zbit in iter_bits(current.vertex_set & ~(sel | vbit)):
                 pr = vbit | zbit
-                assert pr in pair_set
+                assert pr in lk
                 added.append(sel | pr)
             current = current.add(added)
             trace.record(2, sel, added[0], current.core, current.vertex_set, k)
@@ -730,11 +722,10 @@ def shrink_core_k2(source: FamilyOracle | Family, e: Mask) -> ShrinkResult:
         elif star.center is not None:
             # A star away from v caps the cover count below the degree floor.
             ubit = bit(star.center)
-            pair_set = set(pairs)
             added = []
             for zbit in iter_bits(current.vertex_set & ~(sel | ubit)):
                 pr = ubit | zbit
-                if pr in pair_set:
+                if pr in lk:
                     added.append(sel | pr)
             ctx = current.add(added)
             trace.queries_used = co.queries
@@ -746,7 +737,7 @@ def shrink_core_k2(source: FamilyOracle | Family, e: Mask) -> ShrinkResult:
             trace.record(2, sel, None, current.core, current.vertex_set, k)
             aux_union = 0
             if cover_union:
-                for pr in covers_size2(current.family, cover_union).pairs:
+                for pr in covers_size2(current.family, cover_union).edges:
                     aux_union |= pr
             pool2 = current.vertex_set & ~(aux_union | bit(v))
             if popcount(pool2) < k - 2:
@@ -754,11 +745,11 @@ def shrink_core_k2(source: FamilyOracle | Family, e: Mask) -> ShrinkResult:
                 current = TracedFamily(p, current.edges, grown)
                 pool2 = current.vertex_set & ~(aux_union | bit(v))
             sel2 = smallest_subset(pool2, k - 2)
-            viol, pairs2 = _low_codegree_or_pairs(co, sel2)
+            viol, lk2 = _link_or_low_codegree(co, sel2)
             if viol is not None:
                 trace.queries_used = co.queries
                 return ShrinkResult(None, viol, trace)
-            off = next((t for t in pairs2 if not t & bit(v)), None)
+            off = next((t for t in lk2.edges if not t & bit(v)), None)
             if off is not None:
                 # An edge through sel2 avoiding v caps the covers at k + 2.
                 ctx = current.add([sel2 | off])
@@ -770,7 +761,7 @@ def shrink_core_k2(source: FamilyOracle | Family, e: Mask) -> ShrinkResult:
                 )
             vbit = bit(v)
             zbit = next(
-                (zb for zb in iter_bits(p.full & ~(sel2 | vbit | aux_union)) if (vbit | zb) in set(pairs2)),
+                (zb for zb in iter_bits(p.full & ~(sel2 | vbit | aux_union)) if (vbit | zb) in lk2),
                 None,
             )
             assert zbit is not None
@@ -784,7 +775,7 @@ def shrink_core_k2(source: FamilyOracle | Family, e: Mask) -> ShrinkResult:
     if current.core & ~cvbit:
         raise InternalContradictionError("construction left a stray core vertex")
     cov = covers_size2(current.family, current.vertex_set)
-    for pr in cov.pairs:
+    for pr in cov.edges:
         if not pr & cvbit:
             raise InternalContradictionError(
                 f"size-two cover {labels(pr)} avoids the designated vertex {cover_vertex}"
@@ -866,10 +857,10 @@ def _offending_probe_k2(co: FamilyOracle, ctx: TracedFamily, f: Mask, v: int) ->
                 return LowCodegree(arg, val, required)
         raise InternalContradictionError("no room for an outside probe against the off-center edge")
     w = smallest_subset(avail, p.k - 2)
-    viol, pairs = _low_codegree_or_pairs(co, w)
+    viol, lk = _link_or_low_codegree(co, w)
     if viol is not None:
         return viol
-    for t in pairs:
+    for t in lk.edges:
         g = w | t
         if not g & f:
             return DisjointEdges(g, f)
@@ -883,10 +874,10 @@ def _offending_probe_k2(co: FamilyOracle, ctx: TracedFamily, f: Mask, v: int) ->
 def _missing_edge_probe_k2(co: FamilyOracle, ctx: TracedFamily, m: Mask, v: int) -> Violation:
     """Witness from a star edge ``m`` (through v) reported absent."""
     sel = smallest_subset(m & ~bit(v), co.params.k - 2)
-    viol, pairs = _low_codegree_or_pairs(co, sel)
+    viol, lk = _link_or_low_codegree(co, sel)
     if viol is not None:
         return viol
-    off = next((t for t in pairs if not t & bit(v)), None)
+    off = next((t for t in lk.edges if not t & bit(v)), None)
     if off is not None:
         return _offending_probe_k2(co, ctx, sel | off, v)
     raise InternalContradictionError(
@@ -1059,10 +1050,10 @@ class _K2:
         p = co.params
         vb = bit(v)
         w0 = smallest_subset(p.full & ~window_x, p.k - 2)
-        viol, pairs0 = _low_codegree_or_pairs(co, w0)
+        viol, lk = _link_or_low_codegree(co, w0)
         if viol is not None:
             return viol
-        for t in pairs0:
+        for t in lk.edges:
             if not t & vb:
                 g = w0 | t
                 partner = next((h for h in ctx.edges if not h & g), None)
@@ -1071,7 +1062,7 @@ class _K2:
                         "an off-center extension of the outside set covers the shrunken family"
                     )
                 return DisjointEdges(g, partner)
-        return w0 | vb | min(t & ~vb for t in pairs0)
+        return w0 | vb | min(t & ~vb for t in lk.edges)
 
     def ell(self, k: int) -> int:
         return ell_param(k)

@@ -1,4 +1,4 @@
-"""Ground types: parameters, k-uniform families, links, and cover pairs."""
+"""Ground types: parameters and k-uniform families; links and cover graphs are 2-uniform families."""
 
 from __future__ import annotations
 
@@ -108,23 +108,6 @@ def _incidence_block(edges: tuple[Mask, ...], n: int) -> list[int]:
 
 
 @dataclass(frozen=True)
-class LinkGraph:
-    """Pairs T with T | base an edge of the source family (|base| = k - 2)."""
-
-    base: Mask
-    vertices: Mask
-    pairs: tuple[Mask, ...]
-
-
-@dataclass(frozen=True)
-class CoverPairs:
-    """All 2-subsets of ``area`` meeting every edge of the reference family."""
-
-    area: Mask
-    pairs: tuple[Mask, ...]
-
-
-@dataclass(frozen=True)
 class StarViolation:
     """Witness that a restriction is not a complete star: one edge, classified."""
 
@@ -177,8 +160,8 @@ def covers_size1(fam: Family) -> tuple[Mask, bool]:
     return c, False
 
 
-def covers_size2(fam: Family, area: Mask) -> CoverPairs:
-    """All 2-subsets of ``area`` that meet every edge of the family.
+def covers_size2(fam: Family, area: Mask) -> Family:
+    """All 2-subsets of ``area`` that meet every edge, as a 2-uniform family on [n].
 
     Edge-incidence bitsets make each pair test one AND over |F| bits:
     the pair {a, b} is a cover when no edge avoids both.
@@ -192,7 +175,7 @@ def covers_size2(fam: Family, area: Mask) -> CoverPairs:
         for b in verts[i + 1 :]:
             if not av_a & avoid[b]:
                 pairs.append(a | b)
-    return CoverPairs(area=area, pairs=tuple(sorted(pairs)))
+    return Family(FamilyParams(fam.params.n, 2), tuple(sorted(pairs)))
 
 
 def is_complete_star_on(fam: Family, window: Mask, center: int) -> Optional[StarViolation]:

@@ -1,11 +1,11 @@
 """Detection of the graph configurations the case analyses hinge on.
 
-The graphs here are links of (k-2)-sets and families of size-two covers:
-a few hundred edges at most, so every detector is exhaustive over edge
-pairs/triples/quadruples and deterministic in canonical order.  The one
-bulk operation (checking that every dense non-star graph on seven
-vertices contains a 3-matching, a Q, or a K4) runs vectorized over all
-2^21 graphs.
+The graphs here are links of (k-2)-sets and families of size-two covers,
+both 2-uniform :class:`Family` values on [n].  The detectors read the
+pair family's incidence bitsets (a disjointness bitset per edge) and
+answer deterministically in canonical order.  The one bulk operation
+(checking that every dense non-star graph on seven vertices contains a
+3-matching, a Q, or a K4) runs vectorized over all 2^21 graphs.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .masks import Mask, bit, iter_bits, labels, lowest_vertex
+from .family import Family, FamilyParams, covers_size1, disjoint_pair
+from .masks import Mask, bit, lowest_vertex
 
 if TYPE_CHECKING:
     import numpy as np
@@ -23,36 +24,6 @@ if TYPE_CHECKING:
 MATCHING3 = "matching3"
 PATTERN_Q = "Q"
 PATTERN_K4 = "K4"
-
-
-@dataclass(frozen=True)
-class PairGraph:
-    """A graph given by 2-element vertex masks over a vertex universe."""
-
-    universe: Mask
-    edges: tuple[Mask, ...]
-
-    def __post_init__(self) -> None:
-        prev = -1
-        for e in self.edges:
-            if e.bit_count() != 2:
-                raise ValueError(f"edge {labels(e)} is not a 2-set")
-            if e & ~self.universe:
-                raise ValueError(f"edge {labels(e)} leaves the universe")
-            if e <= prev:
-                raise ValueError("edges not strictly increasing")
-            prev = e
-
-    @classmethod
-    def from_edges(cls, universe: Mask, edges: Sequence[Mask]) -> "PairGraph":
-        return cls(universe, tuple(sorted(set(edges))))
-
-    @property
-    def support(self) -> Mask:
-        s = 0
-        for e in self.edges:
-            s |= e
-        return s
 
 
 @dataclass(frozen=True)
@@ -70,101 +41,107 @@ class StarCheck:
     empty: bool = False
 
 
-def max_matching_upto(g: PairGraph, cap: int) -> list[Mask]:
-    """A maximum matching truncated at ``cap`` in {1,2,3}, canonical-first.
+def _require_pairs(g: Family) -> None:
+    if g.params.k != 2:
+        raise ValueError(f"graph detectors need a 2-uniform family, got k={g.params.k}")
 
-    Bit j of ``avoid[i]`` marks edge j as disjoint from edge i, so the
-    first triple (i, j, l) takes, for each i and each j in avoid[i]
-    above i, the lowest bit above j of avoid[i] & avoid[j].
+
+def _avoid(g: Family) -> list[int]:
+    """Bit j of entry i marks edge j as disjoint from edge i."""
+    inc, all_edges = g.incidence, (1 << len(g.edges)) - 1
+    return [all_edges ^ (inc[(e & -e).bit_length() - 1] | inc[e.bit_length() - 1]) for e in g.edges]
+
+
+def _matching3(edges: tuple[Mask, ...], avoid: list[int]) -> Optional[tuple[Mask, Mask, Mask]]:
+    """First 3-matching (i, j, l) in canonical order, or None.
+
+    For each i and each j in avoid[i] above i, l is the lowest bit above
+    j of avoid[i] & avoid[j].
     """
+    for i, av_i in enumerate(avoid):
+        later = av_i >> (i + 1) << (i + 1)
+        while later:
+            low = later & -later
+            j = low.bit_length() - 1
+            third = (av_i & avoid[j]) >> (j + 1)
+            if third:
+                return edges[i], edges[j], edges[j + (third & -third).bit_length()]
+            later ^= low
+    return None
+
+
+def max_matching_upto(g: Family, cap: int) -> list[Mask]:
+    """A maximum matching truncated at ``cap`` in {1,2,3}, canonical-first."""
+    _require_pairs(g)
     if cap not in (1, 2, 3):
         raise ValueError("cap must be 1, 2, or 3")
-    edges = g.edges
-    if not edges:
+    if not g.edges:
         return []
-    inc: dict[Mask, int] = {}
-    for j, e in enumerate(edges):
-        for v in iter_bits(e):
-            inc[v] = inc.get(v, 0) | 1 << j
-    all_edges = (1 << len(edges)) - 1
-    avoid = [all_edges ^ (inc[e & -e] | inc[e & (e - 1)]) for e in edges]
     if cap >= 3:
-        for i, av_i in enumerate(avoid):
-            later = av_i >> (i + 1) << (i + 1)
-            while later:
-                low = later & -later
-                j = low.bit_length() - 1
-                third = (av_i & avoid[j]) >> (j + 1)
-                if third:
-                    return [edges[i], edges[j], edges[j + (third & -third).bit_length()]]
-                later ^= low
+        triple = _matching3(g.edges, _avoid(g))
+        if triple is not None:
+            return list(triple)
     if cap >= 2:
-        for i, av_i in enumerate(avoid):
-            later = av_i >> (i + 1)
-            if later:
-                return [edges[i], edges[i + (later & -later).bit_length()]]
-    return [edges[0]]
+        pair = disjoint_pair(g)
+        if pair is not None:
+            return list(pair)
+    return [g.edges[0]]
 
 
-def is_star_graph(g: PairGraph) -> StarCheck:
+def is_star_graph(g: Family) -> StarCheck:
     """Center shared by every edge (smallest on ties), else a refuting pair.
 
     The refutation is the first disjoint edge pair in canonical order
     when one exists; a common-vertex-free triangle refutes with its two
     first edges.
     """
+    _require_pairs(g)
     if not g.edges:
         return StarCheck(center=None, refutation=None, empty=True)
-    common = g.edges[0]
-    for e in g.edges[1:]:
-        common &= e
-        if not common:
-            break
+    common, _ = covers_size1(g)
     if common:
         return StarCheck(center=lowest_vertex(common), refutation=None)
-    for i, e in enumerate(g.edges):
-        for f in g.edges[i + 1 :]:
-            if not e & f:
-                return StarCheck(center=None, refutation=(e, f))
-    return StarCheck(center=None, refutation=(g.edges[0], g.edges[1]))
+    pair = disjoint_pair(g)
+    return StarCheck(center=None, refutation=pair if pair is not None else (g.edges[0], g.edges[1]))
 
 
-def find_pattern(g: PairGraph) -> Optional[PatternWitness]:
+def find_pattern(g: Family) -> Optional[PatternWitness]:
     """First 3-matching, else Q (edge + disjoint cherry), else K4.
 
     The preference order matches the strength of the conclusions the
-    cover-reduction step draws from each configuration.
+    cover-reduction step draws from each configuration.  The Q is the
+    first meeting pair i < j with the lowest edge of avoid[i] & avoid[j].
     """
+    _require_pairs(g)
     edges = g.edges
-    m = len(edges)
-    if m < 3:
+    if len(edges) < 3:
         return None
-    matching = max_matching_upto(g, 3)
-    if len(matching) == 3:
-        return PatternWitness(MATCHING3, tuple(matching))
-    for i in range(m):
-        ei = edges[i]
-        for j in range(i + 1, m):
-            ej = edges[j]
-            shared = ei & ej
-            if shared:
-                cherry = ei | ej
-                for l in range(m):
-                    if l != i and l != j and not edges[l] & cherry:
-                        return PatternWitness(PATTERN_Q, (edges[l], ei, ej))
-    present = set(edges)
-    support = [b.bit_length() for b in iter_bits(g.support)]
+    avoid = _avoid(g)
+    matching = _matching3(edges, avoid)
+    if matching is not None:
+        return PatternWitness(MATCHING3, matching)
+    all_edges = (1 << len(edges)) - 1
+    for i, av_i in enumerate(avoid):
+        meets = (all_edges ^ av_i) >> (i + 1) << (i + 1)
+        while meets:
+            low = meets & -meets
+            j = low.bit_length() - 1
+            lone = av_i & avoid[j]
+            if lone:
+                return PatternWitness(PATTERN_Q, (edges[(lone & -lone).bit_length() - 1], edges[i], edges[j]))
+            meets ^= low
+    support = [v for v, touching in enumerate(g.incidence, start=1) if touching]
     for quad in combinations(support, 4):
         needed = [bit(a) | bit(b) for a, b in combinations(quad, 2)]
-        if all(e in present for e in needed):
+        if all(e in g for e in needed):
             return PatternWitness(PATTERN_K4, tuple(sorted(needed)))
     return None
 
 
-def verify_witness(g: PairGraph, w: PatternWitness) -> bool:
+def verify_witness(g: Family, w: PatternWitness) -> bool:
     """Witness edges exist in the graph and satisfy the claimed shape."""
-    present = set(g.edges)
-    if any(e not in present for e in w.edges):
+    _require_pairs(g)
+    if any(e not in g for e in w.edges):
         return False
     if w.kind == MATCHING3:
         a, b, c = w.edges
@@ -250,9 +227,9 @@ def pattern_table(nv: int) -> tuple[np.ndarray, list[Mask]]:
     return table, pairs
 
 
-def graph_from_mask(gmask: int, nv: int, pairs: list[Mask]) -> PairGraph:
+def graph_from_mask(gmask: int, nv: int, pairs: list[Mask]) -> Family:
     edges = [pairs[i] for i in range(len(pairs)) if gmask >> i & 1]
-    return PairGraph.from_edges((1 << nv) - 1, edges)
+    return Family.from_masks(FamilyParams(nv, 2), edges)
 
 
 def structure_sweep(nv: int = 7) -> SweepResult:

@@ -32,7 +32,6 @@ def _strip(line: str) -> str:
 
 def read_family_text(text: str) -> Family:
     params = None
-    edges: list[Mask] = []
     seen: set[Mask] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip(raw)
@@ -60,10 +59,9 @@ def read_family_text(text: str) -> Family:
         if m in seen:
             raise FamilyParseError(f"duplicate edge {verts}", lineno)
         seen.add(m)
-        edges.append(m)
     if params is None:
         raise FamilyParseError("missing header line", 1)
-    return Family.from_masks(params, edges)
+    return Family(params, tuple(sorted(seen)))
 
 
 def read_family(path: str | Path) -> Family:

@@ -97,19 +97,25 @@ def iter_ksubsets(n: int, k: int) -> Iterator[Mask]:
 
 
 def iter_subsets_within(pool: Mask, r: int) -> Iterator[Mask]:
-    """All r-subsets of ``pool``'s members in canonical order."""
-    positions = [low for low in iter_bits(pool)]
-    p = len(positions)
+    """All r-subsets of ``pool``'s members in canonical order.
+
+    Colex order directly: the highest member ascends in the outermost
+    loop, and the members below it come from the same enumeration over
+    the pool's lower members.
+    """
+    positions = list(iter_bits(pool))
     if r == 0:
         yield 0
+    elif r <= len(positions):
+        yield from _subsets_below(positions, len(positions), r)
+
+
+def _subsets_below(positions: list[Mask], top: int, r: int) -> Iterator[Mask]:
+    """The r-subsets (r >= 1) of ``positions[:top]`` in canonical order."""
+    if r == 1:
+        yield from positions[:top]
         return
-    if r > p:
-        return
-    for compact in iter_ksubsets(p, r):
-        out = 0
-        c = compact
-        while c:
-            i = (c & -c).bit_length() - 1
-            out |= positions[i]
-            c &= c - 1
-        yield out
+    for t in range(r - 1, top):
+        high = positions[t]
+        for rest in _subsets_below(positions, t, r - 1):
+            yield high | rest

@@ -14,7 +14,7 @@ from itertools import chain, combinations
 from math import comb
 from typing import Iterator, Optional
 
-from .family import Family, FamilyParams, LinkGraph
+from .family import Family, FamilyParams
 from .masks import (
     Mask,
     bit,
@@ -136,8 +136,8 @@ class StarOracle(FamilyOracle):
             yield core | rest
 
 
-def link(source: FamilyOracle | Family, base: Mask) -> LinkGraph:
-    """Link of a (k-2)-set as a pair graph, from a family or an oracle."""
+def link(source: FamilyOracle | Family, base: Mask) -> Family:
+    """Link of a (k-2)-set: the pairs T with T | base an edge, as a 2-uniform family on [n]."""
     if isinstance(source, Family):
         oracle: FamilyOracle = ExplicitOracle(source)
     else:
@@ -145,8 +145,7 @@ def link(source: FamilyOracle | Family, base: Mask) -> LinkGraph:
     p = oracle.params
     if popcount(base) != p.k - 2:
         raise ValueError(f"base must have size k-2 = {p.k - 2}")
-    pairs = tuple(sorted(e & ~base for e in oracle.enumerate_extensions(base)))
-    return LinkGraph(base=base, vertices=p.full & ~base, pairs=pairs)
+    return Family(FamilyParams(p.n, 2), tuple(sorted(e & ~base for e in oracle.enumerate_extensions(base))))
 
 
 def min_degree_scan(oracle: FamilyOracle, d: int) -> tuple[int, Mask]:

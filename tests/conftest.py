@@ -100,6 +100,42 @@ def ref_max_matching_upto(edges: tuple[Mask, ...], cap: int) -> list[Mask]:
     return [edges[0]]
 
 
+def ref_is_star_graph(edges: tuple[Mask, ...]) -> tuple[Optional[int], Optional[tuple[Mask, Mask]], bool]:
+    """(center, refutation, empty) of a pair graph, by plain loops over its edges."""
+    if not edges:
+        return None, None, True
+    common = edges[0]
+    for e in edges[1:]:
+        common &= e
+    if common:
+        return (common & -common).bit_length(), None, False
+    for e, f in combinations(edges, 2):
+        if not e & f:
+            return None, (e, f), False
+    return None, (edges[0], edges[1]), False
+
+
+def ref_find_pattern(edges: tuple[Mask, ...]) -> Optional[tuple[str, tuple[Mask, ...]]]:
+    """First 3-matching, else Q (lone edge, cherry), else K4 of a pair graph, by plain loops."""
+    if len(edges) < 3:
+        return None
+    for a, b, c in combinations(edges, 3):
+        if not (a & b or a & c or b & c):
+            return "matching3", (a, b, c)
+    for ei, ej in combinations(edges, 2):
+        if ei & ej:
+            for el in edges:
+                if not el & (ei | ej):
+                    return "Q", (el, ei, ej)
+    present = set(edges)
+    support = sorted({v for e in edges for v in range(1, e.bit_length() + 1) if e >> (v - 1) & 1})
+    for quad in combinations(support, 4):
+        needed = [(1 << (a - 1)) | (1 << (b - 1)) for a, b in combinations(quad, 2)]
+        if all(e in present for e in needed):
+            return "K4", tuple(sorted(needed))
+    return None
+
+
 def brute_force_maximal_families(n: int, k: int) -> set[tuple[Mask, ...]]:
     """All maximal intersecting families by filtering every edge subset.
 

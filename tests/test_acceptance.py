@@ -163,8 +163,8 @@ def test_criterion_07_core_shrink_k2_contract():
             assert popcount(r.subfamily.vertex_set) <= shrink_vertex_bound_k2(k)
             # exhaustive pair scan: every size-two cover contains the center
             cov = covers_size2(r.subfamily.family, r.subfamily.vertex_set)
-            assert all(pr & bit(1) for pr in cov.pairs)
-            assert cov.pairs  # the center pairs with every other vertex of two edges
+            assert all(pr & bit(1) for pr in cov.edges)
+            assert cov.edges  # the center pairs with every other vertex of two edges
 
 
 def test_criterion_08_certify_k2_explicit_232():
@@ -204,8 +204,8 @@ def test_criterion_09_property_suites(rng):
             a = mask_of(rng.sample(rest, rng.randrange(2, len(rest) + 1)))
             lg = link(fam, s)
             cov = covers_size2(fam, a)
-            for t in lg.pairs:
-                for pr in cov.pairs:
+            for t in lg.edges:
+                for pr in cov.edges:
                     assert t & pr, "link pair disjoint from a cover pair"
             done += 1
         # (c) oracle-vs-brute equivalence at n <= 10

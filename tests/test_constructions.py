@@ -137,7 +137,7 @@ class TestCherryReduce:
         res = cherry_reduce(ExplicitOracle(fam), sub, mask_of([1]), mask_of([4, 5, 6]))
         assert not res.is_star_link
         assert res.pattern.kind == MATCHING3
-        assert covers_size2(res.reduced.family, mask_of([4, 5, 6])).pairs == ()
+        assert covers_size2(res.reduced.family, mask_of([4, 5, 6])).edges == ()
 
     def test_q_link_leaves_cherry(self):
         edges = [[1, 2, 3], [1, 5, 6], [1, 5, 7], [1, 2, 5], [1, 3, 5], [1, 3, 6]]
@@ -146,7 +146,7 @@ class TestCherryReduce:
         res = cherry_reduce(ExplicitOracle(fam), sub, mask_of([1]), mask_of([2, 3]))
         assert not res.is_star_link
         assert res.pattern.kind == PATTERN_Q
-        cov = covers_size2(res.reduced.family, mask_of([2, 3])).pairs
+        cov = covers_size2(res.reduced.family, mask_of([2, 3])).edges
         assert len(cov) <= 2
 
     def test_degree_precondition(self):
@@ -169,7 +169,7 @@ class TestShrinkK2:
         assert popcount(r.subfamily.vertex_set) <= shrink_vertex_bound_k2(k)
         # every size-two cover within the vertex set goes through the center
         cov = covers_size2(r.subfamily.family, r.subfamily.vertex_set)
-        assert all(pr & mask_of([center]) for pr in cov.pairs)
+        assert all(pr & mask_of([center]) for pr in cov.edges)
         assert r.trace.parameters["ell"] <= (k + r.trace.parameters["x"] - 1) // r.trace.parameters["x"] + 1
 
     def test_low_codegree_on_star_minus_edge(self):

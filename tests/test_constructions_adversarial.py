@@ -335,4 +335,4 @@ class TestPatchworkCases:
         from ekrlab.family import covers_size2
 
         cov = covers_size2(r.subfamily.family, r.subfamily.vertex_set)
-        assert all(pr & bit(r.cover_vertex) for pr in cov.pairs)
+        assert all(pr & bit(r.cover_vertex) for pr in cov.edges)

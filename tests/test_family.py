@@ -122,15 +122,21 @@ class TestCovers1:
 class TestCovers2:
     def test_matching_two(self):
         cov = covers_size2(fam(4, 2, [[1, 2], [3, 4]]), full_mask(4))
-        assert set(cov.pairs) == {mask_of(p) for p in [(1, 3), (1, 4), (2, 3), (2, 4)]}
+        assert set(cov.edges) == {mask_of(p) for p in [(1, 3), (1, 4), (2, 3), (2, 4)]}
 
     def test_matching_three_has_none(self):
         cov = covers_size2(fam(6, 2, [[1, 2], [3, 4], [5, 6]]), full_mask(6))
-        assert cov.pairs == ()
+        assert cov.edges == ()
 
     def test_single_edge_within_area(self):
         cov = covers_size2(fam(3, 3, [[1, 2, 3]]), mask_of([1, 2]))
-        assert cov.pairs == (mask_of([1, 2]),)
+        assert cov.edges == (mask_of([1, 2]),)
+
+    def test_pair_family_on_ground_set(self):
+        cov = covers_size2(fam(5, 3, [[1, 2, 3], [1, 4, 5]]), mask_of([1, 2, 4]))
+        assert cov.params == FamilyParams(5, 2) and cov.edges == (mask_of([1, 2]), mask_of([1, 4]), mask_of([2, 4]))
+        with pytest.raises(ValueError):  # no pair family on one vertex
+            covers_size2(fam(1, 1, [[1]]), 1)
 
     def test_against_double_loop(self, rng):
         for _ in range(60):
@@ -138,7 +144,7 @@ class TestCovers2:
             k = rng.randrange(2, min(4, n) + 1)
             f = random_family(rng, n, k, rng.randrange(1, 9))
             area = rng.randrange(1 << n)
-            assert set(covers_size2(f, area).pairs) == ref_covers_size2(f, area)
+            assert set(covers_size2(f, area).edges) == ref_covers_size2(f, area)
         # the incidence index at the word edge (64, 65 edges) and across
         # build blocks (the (26,4) star has 2,300 edges)
         triples = tuple(iter_ksubsets(9, 3))
@@ -150,7 +156,7 @@ class TestCovers2:
         ]:
             assert f.incidence == ref_incidence(f)
             full = f.params.full
-            assert set(covers_size2(f, full).pairs) == ref_covers_size2(f, full)
+            assert set(covers_size2(f, full).edges) == ref_covers_size2(f, full)
 
 
 class TestRestrict:
@@ -247,16 +253,16 @@ class TestCompleteStarOn:
 class TestLink:
     def test_star_link_is_star_graph(self):
         lg = link(complete_star(6, 3, 1), mask_of([2]))
-        assert set(lg.pairs) == {mask_of((1, x)) for x in (3, 4, 5, 6)}
+        assert set(lg.edges) == {mask_of((1, x)) for x in (3, 4, 5, 6)}
 
     def test_read_off_edges(self):
         f = fam(5, 4, [[1, 2, 3, 4], [1, 2, 3, 5]])
         lg = link(f, mask_of([1, 2]))
-        assert set(lg.pairs) == {mask_of((3, 4)), mask_of((3, 5))}
+        assert set(lg.edges) == {mask_of((3, 4)), mask_of((3, 5))}
 
     def test_empty_link(self):
         lg = link(fam(6, 3, [[1, 2, 3]]), mask_of([5]))
-        assert lg.pairs == ()
+        assert lg.edges == ()
 
     def test_wrong_size_rejected(self):
         with pytest.raises(ValueError):

@@ -2,18 +2,21 @@ import os
 import random
 import subprocess
 import sys
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from pathlib import Path
 
 import pytest
 
 import ekrlab
-from conftest import ref_max_matching_upto
+from conftest import ref_find_pattern, ref_is_star_graph, ref_max_matching_upto
+from ekrlab.family import Family, FamilyParams
 from ekrlab.graphs import (
     MATCHING3,
     PATTERN_K4,
     PATTERN_Q,
-    PairGraph,
+    PatternWitness,
     find_pattern,
     graph_from_mask,
     is_star_graph,
@@ -23,11 +26,11 @@ from ekrlab.graphs import (
     structure_sweep,
     verify_witness,
 )
-from ekrlab.masks import full_mask, mask_of
+from ekrlab.masks import mask_of
 
 
 def pg(n, pairs):
-    return PairGraph.from_edges(full_mask(n), [mask_of(p) for p in pairs])
+    return Family.from_masks(FamilyParams(n, 2), [mask_of(p) for p in pairs])
 
 
 class TestMatching:
@@ -49,14 +52,14 @@ class TestMatching:
         for _ in range(3000):
             nv = rng.randrange(2, 10)
             pairs = [mask_of(p) for p in combinations(range(1, nv + 1), 2)]
-            g = PairGraph.from_edges(full_mask(nv), rng.sample(pairs, rng.randrange(0, len(pairs) + 1)))
+            g = Family.from_masks(FamilyParams(nv, 2), rng.sample(pairs, rng.randrange(0, len(pairs) + 1)))
             for cap in (1, 2, 3):
                 assert max_matching_upto(g, cap) == ref_max_matching_upto(g.edges, cap)
 
     def test_double_star_has_no_three_matching(self):
         # two stars at 1 and 2 over 3..40: every edge meets {1, 2}
         edges = [mask_of((c, x)) for c in (1, 2) for x in range(3, 41)] + [mask_of((1, 2))]
-        g = PairGraph.from_edges(full_mask(40), edges)
+        g = Family.from_masks(FamilyParams(40, 2), edges)
         assert max_matching_upto(g, 3) == ref_max_matching_upto(g.edges, 3)
         assert len(max_matching_upto(g, 3)) == 2
 
@@ -65,9 +68,9 @@ class TestMatching:
         pairs = [mask_of(p) for p in combinations(range(1, 7), 2)]
         for gmask in range(1, 1 << 15):
             edges = [pairs[i] for i in range(15) if gmask >> i & 1]
-            g = PairGraph.from_edges(full_mask(6), edges)
+            g = Family.from_masks(FamilyParams(6, 2), edges)
             m = len(max_matching_upto(g, 2))
-            support = g.support
+            support = reduce(or_, edges)
             is_triangle = len(edges) == 3 and support.bit_count() == 3
             star = is_star_graph(g)
             assert (m == 1) == (star.center is not None or is_triangle)
@@ -98,7 +101,7 @@ class TestStarGraph:
         assert is_star_graph(pg(2, [(1, 2)])).center == 1
 
     def test_empty_flagged(self):
-        sc = is_star_graph(PairGraph(full_mask(3), ()))
+        sc = is_star_graph(Family(FamilyParams(3, 2), ()))
         assert sc.empty and sc.center is None
 
 
@@ -128,7 +131,7 @@ class TestFindPattern:
         all_pairs = [mask_of(p) for p in combinations(range(1, 8), 2)]
         for _ in range(300):
             chosen = rng.sample(all_pairs, rng.randrange(0, 12))
-            g = PairGraph.from_edges(full_mask(7), chosen)
+            g = Family.from_masks(FamilyParams(7, 2), chosen)
             w = find_pattern(g)
             if w is not None:
                 assert verify_witness(g, w)
@@ -168,7 +171,7 @@ class TestStructureSweep:
             found = 0
             while found < 40:
                 chosen = rng.sample(all_pairs, rng.randrange(6, 16))
-                g = PairGraph.from_edges(full_mask(nv), chosen)
+                g = Family.from_masks(FamilyParams(nv, 2), chosen)
                 if is_star_graph(g).center is not None:
                     continue
                 found += 1
@@ -176,11 +179,47 @@ class TestStructureSweep:
                 assert w is not None and verify_witness(g, w)
 
 
-class TestPairGraphValidation:
+class TestPairFamilyValidation:
     def test_rejects_non_pairs(self):
         with pytest.raises(ValueError):
-            PairGraph(full_mask(4), (mask_of([1, 2, 3]),))
+            Family(FamilyParams(4, 2), (mask_of([1, 2, 3]),))
 
     def test_rejects_outside_universe(self):
         with pytest.raises(ValueError):
-            PairGraph(mask_of([1, 2]), (mask_of([2, 3]),))
+            Family(FamilyParams(2, 2), (mask_of([2, 3]),))
+
+    def test_detectors_reject_three_sets(self):
+        g = Family.from_labels(FamilyParams(6, 3), [(1, 2, 3), (4, 5, 6), (1, 4, 5)])
+        for detect in (is_star_graph, find_pattern, lambda h: max_matching_upto(h, 3)):
+            with pytest.raises(ValueError, match="2-uniform"):
+                detect(g)
+        with pytest.raises(ValueError, match="2-uniform"):
+            verify_witness(g, PatternWitness(MATCHING3, g.edges[:3]))
+
+
+class TestAgainstPlainLoops:
+    """Witnesses and star checks equal the plain-loop references edge for edge."""
+
+    @staticmethod
+    def check(g):
+        w = find_pattern(g)
+        assert (None if w is None else (w.kind, w.edges)) == ref_find_pattern(g.edges)
+        sc = is_star_graph(g)
+        assert (sc.center, sc.refutation, sc.empty) == ref_is_star_graph(g.edges)
+
+    def test_all_graphs_on_6_vertices(self):
+        pairs = [mask_of(p) for p in combinations(range(1, 7), 2)]
+        for gmask in range(1 << 15):
+            self.check(Family.from_masks(FamilyParams(6, 2), [pairs[i] for i in range(15) if gmask >> i & 1]))
+
+    def test_random_graphs_up_to_11_vertices(self):
+        rng = random.Random(0x61A7)
+        kinds = set()
+        for _ in range(2000):
+            nv = rng.randrange(2, 12)
+            pairs = [mask_of(p) for p in combinations(range(1, nv + 1), 2)]
+            g = Family.from_masks(FamilyParams(nv, 2), rng.sample(pairs, rng.randrange(0, min(len(pairs), 14) + 1)))
+            self.check(g)
+            w = find_pattern(g)
+            kinds.add(None if w is None else w.kind)
+        assert kinds == {None, MATCHING3, PATTERN_Q, PATTERN_K4}

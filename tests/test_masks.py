@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 from hypothesis import given
@@ -40,6 +41,13 @@ def test_iter_subsets_within():
     assert got == want
     assert list(iter_subsets_within(pool, 0)) == [0]
     assert list(iter_subsets_within(pool, 5)) == []
+    rng = random.Random(0x5B7)
+    for _ in range(400):
+        members = sorted(rng.sample(range(1, 200), rng.randrange(0, 13)))
+        pool = mask_of(members)
+        for r in {0, rng.randrange(0, len(members) + 1), len(members), len(members) + 1}:
+            want = sorted(mask_of(c) for c in combinations(members, r))
+            assert list(iter_subsets_within(pool, r)) == want
 
 
 def test_smallest_subset_and_fill():

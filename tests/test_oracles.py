@@ -200,5 +200,4 @@ def test_link_on_star_oracle():
     from ekrlab.oracles import link
 
     lg = link(StarOracle(6, 3, 1), mask_of([2]))
-    assert set(lg.pairs) == {mask_of((1, x)) for x in (3, 4, 5, 6)}
-    assert lg.vertices == mask_of([1, 3, 4, 5, 6])
+    assert set(lg.edges) == {mask_of((1, x)) for x in (3, 4, 5, 6)}
