@@ -1,4 +1,4 @@
-"""Pinned certificates: the sha256 of ``io.to_json`` for each input.
+"""Pinned certificates and shrinks: the sha256 of ``io.to_json`` for each input.
 
 The inputs drive both star certifications down their happy paths and
 into every refutation branch that a known family or oracle reaches:
@@ -8,8 +8,12 @@ punctured) and oracles whose star center depends on the query or
 switches partway through a run.  A
 procedure that raises is pinned by its error type and message.
 
+The shrinks are pinned on the same inputs: each input's first
+SHRINK_EDGES edges from ``enumerate_extensions(0)`` are shrunk at its
+level, and the outcomes are joined into one digest.
+
 The same digests must come out under ``python -O``, which strips bare
-asserts.  Run this file as a script to print the digests as JSON.
+asserts.  Run this file as a script to print both maps as JSON.
 """
 
 from __future__ import annotations
@@ -20,11 +24,12 @@ import os
 import random
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import ekrlab
 from ekrlab.bounds import certify_threshold_k1, certify_threshold_k2
-from ekrlab.constructions import certify_star_k1, certify_star_k2
+from ekrlab.constructions import certify_star_k1, certify_star_k2, shrink_core_k1, shrink_core_k2
 from ekrlab.family import Family
 from ekrlab.generators import complete_star, hilton_milner
 from ekrlab.io import to_json
@@ -51,15 +56,22 @@ def _minus(fam: Family, *gone: list[int]) -> Family:
     return Family(fam.params, tuple(e for e in fam.edges if e not in drop))
 
 
-def golden_cases() -> dict:
-    """Input name -> thunk returning the certificate."""
+CERTIFY = {"k1": certify_star_k1, "k2": certify_star_k2}
+SHRINK = {"k1": shrink_core_k1, "k2": shrink_core_k2}
+SHRINK_EDGES = 12
+
+
+def golden_inputs() -> dict:
+    """Input name -> (level, source, certify keyword arguments).
+
+    Some oracles are stateful, so each call builds fresh ones."""
     cases = {}
 
     def k1(name, source, **kw):
-        cases[f"k1/{name}"] = lambda: certify_star_k1(source, **kw)
+        cases[f"k1/{name}"] = ("k1", source, kw)
 
     def k2(name, source, **kw):
-        cases[f"k2/{name}"] = lambda: certify_star_k2(source, **kw)
+        cases[f"k2/{name}"] = ("k2", source, kw)
 
     for k in range(2, 6):
         n = certify_threshold_k1(k)
@@ -128,16 +140,39 @@ def golden_cases() -> dict:
     return cases
 
 
-def digest(run) -> str:
+def golden_cases() -> dict:
+    """Input name -> thunk returning the certificate."""
+    return {
+        name: (lambda run=CERTIFY[level], source=source, kw=kw: run(source, **kw))
+        for name, (level, source, kw) in golden_inputs().items()
+    }
+
+
+def outcome(run) -> str:
     try:
-        text = to_json(run())
+        return to_json(run())
     except Exception as exc:  # a refused input is pinned by its error
-        text = f"{type(exc).__name__}: {exc}"
+        return f"{type(exc).__name__}: {exc}"
+
+
+def digest(run) -> str:
+    return hashlib.sha256(outcome(run).encode()).hexdigest()
+
+
+def shrink_digest(level: str, source) -> str:
+    """One digest over the shrinks from the source's first SHRINK_EDGES edges."""
+    oracle = ExplicitOracle(source) if isinstance(source, Family) else source
+    edges = list(islice(oracle.enumerate_extensions(0), SHRINK_EDGES))
+    text = "\n".join(outcome(lambda e=e: SHRINK[level](source, e)) for e in edges)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 def all_digests() -> dict[str, str]:
     return {name: digest(run) for name, run in golden_cases().items()}
+
+
+def all_shrink_digests() -> dict[str, str]:
+    return {name: shrink_digest(level, source) for name, (level, source, _) in golden_inputs().items()}
 
 
 GOLDEN: dict[str, str] = {
@@ -230,6 +265,96 @@ GOLDEN: dict[str, str] = {
 }
 
 
+SHRINK_GOLDEN: dict[str, str] = {
+    "k1/star-9-2": "543972c11ef774641be542abe2beb977845eeae71444b4fcef0c65aa7d9a6041",
+    "k1/star-11-3": "c703c40b7f2d6bf572d7008a621988fc8eb0b71f38b58cace56c09357d9a6c2a",
+    "k1/star-14-4": "774c887676d245bcd766a1e07d7d73fc47dd24d6f18d359ff91d555ae56ecab1",
+    "k1/star-16-5": "57d5fd7dfe137f0c5adef786e6d8b62feee2794218d21f393b0077f95d3b45cb",
+    "k1/star-11-3-minus-0": "5275bd44eb3b8d8cfc8d58b89ca04d09fc786038eae55ee6a759522a6b591d3c",
+    "k1/star-11-3-minus-4": "950f7751b3a659d8d48cd3871fe08e76f939b6928d701bd6f7cfa650a015cbf3",
+    "k1/star-11-3-minus-8": "8abf4fca26de406487856d4519570df120596730d67f3562095882bac0027995",
+    "k1/star-11-3-minus-12": "5193ef57c1e626b3fdefa72b516eace3e5e9cad2609559dd84d255856fc31750",
+    "k1/star-11-3-minus-16": "5193ef57c1e626b3fdefa72b516eace3e5e9cad2609559dd84d255856fc31750",
+    "k1/star-11-3-minus-20": "5193ef57c1e626b3fdefa72b516eace3e5e9cad2609559dd84d255856fc31750",
+    "k1/star-11-3-minus-24": "5193ef57c1e626b3fdefa72b516eace3e5e9cad2609559dd84d255856fc31750",
+    "k1/star-11-3-minus-28": "5193ef57c1e626b3fdefa72b516eace3e5e9cad2609559dd84d255856fc31750",
+    "k1/star-11-3-minus-32": "5193ef57c1e626b3fdefa72b516eace3e5e9cad2609559dd84d255856fc31750",
+    "k1/star-11-3-minus-36": "5193ef57c1e626b3fdefa72b516eace3e5e9cad2609559dd84d255856fc31750",
+    "k1/star-11-3-minus-40": "5193ef57c1e626b3fdefa72b516eace3e5e9cad2609559dd84d255856fc31750",
+    "k1/star-11-3-minus-44": "5193ef57c1e626b3fdefa72b516eace3e5e9cad2609559dd84d255856fc31750",
+    "k1/hm-11-3": "b225731877c4feff6d400884ce440ebb2cca9e94fada2bc5b4309ca7fdec3d09",
+    "k1/hm-14-4": "e19f34c0ca8bf22e39c7652a9f600edf7a6407c8430c3654d5adcc2065fc641f",
+    "k1/perturbed-11-3-0": "a672e03517e3d3f054d739229861e0cbaf5785c4c229a28c2e92d994f9f19ed2",
+    "k1/perturbed-14-4-0": "33ccedd69f3597aa4ce46fa312aced31eb83eb312741388d99f4187f5453b27a",
+    "k1/perturbed-11-3-1": "4b1baaaf6332d33572eaa364ff09a838c0ef13cae6cdac3c35d96900dc221034",
+    "k1/perturbed-14-4-1": "4ccb6406514cfb6ffa06b410d2442d04ed96a3698b1eef81c8c79668b8c4b0bd",
+    "k1/perturbed-11-3-2": "5193ef57c1e626b3fdefa72b516eace3e5e9cad2609559dd84d255856fc31750",
+    "k1/perturbed-14-4-2": "33ccedd69f3597aa4ce46fa312aced31eb83eb312741388d99f4187f5453b27a",
+    "k1/perturbed-11-3-3": "c4adb6d373140b408d178f1b37d6812d858535f9d60d9dbf89565c1f3be6d534",
+    "k1/perturbed-14-4-3": "ae534419fd16d47aa1d05eda95b4f41c26a03e36cdfe996849b2bda411a7c2be",
+    "k1/perturbed-11-3-4": "0225d543b75546e7782d8f6f2111e688589ac08bdadceb00e0a477019e1f5b20",
+    "k1/perturbed-14-4-4": "dcd85802ac016658320b78fc0fdeec1a686b69a3ba5e05d1867ccf1d59d0f4f8",
+    "k1/perturbed-11-3-5": "601e2c7ca09a445ce82877bb36bab81879dd25015db990b5eae21baa48c6cf71",
+    "k1/perturbed-14-4-5": "4ccb6406514cfb6ffa06b410d2442d04ed96a3698b1eef81c8c79668b8c4b0bd",
+    "k1/perturbed-11-3-6": "601e2c7ca09a445ce82877bb36bab81879dd25015db990b5eae21baa48c6cf71",
+    "k1/perturbed-14-4-6": "e1c87e3006c245b978db86a95f4fe3c18225ad1fc31e21ed109ab87cf66390e5",
+    "k1/perturbed-11-3-7": "d3abc8750bf732448424b139c420aa728feef8d5e93fc2ad8ce54f831f7e5c0a",
+    "k1/perturbed-14-4-7": "e3260ed5daaacf1e8f50b6fc1f8020ba7c05ed5548e7b11ddb1f24d92ec3bf6b",
+    "k1/two-stars-11-3": "1c7a4b412d805a3534d703072f6f3b7b2575179f8b593d29a7518a9bdc136d66",
+    "k1/two-stars-oracle-11-3": "5193ef57c1e626b3fdefa72b516eace3e5e9cad2609559dd84d255856fc31750",
+    "k1/star-oracle-9-2": "543972c11ef774641be542abe2beb977845eeae71444b4fcef0c65aa7d9a6041",
+    "k1/star-oracle-16-5": "57d5fd7dfe137f0c5adef786e6d8b62feee2794218d21f393b0077f95d3b45cb",
+    "k1/star-oracle-23-8": "339c3012375f95499f8ee2630bd2241526e3c3cd2b9a7e972a7a4554e85f5941",
+    "k1/star-oracle-30-11": "cbe38094b9d18ebb13adfa4c75a48bff8201cf13e4878d78eda18226b190144c",
+    "k1/star-oracle-36-14": "43c738534c10e88f0e6b8934528bb832ca44cb8122dedae75a79d27f67ec868b",
+    "k1/star-oracle-43-17": "df10040cd4be3293e5dddd31183428f477e35bbd6ab39cc2c2babb55a17e4313",
+    "k1/star-oracle-49-20": "0568cdd5fec2df3205b9d34676db7b87b84a187adab52748482365c13865ea6c",
+    "k1/star-oracle-56-23": "e14b7c9c9effbf42471e09bd8c364b14f6699ff1b3bc53633656dd782e301429",
+    "k1/star-oracle-62-26": "77a22fa1a4143082fd24bbf66a4d9705acfe1c54016439e6001d4f39cf061261",
+    "k1/star-oracle-69-29": "ce99ffff0a20370d9c7a81ff421dee77300ce28ece17881295217b471919834e",
+    "k1/star-oracle-75-32": "24940e8b2209294c1ba769cb4ac82541bd1aeec33e4100d4806d97515884a43e",
+    "k1/star-oracle-81-35": "cc74f29aceab63ff846d50c6ebed9e19c6144fc7d0d9c201487ab47429f5f223",
+    "k1/star-oracle-88-38": "5199b369ab7747cab7162dda4742becc9e6f7e37f45772b1ea637a5ae7ae0c96",
+    "k1/star-oracle-94-41": "45904efda051e870957baf4f6029ea7027e4ad19a6862a8718f9a5a712ad5400",
+    "k1/star-oracle-100-44": "dcf391fecfe254885598e6f2ddc019e8b9053d96afc5adfed2353ab89fc45ec3",
+    "k1/star-oracle-107-47": "54c91a1d7259e0d96abfc9b2d2c20524694860e0c1c2af592247c1f822622180",
+    "k1/star-oracle-113-50": "110baaaab6c6f06aab95030163b31d69a428e4d16e6c1f27ddea28f432d56d3a",
+    "k1/star-oracle-119-53": "1a429a4f28a4dc5ad044bdc4ef1e700329ffe32c520b406286ab902fd2cb644c",
+    "k1/star-oracle-126-56": "83d77b869b104c25763ae6b2cfdd5e3cb7f3eafa778acdfd6aeb9be7d8c1d35a",
+    "k1/star-oracle-132-59": "f445653059f52a27dec6f75b0a5f53b269afef2a7d73e41ca0ecb6aedd2b3800",
+    "k1/star-oracle-138-62": "0efc04e74cb523c343195ba1ff657c1897d8d9185f70d53447d776ec84371091",
+    "k1/punctured-11-3": "e97daa3bd6363b240d7a78314b9468b8e975cc09a1229c4fb7739c4914bba38f",
+    "k1/punctured-23-8": "23ee440faa72569dbbf8feac0e780553d029f73946333152c5d0a465ee7b8e2d",
+    "k1/split-contains-9-2": "1cc63630dc0dd1978fccfba5713d973aa3a9228ecb41112595af917a5e6d5b82",
+    "k1/split-contains-11-3": "1aabfd0f42f2cabcaf20c2a5c816042d4f82324d73ad84ff1141627b2f9ba38d",
+    "k1/split-extension-11-3": "5193ef57c1e626b3fdefa72b516eace3e5e9cad2609559dd84d255856fc31750",
+    "k1/split-all-11-3": "5193ef57c1e626b3fdefa72b516eace3e5e9cad2609559dd84d255856fc31750",
+    "k1/split-all-14-4": "da18e0fa0cb7691870f0feb4f04814bc86842dfabe860a7677df048833de348d",
+    "k1/split-all-9-2": "0edcf7709d84571990246495986f87423c8e883a765316ac27f4af9b324f6373",
+    "k1/split-all-16-5": "e7c5b131cce8e267780894e8aec11534546116b7f2b56660b66baad14cfe281f",
+    "k1/split-extension-16-5": "c2b1ddf9170f4860e5ca0caf813c6ce66b47edbb83908f4f4e30e05491eb7090",
+    "k1/split-straddle-16-5": "b998120bb245bf626ac019c10ca72badb813864b335f8292dad12a19c178c9f1",
+    "k1/switch-11-3": "a94384b33f00f8f38c457a8c429c4dc1057775fd380123e6d2785074ad7663d0",
+    "k1/switch-14-4": "9d21f7da64198b82d5fd7ec6baf1d79a7829cff4beea6b2d5959539f3e5cfd64",
+    "k1/switch-9-2": "aa3236dc312ee31029336aae7754adda2dd2040ce3b708bf3aa9824852bdfee9",
+    "k1/switch-11-3-cross": "91d0b04a87603d383b7332988823801cbeb723418bf311b8a10c90d1e7a7d396",
+    "k2/star-232-3": "7ca5615e1839c74fd47764102928b4135735f3285ffc50a6d5e86077f50a5b6a",
+    "k2/star-232-3-minus-1-2-3": "ab40af2356e76efddcd1e6986a6ae6fcf9a3aacc6450111ee8c4a95785961e0c",
+    "k2/star-232-3-minus-1-231-232": "7ca5615e1839c74fd47764102928b4135735f3285ffc50a6d5e86077f50a5b6a",
+    "k2/hm-232-3": "b41d944f7f1b931eff0936ffa2300efeb0935f8676a1d73ac39f57e714de82c4",
+    "k2/star-oracle-232-3": "1d89e43ceee2f02ec2e8220023a9c64e00dd75c716d9762837c0b36bcc5bd305",
+    "k2/star-oracle-274-8": "e5c113b12dfca797ff288f31a814ff70f60cbb2ddecbb272b9639f3f151daf50",
+    "k2/punctured-232-3": "1122b674eb9f801011af49284d85d9c261f4be60572090da93f1a13a32249305",
+    "k2/split-all-232-3": "7ca5615e1839c74fd47764102928b4135735f3285ffc50a6d5e86077f50a5b6a",
+    "k2/split-all-232-3-low-cut": "73f6668541cb3d340a4ea69bd098a57788d2ce1e83ea37d41e88885770cb4d42",
+    "k2/split-all-232-3-high-cut": "2595a0dd1a907d560e3b25380adeef1f0a92773d7d68e035aa4c49f4e4d0f853",
+    "k2/split-no-degree-232-3": "098e8677ba61481006a7ec6b603f992b5f1110581526936be662be054cc46918",
+    "k2/split-one-vertex-232-3": "67453472d9dd08160d730522ea7cdd274b926cbdfd1b2783d8aec85171bea960",
+    "k2/switch-232-3": "1d89e43ceee2f02ec2e8220023a9c64e00dd75c716d9762837c0b36bcc5bd305",
+    "k2/switch-242-4": "06f6fccf3e6b0e6dbe0b57d33c367061d92306d3c0fd0dece88c84f8e0cf33d9",
+}
+
+
 def test_digests():
     assert all_digests() == GOLDEN
 
@@ -240,8 +365,12 @@ def test_digests_under_optimize_flag():
     done = subprocess.run(
         [sys.executable, "-O", __file__], env=env, capture_output=True, text=True, check=True, timeout=120
     )
-    assert json.loads(done.stdout) == GOLDEN
+    assert json.loads(done.stdout) == {"certify": GOLDEN, "shrink": SHRINK_GOLDEN}
+
+
+def test_shrink_digests():
+    assert all_shrink_digests() == SHRINK_GOLDEN
 
 
 if __name__ == "__main__":
-    print(json.dumps(all_digests(), indent=1))
+    print(json.dumps({"certify": all_digests(), "shrink": all_shrink_digests()}, indent=1))

@@ -1,5 +1,8 @@
+import hashlib
 import json
 from math import comb
+
+import pytest
 
 from ekrlab.cli import main
 from ekrlab.io import read_family
@@ -117,3 +120,42 @@ class TestCheckSearchBounds:
 
     def test_enumeration_guard_exit_1(self, capsys):
         assert main(["check", "--n", "30", "--k", "7", "--d", "2"]) == 1
+
+
+# Whole stdout of certify and construct, pinned by sha256 with the exit
+# code.  construct k2 needs n >= 230 and certify k2 n >= 232 at k = 3.
+PINNED_FILES = {
+    "star-11-3": ["star", "--n", "11", "--k", "3", "--center", "2"],
+    "hm-11-3": ["hm", "--n", "11", "--k", "3"],
+    "star-232-3": ["star", "--n", "232", "--k", "3", "--center", "1"],
+    "hm-232-3": ["hm", "--n", "232", "--k", "3"],
+}
+PINNED_RUNS = {
+    "certify k1 star-11-3": (0, "55c169a0db8ac5d621064437e46353d52b4d3eb3bd63891391261ac8c717e5e0"),
+    "certify k1 hm-11-3": (2, "23765e1a65635e1090182f3e0541400348ebbde4f6a73bda28f1fbc4adb82744"),
+    "construct k1 star-11-3": (0, "6ff57f064f2a29141392784e2ba9a0edecdacd8f341f64fce1c207dfe0139023"),
+    "construct k1 hm-11-3": (0, "85939de93de4c2fbd6a721e8e7a5db33ae544c986f9bb29555591d5c01b7e2ee"),
+    "certify k2 star-232-3": (0, "69e5c14403c4ce797abffef701c24def87076470c078d09cb915bb6e8406c32b"),
+    "certify k2 hm-232-3": (2, "3e684f33a8aeb461785b65bee7d715cf6d98c0811e452091204a107f946f430e"),
+    "construct k2 star-232-3": (0, "73f532224e079ba46ac934fb66cf14492523f3f9c5d1f0f2e219ca773a37a99a"),
+    "construct k2 hm-232-3": (2, "2b095a1575da5442a2bea30c1674e15c838e0ced9fdccdae62dc56c9cfa0e97d"),
+    "certify k2 --star 232,3,7": (0, "4571b066b1bf1e7d1561870623414b3fa9f999c93ee9e3b636eda37b00511a3c"),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("pinned")
+    paths = {}
+    for name, argv in PINNED_FILES.items():
+        paths[name] = str(folder / f"{name}.fam")
+        assert main(["gen", *argv, "--out", paths[name]]) == 0
+    return paths
+
+
+@pytest.mark.parametrize("run_name", sorted(PINNED_RUNS))
+def test_pinned_stdout(run_name, pinned_files, capsys):
+    command, level, *rest = run_name.split()
+    argv = [command, level, *(["--in", pinned_files[rest[0]]] if rest[0] in pinned_files else rest)]
+    code, out = run(capsys, *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == PINNED_RUNS[run_name]
