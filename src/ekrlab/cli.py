@@ -31,7 +31,7 @@ from .generators import (
     hilton_milner,
     random_maximal_intersecting,
 )
-from .io import family_text, read_family, to_json, write_family
+from .io import family_text, jsonable, read_family, to_json, write_family
 from .masks import labels, mask_of
 from .oracles import ExplicitOracle, FamilyOracle, StarOracle, min_degree
 from .verify import CSV_HEADER, check_theorem, search_counterexample
@@ -182,15 +182,9 @@ def cmd_certify(args: argparse.Namespace) -> int:
         "procedure": f"certify-star-{args.level}",
         "params": {"n": oracle.params.n, "k": oracle.params.k},
     }
-    payload.update(to_json_dict(cert))
+    payload.update(jsonable(cert))
     _emit(args, to_json(payload, indent=2))
     return EXIT_OK if cert.is_star else EXIT_FOUND
-
-
-def to_json_dict(cert: Certificate) -> dict:
-    import json as _json
-
-    return _json.loads(to_json(cert))
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:

@@ -4,8 +4,10 @@ Every procedure follows the same discipline: "arbitrary" choices resolve
 to the canonically smallest valid option, every oracle answer is
 validated at the boundary, and whenever a query that the degree
 hypotheses guarantee comes back short, the procedure returns a
-checkable violation witness instead of raising.  Witnesses re-verify
-against the oracle via :meth:`Violation.verify`.
+checkable violation witness instead of raising.  Inside a procedure a
+witness is raised as ``_Refuted`` where it is found and caught at the
+procedure's one exit.  Witnesses re-verify against the oracle via
+:meth:`Violation.verify`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .bounds import (
     sqrt_term,
     x_param,
 )
-from .family import Family, FamilyParams, covers_size2, is_complete_star_on
+from .family import Family, FamilyParams, covers_size2, disjoint_pair, is_complete_star_on
 from .graphs import find_pattern, is_star_graph, is_subgraph_of_cherry, max_matching_upto
 from .masks import (
     Mask,
@@ -39,7 +41,7 @@ from .masks import (
     smallest_subset,
     fill_to_size,
 )
-from .oracles import ExplicitOracle, FamilyOracle, link
+from .oracles import ExplicitOracle, FamilyOracle, link, min_degree
 
 SAMPLE_BUDGET = 10_000  # seeded final-claim samples on non-explicit oracles
 SPOT_BUDGET = 256  # per-window spot checks on non-explicit oracles
@@ -57,6 +59,14 @@ class InternalContradictionError(RuntimeError):
 class Violation:
     def verify(self, oracle: FamilyOracle) -> bool:
         raise NotImplementedError
+
+
+class _Refuted(Exception):
+    """Carries a witness from where it is found to the procedure's one exit."""
+
+    def __init__(self, violation: Violation):
+        super().__init__(violation)
+        self.violation = violation
 
 
 @dataclass(frozen=True)
@@ -320,6 +330,39 @@ def _sample_subsets(rng: random.Random, pool: Mask, r: int, count: int) -> Itera
 
 
 # ---------------------------------------------------------------------------
+# core shrinking: one entry for both levels
+
+
+def _shrink(
+    source: FamilyOracle | Family,
+    e: Mask,
+    min_k: int,
+    threshold: Callable[[int], int],
+    grow: Callable[[CountingOracle, Mask, ConstructionTrace], tuple[TracedFamily, Optional[int]]],
+) -> ShrinkResult:
+    """Check the arguments, run ``grow`` from ``e`` and catch its witness."""
+    oracle = _as_oracle(source)
+    p = oracle.params
+    n, k = p.n, p.k
+    if k < min_k:
+        raise ValueError(f"k >= {min_k} required")
+    if n < threshold(k):
+        raise ValueError(f"n >= {threshold(k)} required for k={k}, got n={n}")
+    co = CountingOracle(oracle)
+    if not co.contains(e):
+        raise ValueError(f"edge {labels(e)} is not in the family")
+    trace = ConstructionTrace()
+    try:
+        sub, cover_vertex = grow(co, e, trace)
+    except _Refuted as refuted:
+        trace.queries_used = co.queries
+        return ShrinkResult(None, refuted.violation, trace)
+    trace.final_vertex_set = sub.vertex_set
+    trace.queries_used = co.queries
+    return ShrinkResult(sub, None, trace, cover_vertex)
+
+
+# ---------------------------------------------------------------------------
 # k-1 core shrinking
 
 
@@ -332,18 +375,12 @@ def shrink_core_k1(source: FamilyOracle | Family, e: Mask) -> ShrinkResult:
     (k-1)-degree is zero).  A DisjointEdges witness is returned when
     the k = 2 fallback exposes a non-intersecting input.
     """
-    oracle = _as_oracle(source)
-    p = oracle.params
-    n, k = p.n, p.k
-    if k < 2:
-        raise ValueError("k >= 2 required")
-    if n < shrink_threshold_k1(k):
-        raise ValueError(f"n >= {shrink_threshold_k1(k)} required for k={k}, got n={n}")
-    co = CountingOracle(oracle)
-    if not co.contains(e):
-        raise ValueError(f"edge {labels(e)} is not in the family")
-    trace = ConstructionTrace()
+    return _shrink(source, e, 2, shrink_threshold_k1, _grow_k1)
 
+
+def _grow_k1(co: CountingOracle, e: Mask, trace: ConstructionTrace) -> tuple[TracedFamily, None]:
+    p = co.params
+    k = p.k
     if k == 2:
         partner = None
         for vb in iter_bits(e):
@@ -353,17 +390,12 @@ def shrink_core_k1(source: FamilyOracle | Family, e: Mask) -> ShrinkResult:
                     break
         if partner is None:
             stray = co.extension(0, e)
-            trace.queries_used = co.queries
             if stray is not None:
-                return ShrinkResult(None, DisjointEdges(e, stray), trace)
-            w = smallest_subset(p.full & ~e, 1)
-            return ShrinkResult(None, ZeroCodegree(w), trace)
-        sub = TracedFamily(p, tuple(sorted((e, partner))), e | partner)
+                raise _Refuted(DisjointEdges(e, stray))
+            raise _Refuted(ZeroCodegree(smallest_subset(p.full & ~e, 1)))
         trace.record(1, smallest_subset(e, 1), partner, e & partner, e | partner, k)
-        trace.final_vertex_set = sub.vertex_set
-        trace.queries_used = co.queries
         trace.parameters["D"] = 1
-        return ShrinkResult(sub, None, trace)
+        return TracedFamily(p, tuple(sorted((e, partner))), e | partner), None
 
     extra = smallest_subset(p.full & ~e, 1)
     edges: list[Mask] = [e]
@@ -383,8 +415,7 @@ def shrink_core_k1(source: FamilyOracle | Family, e: Mask) -> ShrinkResult:
             w = outside | smallest_subset(core, k - 1 - popcount(outside))
         f = co.extension(w, 0)
         if f is None:
-            trace.queries_used = co.queries
-            return ShrinkResult(None, ZeroCodegree(w), trace)
+            raise _Refuted(ZeroCodegree(w))
         prev_core, prev_excess = core, popcount(vertex_set) - k
         if f not in edges:
             edges.append(f)
@@ -409,11 +440,8 @@ def shrink_core_k1(source: FamilyOracle | Family, e: Mask) -> ShrinkResult:
     assert big_d <= floor_triangular_root(k)
     assert popcount(vertex_set) <= k + big_d + 2 <= shrink_vertex_bound_k1(k)
 
-    sub = TracedFamily(p, tuple(sorted(edges)), vertex_set)
-    trace.final_vertex_set = vertex_set
-    trace.queries_used = co.queries
     trace.parameters["D"] = big_d
-    return ShrinkResult(sub, None, trace)
+    return TracedFamily(p, tuple(sorted(edges)), vertex_set), None
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +494,40 @@ def cherry_reduce(
 # k-2 core shrinking (two phases)
 
 
-def _link_or_low_codegree(co: FamilyOracle, w: Mask) -> tuple[Optional[LowCodegree], Family]:
-    """The link of the (k-2)-set ``w``, and a witness when it has fewer than n-k+1 pairs."""
+def _link_at_least(co: FamilyOracle, w: Mask) -> Family:
+    """The link of the (k-2)-set ``w``; a LowCodegree witness when it has fewer than n-k+1 pairs."""
     lk = link(co, w)
     required = co.params.n - co.params.k + 1
-    return (LowCodegree(w, len(lk), required) if len(lk) < required else None), lk
+    if len(lk) < required:
+        raise _Refuted(LowCodegree(w, len(lk), required))
+    return lk
+
+
+def _star_edges(sel: Mask, lk: Family, center: int, among: Mask) -> list[Mask]:
+    """The edges sel | {center, z} for every z in ``among`` outside sel and the center.
+
+    Only called on a link of a (k-2)-set with >= n-k+1 pairs that all meet
+    ``center``, which holds every such pair.
+    """
+    cbit = bit(center)
+    added = []
+    for zbit in iter_bits(among & ~(sel | cbit)):
+        pr = cbit | zbit
+        assert pr in lk
+        added.append(sel | pr)
+    return added
+
+
+def _select_outside(current: TracedFamily, avoid: Mask) -> tuple[TracedFamily, Mask]:
+    """The lowest (k-2)-set of V(current) outside ``avoid``, padding V(current)
+    with isolated vertices when too few are left."""
+    p = current.params
+    short = p.k - 2 - popcount(current.vertex_set & ~avoid)
+    if short > 0:
+        current = TracedFamily(
+            p, current.edges, fill_to_size(current.vertex_set, popcount(current.vertex_set) + short, p.full)
+        )
+    return current, smallest_subset(current.vertex_set & ~avoid, p.k - 2)
 
 
 def _refute_by_outside_query(co: FamilyOracle, ctx_edges: Sequence[Mask], ctx_vertex_set: Mask) -> Violation:
@@ -486,10 +543,7 @@ def _refute_by_outside_query(co: FamilyOracle, ctx_edges: Sequence[Mask], ctx_ve
     if popcount(avail) < p.k - 2:
         raise InternalContradictionError("context vertex set too large for an outside query")
     w = smallest_subset(avail, p.k - 2)
-    viol, lk = _link_or_low_codegree(co, w)
-    if viol is not None:
-        return viol
-    for t in lk.edges:
+    for t in _link_at_least(co, w).edges:
         g = w | t
         for h in ctx_edges:
             if not g & h:
@@ -510,20 +564,15 @@ def shrink_core_k2(source: FamilyOracle | Family, e: Mask) -> ShrinkResult:
     back as LowCodegree witnesses.  The cover property is re-verified
     exhaustively over all vertex pairs before returning.
     """
-    oracle = _as_oracle(source)
-    p = oracle.params
-    n, k = p.n, p.k
-    if k < 3:
-        raise ValueError("k >= 3 required")
-    if n < shrink_threshold_k2(k):
-        raise ValueError(f"n >= {shrink_threshold_k2(k)} required for k={k}, got n={n}")
-    co = CountingOracle(oracle)
-    if not co.contains(e):
-        raise ValueError(f"edge {labels(e)} is not in the family")
-    required = n - k + 1
+    return _shrink(source, e, 3, shrink_threshold_k2, _grow_k2)
+
+
+def _grow_k2(co: CountingOracle, e: Mask, trace: ConstructionTrace) -> tuple[TracedFamily, int]:
+    p = co.params
+    k = p.k
+    required = p.n - k + 1
     x = x_param(k)
     assert x >= 10 and 4 * ((k + x - 1) // x) + 6 <= x
-    trace = ConstructionTrace()
     trace.parameters["x"] = x
 
     # Phase 1: drive the core to at most one vertex.
@@ -541,11 +590,7 @@ def shrink_core_k2(source: FamilyOracle | Family, e: Mask) -> ShrinkResult:
             carved = core | smallest_subset(base_vset & ~core, x + 2 - popcount(core))
         w = base_vset & ~carved
         assert popcount(w) == k - 2
-        viol, lk = _link_or_low_codegree(co, w)
-        if viol is not None:
-            trace.queries_used = co.queries
-            return ShrinkResult(None, viol, trace)
-        f = w | lk.edges[0]
+        f = w | _link_at_least(co, w).edges[0]
         if f not in edges:
             edges.append(f)
         prev = vertex_set
@@ -560,10 +605,7 @@ def shrink_core_k2(source: FamilyOracle | Family, e: Mask) -> ShrinkResult:
 
     if popcount(core) == 2:
         w = smallest_subset(vertex_set & ~core, k - 2)
-        viol, lk = _link_or_low_codegree(co, w)
-        if viol is not None:
-            trace.queries_used = co.queries
-            return ShrinkResult(None, viol, trace)
+        lk = _link_at_least(co, w)
         matching = max_matching_upto(lk, 2)
         if len(matching) == 2:
             f1, f2 = (w | matching[0], w | matching[1])
@@ -617,7 +659,7 @@ def shrink_core_k2(source: FamilyOracle | Family, e: Mask) -> ShrinkResult:
     current = TracedFamily(p, tuple(sorted(edges)), vertex_set)
     cover_vertex: Optional[int] = None
 
-    def entry_links(i: int, j: int) -> list[tuple[Mask, Family, Optional[int]]] | Violation:
+    def entry_links(i: int, j: int) -> list[tuple[Mask, Family, Optional[int]]]:
         area = parts[i] | parts[j]
         out = []
         for r in range(s):
@@ -630,9 +672,7 @@ def shrink_core_k2(source: FamilyOracle | Family, e: Mask) -> ShrinkResult:
                 if popcount(pool) < k - 2:
                     raise InternalContradictionError("padding left no room for a base set")
                 sel = smallest_subset(pool, k - 2)
-                viol, lk = _link_or_low_codegree(co, sel)
-                if viol is not None:
-                    return viol
+                lk = _link_at_least(co, sel)
                 out.append((sel, lk, is_star_graph(lk).center))
         return out
 
@@ -643,9 +683,6 @@ def shrink_core_k2(source: FamilyOracle | Family, e: Mask) -> ShrinkResult:
         for j in range(i + 1, s):
             area = parts[i] | parts[j]
             entries = entry_links(i, j)
-            if isinstance(entries, Violation):
-                trace.queries_used = co.queries
-                return ShrinkResult(None, entries, trace)
             nonstar = [ent for ent in entries if ent[2] is None]
             if nonstar:
                 sel, _, _ = nonstar[0]
@@ -659,13 +696,7 @@ def shrink_core_k2(source: FamilyOracle | Family, e: Mask) -> ShrinkResult:
             if len(set(centers)) > 1:
                 first = entries[0]
                 second = next(ent for ent in entries if ent[2] != first[2])
-                added: list[Mask] = []
-                for sel, lk, w_center in (first, second):
-                    wbit = bit(w_center)
-                    for zbit in iter_bits(phase1_vset & ~(sel | wbit)):
-                        pr = wbit | zbit
-                        assert pr in lk  # complete star link carries every partner
-                        added.append(sel | pr)
+                added = [f for sel, lk, w_center in (first, second) for f in _star_edges(sel, lk, w_center, phase1_vset)]
                 current = current.add(added)
                 trace.record(2, first[0], added[0], current.core, current.vertex_set, k)
                 cov = covers_size2(current.family, area)
@@ -673,17 +704,10 @@ def shrink_core_k2(source: FamilyOracle | Family, e: Mask) -> ShrinkResult:
                 assert all(pr == allowed for pr in cov.edges)
                 continue
             # all links are stars at one common vertex: finish globally
-            w_center = centers[0]
-            wbit = bit(w_center)
-            added = []
-            for sel, lk, _ in entries:
-                for zbit in iter_bits(area & ~wbit):
-                    pr = wbit | zbit
-                    assert pr in lk
-                    added.append(sel | pr)
+            added = [f for sel, lk, w_center in entries for f in _star_edges(sel, lk, w_center, area)]
             current = current.add(added)
             trace.record(2, entries[0][0], added[0], current.core, current.vertex_set, k)
-            cover_vertex = w_center
+            cover_vertex = centers[0]
             done = True
             break
 
@@ -698,24 +722,11 @@ def shrink_core_k2(source: FamilyOracle | Family, e: Mask) -> ShrinkResult:
                 for pr in cov.edges:
                     cover_union |= pr
         assert popcount(cover_union) <= 3 * s * s
-        pool = current.vertex_set & ~(cover_union | bit(v))
-        if popcount(pool) < k - 2:
-            grown = fill_to_size(current.vertex_set, popcount(current.vertex_set) + (k - 2 - popcount(pool)), p.full)
-            current = TracedFamily(p, current.edges, grown)
-            pool = current.vertex_set & ~(cover_union | bit(v))
-        sel = smallest_subset(pool, k - 2)
-        viol, lk = _link_or_low_codegree(co, sel)
-        if viol is not None:
-            trace.queries_used = co.queries
-            return ShrinkResult(None, viol, trace)
+        current, sel = _select_outside(current, cover_union | bit(v))
+        lk = _link_at_least(co, sel)
         star = is_star_graph(lk)
         if star.center == v:
-            vbit = bit(v)
-            added = []
-            for zbit in iter_bits(current.vertex_set & ~(sel | vbit)):
-                pr = vbit | zbit
-                assert pr in lk
-                added.append(sel | pr)
+            added = _star_edges(sel, lk, v, current.vertex_set)
             current = current.add(added)
             trace.record(2, sel, added[0], current.core, current.vertex_set, k)
             cover_vertex = v
@@ -728,8 +739,7 @@ def shrink_core_k2(source: FamilyOracle | Family, e: Mask) -> ShrinkResult:
                 if pr in lk:
                     added.append(sel | pr)
             ctx = current.add(added)
-            trace.queries_used = co.queries
-            return ShrinkResult(None, _refute_by_outside_query(co, ctx.edges, ctx.vertex_set), trace)
+            raise _Refuted(_refute_by_outside_query(co, ctx.edges, ctx.vertex_set))
         else:
             res = cherry_reduce(co, current, sel, cover_union)
             assert res.reduced is not None
@@ -739,22 +749,13 @@ def shrink_core_k2(source: FamilyOracle | Family, e: Mask) -> ShrinkResult:
             if cover_union:
                 for pr in covers_size2(current.family, cover_union).edges:
                     aux_union |= pr
-            pool2 = current.vertex_set & ~(aux_union | bit(v))
-            if popcount(pool2) < k - 2:
-                grown = fill_to_size(current.vertex_set, popcount(current.vertex_set) + (k - 2 - popcount(pool2)), p.full)
-                current = TracedFamily(p, current.edges, grown)
-                pool2 = current.vertex_set & ~(aux_union | bit(v))
-            sel2 = smallest_subset(pool2, k - 2)
-            viol, lk2 = _link_or_low_codegree(co, sel2)
-            if viol is not None:
-                trace.queries_used = co.queries
-                return ShrinkResult(None, viol, trace)
+            current, sel2 = _select_outside(current, aux_union | bit(v))
+            lk2 = _link_at_least(co, sel2)
             off = next((t for t in lk2.edges if not t & bit(v)), None)
             if off is not None:
                 # An edge through sel2 avoiding v caps the covers at k + 2.
                 ctx = current.add([sel2 | off])
-                trace.queries_used = co.queries
-                return ShrinkResult(None, _refute_by_outside_query(co, ctx.edges, ctx.vertex_set), trace)
+                raise _Refuted(_refute_by_outside_query(co, ctx.edges, ctx.vertex_set))
             if popcount(current.vertex_set & ~(sel2 | bit(v))) <= 3:
                 raise InternalContradictionError(
                     "no room to extend past the consolidated query set"
@@ -781,12 +782,8 @@ def shrink_core_k2(source: FamilyOracle | Family, e: Mask) -> ShrinkResult:
                 f"size-two cover {labels(pr)} avoids the designated vertex {cover_vertex}"
             )
     if not e & cvbit:
-        trace.queries_used = co.queries
-        return ShrinkResult(None, _refute_by_outside_query(co, current.edges, current.vertex_set), trace)
-
-    trace.final_vertex_set = current.vertex_set
-    trace.queries_used = co.queries
-    return ShrinkResult(current, None, trace, cover_vertex)
+        raise _Refuted(_refute_by_outside_query(co, current.edges, current.vertex_set))
+    return current, cover_vertex
 
 
 # ---------------------------------------------------------------------------
@@ -843,9 +840,6 @@ def _offending_probe_k2(co: FamilyOracle, ctx: TracedFamily, f: Mask, v: int) ->
     p = co.params
     avail = p.full & ~(ctx.vertex_set | f | bit(v))
     if popcount(avail) < p.k - 2:
-        from .family import disjoint_pair
-        from .oracles import min_degree
-
         if isinstance(co, CountingOracle) and isinstance(co.inner, ExplicitOracle):
             fam = co.inner.family
             pair = disjoint_pair(fam)
@@ -857,10 +851,7 @@ def _offending_probe_k2(co: FamilyOracle, ctx: TracedFamily, f: Mask, v: int) ->
                 return LowCodegree(arg, val, required)
         raise InternalContradictionError("no room for an outside probe against the off-center edge")
     w = smallest_subset(avail, p.k - 2)
-    viol, lk = _link_or_low_codegree(co, w)
-    if viol is not None:
-        return viol
-    for t in lk.edges:
+    for t in _link_at_least(co, w).edges:
         g = w | t
         if not g & f:
             return DisjointEdges(g, f)
@@ -874,10 +865,7 @@ def _offending_probe_k2(co: FamilyOracle, ctx: TracedFamily, f: Mask, v: int) ->
 def _missing_edge_probe_k2(co: FamilyOracle, ctx: TracedFamily, m: Mask, v: int) -> Violation:
     """Witness from a star edge ``m`` (through v) reported absent."""
     sel = smallest_subset(m & ~bit(v), co.params.k - 2)
-    viol, lk = _link_or_low_codegree(co, sel)
-    if viol is not None:
-        return viol
-    off = next((t for t in lk.edges if not t & bit(v)), None)
+    off = next((t for t in _link_at_least(co, sel).edges if not t & bit(v)), None)
     if off is not None:
         return _offending_probe_k2(co, ctx, sel | off, v)
     raise InternalContradictionError(
@@ -898,25 +886,24 @@ def _star_check(
     count: int,
     offending: Callable[[Mask], Violation],
     missing: Callable[[Mask], Violation],
-) -> Optional[Violation]:
+) -> None:
     """Check that the restriction to ``window`` is the complete star at ``v``.
 
     On an explicit family the check is exhaustive: the first edge that
     avoids v goes to ``offending``, else the first absent star edge to
     ``missing``.  On an oracle, ``count`` seeded (k-1)-subsets of
     window - v are spot-checked and the first absent star edge goes to
-    ``missing``.
+    ``missing``.  The probe's witness is raised.
     """
     vb = bit(v)
     if explicit is not None:
         sv = is_complete_star_on(explicit, window, v)
-        if sv is None:
-            return None
-        return offending(sv.edge) if sv.kind == "offending" else missing(sv.edge)
+        if sv is not None:
+            raise _Refuted(offending(sv.edge) if sv.kind == "offending" else missing(sv.edge))
+        return
     for w in _sample_subsets(rng, window & ~vb, co.params.k - 1, count):
         if not co.contains(w | vb):
-            return missing(w | vb)
-    return None
+            raise _Refuted(missing(w | vb))
 
 
 class _K1:
@@ -930,13 +917,11 @@ class _K1:
     def shrink(self, co: FamilyOracle, e: Mask) -> ShrinkResult:
         return shrink_core_k1(co, e)
 
-    def center(
-        self, co: FamilyOracle, sub: TracedFamily, cover_vertex: Optional[int], window: Mask
-    ) -> int | Violation:
+    def center(self, co: FamilyOracle, sub: TracedFamily, cover_vertex: Optional[int], window: Mask) -> int:
         """The lowest core vertex; an empty core yields a gap-probe witness."""
         core = sub.core
         if not core:
-            return _gap_probe_k1(co, sub.edges, sub.vertex_set, window)
+            raise _Refuted(_gap_probe_k1(co, sub.edges, sub.vertex_set, window))
         return lowest_vertex(core)
 
     def probes(self, co: FamilyOracle, ctx: TracedFamily, window: Mask, v: int):
@@ -946,7 +931,7 @@ class _K1:
             lambda edge: _missing_edge_probe_k1(co, ctx, window, v, edge),
         )
 
-    def cross(self, co: FamilyOracle, ctx: TracedFamily, window_x: Mask, v: int) -> Mask | Violation:
+    def cross(self, co: FamilyOracle, ctx: TracedFamily, window_x: Mask, v: int) -> Mask:
         """The star edge through v and the lowest k-1 vertices outside window X."""
         p = co.params
         vb = bit(v)
@@ -957,13 +942,13 @@ class _K1:
         # star edge steered away from it.
         f = co.extension(wb, 0)
         if f is None:
-            return ZeroCodegree(wb)
+            raise _Refuted(ZeroCodegree(wb))
         if f & vb:
             raise InternalContradictionError(f"oracle returned the edge {labels(f)} it reported absent")
         h = smallest_subset(window_x & ~(f | vb), p.k - 1) | vb
         if co.contains(h):
-            return DisjointEdges(f, h)
-        return _missing_edge_probe_k1(co, ctx, window_x, v, h)
+            raise _Refuted(DisjointEdges(f, h))
+        raise _Refuted(_missing_edge_probe_k1(co, ctx, window_x, v, h))
 
     def ell(self, k: int) -> int:
         return sqrt_term(k) - 1
@@ -982,7 +967,7 @@ class _K1:
         explicit: Optional[Family],
         rng: random.Random,
         samples: int,
-    ) -> Optional[Violation]:
+    ) -> None:
         """Global star verification: exhaustive when explicit, sampled otherwise."""
         p = co.params
         vb = bit(v)
@@ -995,9 +980,6 @@ class _K1:
                     if co.contains(h):
                         return DisjointEdges(f, h)
             if explicit is not None:
-                from .family import disjoint_pair
-                from .oracles import min_degree
-
                 pair = disjoint_pair(explicit)
                 if pair is not None:
                     return DisjointEdges(*pair)
@@ -1014,7 +996,7 @@ class _K1:
                 return ZeroCodegree(w)
             return offending(f)
 
-        return _star_check(co, p.full, v, explicit, rng, samples, offending, missing)
+        _star_check(co, p.full, v, explicit, rng, samples, offending, missing)
 
 
 class _K2:
@@ -1028,9 +1010,7 @@ class _K2:
     def shrink(self, co: FamilyOracle, e: Mask) -> ShrinkResult:
         return shrink_core_k2(co, e)
 
-    def center(
-        self, co: FamilyOracle, sub: TracedFamily, cover_vertex: Optional[int], window: Mask
-    ) -> int | Violation:
+    def center(self, co: FamilyOracle, sub: TracedFamily, cover_vertex: Optional[int], window: Mask) -> int:
         """The cover vertex the shrink designated."""
         return cover_vertex
 
@@ -1041,7 +1021,7 @@ class _K2:
             lambda edge: _missing_edge_probe_k2(co, ctx, edge, v),
         )
 
-    def cross(self, co: FamilyOracle, ctx: TracedFamily, window_x: Mask, v: int) -> Mask | Violation:
+    def cross(self, co: FamilyOracle, ctx: TracedFamily, window_x: Mask, v: int) -> Mask:
         """An edge through v and k-2 of the k vertices outside window X.
 
         Every extension of that (k-2)-set must go through v; one that
@@ -1050,9 +1030,7 @@ class _K2:
         p = co.params
         vb = bit(v)
         w0 = smallest_subset(p.full & ~window_x, p.k - 2)
-        viol, lk = _link_or_low_codegree(co, w0)
-        if viol is not None:
-            return viol
+        lk = _link_at_least(co, w0)
         for t in lk.edges:
             if not t & vb:
                 g = w0 | t
@@ -1061,7 +1039,7 @@ class _K2:
                     raise InternalContradictionError(
                         "an off-center extension of the outside set covers the shrunken family"
                     )
-                return DisjointEdges(g, partner)
+                raise _Refuted(DisjointEdges(g, partner))
         return w0 | vb | min(t & ~vb for t in lk.edges)
 
     def ell(self, k: int) -> int:
@@ -1081,26 +1059,26 @@ class _K2:
         explicit: Optional[Family],
         rng: random.Random,
         samples: int,
-    ) -> Optional[Violation]:
+    ) -> None:
         """Global star verification: exhaustive when explicit; on an oracle,
         seeded (k-2)-sets get a degree check and one random star edge each."""
         p = co.params
         vb = bit(v)
         if explicit is not None:
-            return _star_check(co, p.full, v, explicit, rng, samples, *self.probes(co, ctx, p.full, v))
+            _star_check(co, p.full, v, explicit, rng, samples, *self.probes(co, ctx, p.full, v))
+            return
         required = p.n - p.k + 1
         pool = p.full & ~vb
         zchoices = list(iter_bits(pool))
         for w in _sample_subsets(rng, pool, p.k - 2, samples):
             deg = co.degree(w)
             if deg < required:
-                return LowCodegree(w, deg, required)
+                raise _Refuted(LowCodegree(w, deg, required))
             zb = rng.choice(zchoices)
             while zb & w:
                 zb = rng.choice(zchoices)
             if not co.contains(w | vb | zb):
-                return _missing_edge_probe_k2(co, ctx, w | vb | zb, v)
-        return None
+                raise _Refuted(_missing_edge_probe_k2(co, ctx, w | vb | zb, v))
 
 
 def _certify(
@@ -1133,77 +1111,66 @@ def _certify(
     if e0 is None:
         raise ValueError("the family is empty")
 
-    def finish(center: Optional[int], violation: Optional[Violation]) -> Certificate:
+    try:
+        r1 = level.shrink(co, e0)
+        trace.steps.extend(r1.trace.steps)
+        shrunk = r1.trace.parameters
+        trace.parameters.update({key: shrunk[key] for key in level.copied if key in shrunk})
+        if not r1.ok:
+            raise _Refuted(r1.violation)
+        ctx_x = r1.subfamily
+        window_x = fill_to_size(ctx_x.vertex_set, n - k, p.full)
+        v = level.center(co, ctx_x, r1.cover_vertex, window_x)
+        offending_x, missing_x = level.probes(co, ctx_x, window_x, v)
+        _star_check(co, window_x, v, explicit, rng, spot, offending_x, missing_x)
+
+        r2 = level.shrink(co, level.cross(co, ctx_x, window_x, v))
+        trace.steps.extend(r2.trace.steps)
+        if not r2.ok:
+            raise _Refuted(r2.violation)
+        outside = p.full & ~window_x  # exactly k vertices
+        ctx_y = r2.subfamily
+        window_y = fill_to_size(outside | ctx_y.vertex_set, n - k, p.full)
+        assert window_x | window_y == p.full
+        v2 = level.center(co, ctx_y, r2.cover_vertex, window_y)
+        offending_y, missing_y = level.probes(co, ctx_y, window_y, v2)
+        _star_check(co, window_y, v2, explicit, rng, spot, offending_y, missing_y)
+        if v2 != v:
+            # Star edges of the two windows, one inside X and one through the
+            # vertices outside X, are disjoint; an absent one instead reopens
+            # that window's missing-edge route.
+            pair = bit(v) | bit(v2)
+            e1 = smallest_subset(window_x & ~pair, k - 1) | bit(v)
+            e2 = smallest_subset(outside & ~pair, k - 1) | bit(v2)
+            if not co.contains(e1):
+                raise _Refuted(missing_x(e1))
+            if not co.contains(e2):
+                raise _Refuted(missing_y(e2))
+            raise _Refuted(DisjointEdges(e1, e2))
+
+        # Propagation bookkeeping: the disjoint split of the window overlap
+        # carries the star property across the whole ground set.
+        ell = level.ell(k)
+        overlap = (window_x & window_y) & ~bit(v)
+        assert popcount(overlap) == n - 2 * k - 1
+        half = (popcount(overlap) + 1) // 2
+        z1 = smallest_subset(overlap, half)
+        z2 = overlap & ~z1
+        x0 = (window_x & ~window_y) | z1
+        y0 = (window_y & ~window_x) | z2
+        z_min, xy_min = level.split_bounds(k, ell)
+        assert not x0 & y0
+        assert min(popcount(z1), popcount(z2)) >= z_min
+        assert min(popcount(x0), popcount(y0)) >= xy_min
+        trace.parameters.update({level.ell_key: ell, "Z1": z1, "Z2": z2, "X0": x0, "Y0": y0})
+
+        level.final_check(co, ctx_x, window_x, window_y, v, explicit, rng, samples)
+    except _Refuted as refuted:
         trace.queries_used = co.queries
-        return Certificate(center, violation, trace)
-
-    r1 = level.shrink(co, e0)
-    trace.steps.extend(r1.trace.steps)
-    trace.parameters.update({key: r1.trace.parameters[key] for key in level.copied if key in r1.trace.parameters})
-    if not r1.ok:
-        return finish(None, r1.violation)
-    ctx_x = r1.subfamily
-    window_x = fill_to_size(ctx_x.vertex_set, n - k, p.full)
-    v = level.center(co, ctx_x, r1.cover_vertex, window_x)
-    if isinstance(v, Violation):
-        return finish(None, v)
-    offending_x, missing_x = level.probes(co, ctx_x, window_x, v)
-    viol = _star_check(co, window_x, v, explicit, rng, spot, offending_x, missing_x)
-    if viol is not None:
-        return finish(None, viol)
-
-    g = level.cross(co, ctx_x, window_x, v)
-    if isinstance(g, Violation):
-        return finish(None, g)
-    r2 = level.shrink(co, g)
-    trace.steps.extend(r2.trace.steps)
-    if not r2.ok:
-        return finish(None, r2.violation)
-    outside = p.full & ~window_x  # exactly k vertices
-    ctx_y = r2.subfamily
-    window_y = fill_to_size(outside | ctx_y.vertex_set, n - k, p.full)
-    assert window_x | window_y == p.full
-    v2 = level.center(co, ctx_y, r2.cover_vertex, window_y)
-    if isinstance(v2, Violation):
-        return finish(None, v2)
-    offending_y, missing_y = level.probes(co, ctx_y, window_y, v2)
-    viol = _star_check(co, window_y, v2, explicit, rng, spot, offending_y, missing_y)
-    if viol is not None:
-        return finish(None, viol)
-    if v2 != v:
-        # Star edges of the two windows, one inside X and one through the
-        # vertices outside X, are disjoint; an absent one instead reopens
-        # that window's missing-edge route.
-        pair = bit(v) | bit(v2)
-        e1 = smallest_subset(window_x & ~pair, k - 1) | bit(v)
-        e2 = smallest_subset(outside & ~pair, k - 1) | bit(v2)
-        if not co.contains(e1):
-            return finish(None, missing_x(e1))
-        if not co.contains(e2):
-            return finish(None, missing_y(e2))
-        return finish(None, DisjointEdges(e1, e2))
-
-    # Propagation bookkeeping: the disjoint split of the window overlap
-    # carries the star property across the whole ground set.
-    ell = level.ell(k)
-    overlap = (window_x & window_y) & ~bit(v)
-    assert popcount(overlap) == n - 2 * k - 1
-    half = (popcount(overlap) + 1) // 2
-    z1 = smallest_subset(overlap, half)
-    z2 = overlap & ~z1
-    x0 = (window_x & ~window_y) | z1
-    y0 = (window_y & ~window_x) | z2
-    z_min, xy_min = level.split_bounds(k, ell)
-    assert not x0 & y0
-    assert min(popcount(z1), popcount(z2)) >= z_min
-    assert min(popcount(x0), popcount(y0)) >= xy_min
-    trace.parameters.update({level.ell_key: ell, "Z1": z1, "Z2": z2, "X0": x0, "Y0": y0})
-
-    viol = level.final_check(co, ctx_x, window_x, window_y, v, explicit, rng, samples)
-    if viol is not None:
-        return finish(None, viol)
+        return Certificate(None, refuted.violation, trace)
     trace.final_vertex_set = p.full
-    return finish(v, None)
+    trace.queries_used = co.queries
+    return Certificate(v, None, trace)
 
 
 def certify_star_k1(

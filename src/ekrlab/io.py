@@ -78,7 +78,7 @@ def write_family(path: str | Path, fam: Family) -> None:
     Path(path).write_text(family_text(fam))
 
 
-def _jsonable(obj: Any) -> Any:
+def jsonable(obj: Any) -> Any:
     """Reports to JSON-ready structures; masks become sorted label lists."""
     from .constructions import (
         Certificate,
@@ -96,8 +96,8 @@ def _jsonable(obj: Any) -> Any:
         if obj.center is not None:
             out["center"] = obj.center
         if obj.violation is not None:
-            out["witness"] = _jsonable(obj.violation)
-        out["trace"] = _jsonable(obj.trace)
+            out["witness"] = jsonable(obj.violation)
+        out["trace"] = jsonable(obj.trace)
         return out
     if isinstance(obj, DisjointEdges):
         return {"kind": "disjoint-edges", "first": list(labels(obj.first)), "second": list(labels(obj.second))}
@@ -119,10 +119,10 @@ def _jsonable(obj: Any) -> Any:
         return out
     if isinstance(obj, ConstructionTrace):
         return {
-            "steps": [_jsonable(s) for s in obj.steps],
+            "steps": [jsonable(s) for s in obj.steps],
             "final_vertex_set": list(labels(obj.final_vertex_set)),
             "queries_used": obj.queries_used,
-            "parameters": {k: _jsonable(v) for k, v in obj.parameters.items()},
+            "parameters": {k: jsonable(v) for k, v in obj.parameters.items()},
         }
     if isinstance(obj, TraceStep):
         return {
@@ -144,21 +144,21 @@ def _jsonable(obj: Any) -> Any:
     from .verify import BoundReport, SearchReport
 
     if isinstance(obj, BoundReport):
-        out = {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj) if f.name != "achievers"}
+        out = {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj) if f.name != "achievers"}
         out["achievers"] = [[list(labels(e)) for e in edges] for edges in obj.achievers]
         return out
     if isinstance(obj, SearchReport):
-        out = {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj) if f.name != "family"}
+        out = {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj) if f.name != "family"}
         out["family"] = [list(labels(e)) for e in obj.family] if obj.family is not None else None
         return out
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
+        return {k: jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return [jsonable(v) for v in obj]
     return obj
 
 
 def to_json(obj: Any, **kwargs: Any) -> str:
-    return json.dumps(_jsonable(obj), **kwargs)
+    return json.dumps(jsonable(obj), **kwargs)
