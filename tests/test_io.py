@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_family
-from ekrlab.family import FamilyParams
+from ekrlab.family import Family, FamilyParams
+from ekrlab.generators import complete_star, hilton_milner
 from ekrlab.io import FamilyParseError, family_text, read_family, read_family_text, write_family
 from ekrlab.masks import mask_of
 
@@ -74,3 +76,26 @@ def test_roundtrip_thousand_random_families():
         k = rng.randrange(1, min(4, n) + 1)
         fam = random_family(rng, n, k, rng.randrange(0, 10))
         assert read_family_text(family_text(fam)) == fam
+
+
+def _star_minus_middle(n, k, center):
+    star = complete_star(n, k, center)
+    mid = len(star.edges) // 2
+    return Family(star.params, star.edges[:mid] + star.edges[mid + 1 :])
+
+
+# sha256 of family_text(f), computed before the writer was rewritten; the
+# output must stay byte-identical.
+WRITER_PINS = [
+    (lambda: complete_star(36, 5, 17), "a79894ebb3fb2026ce998783040d188d42a8c87f19dc18d84c127e3578a8b365"),
+    (lambda: _star_minus_middle(260, 3, 7), "5ff407f597cefbed54f46fff1fda3f245b3ca53d1c017cf952d7c5b1392026e8"),
+    (lambda: hilton_milner(11, 3), "d7f53bc1da043dc118c4b48b9ddefe27e64c75e8a7c1dbf36910bdc07cfa794f"),
+]
+
+
+@pytest.mark.parametrize("build,digest", WRITER_PINS, ids=["star(36,5)", "star(260,3)-middle", "HM(11,3)"])
+def test_writer_pinned(build, digest):
+    fam = build()
+    text = family_text(fam)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert read_family_text(text) == fam
