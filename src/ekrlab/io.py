@@ -1,15 +1,26 @@
 """Family text format and report serialization.
 
-Format: first non-comment line ``n=<int> k=<int>``, then one edge per
-line as k ascending 1-based labels separated by spaces; ``#`` starts a
-comment.  Duplicate edges, wrong cardinalities, and out-of-range labels
-are rejected with the offending line number.
+Format: the first line that is not blank or a comment is the header
+``n=<int> k=<int>`` (exactly the keys ``n`` and ``k``, each once, in
+either order, 1 <= k <= n), then one edge per line as k strictly
+ascending labels in 1..n separated by whitespace; ``#`` starts a comment
+and blank lines are skipped.  A label is any spelling ``int()`` accepts
+(``7``, ``07``, ``+7``); lines written in the canonical spelling
+``str(v)``, as ``family_text`` writes them, take a table lookup, any
+other line the general per-line check.
+
+Errors are ``FamilyParseError`` with a 1-based line number, and the first
+offending line in file order wins: a bad header, a non-integer label, a
+wrong size, a label out of range, labels not strictly ascending, or a
+duplicate edge (reported at its second occurrence).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from itertools import islice
+from operator import eq
 from pathlib import Path
 from typing import Any
 
@@ -30,38 +41,89 @@ def _strip(line: str) -> str:
     return line.strip()
 
 
-def read_family_text(text: str) -> Family:
-    params = None
+def _header(line: str, lineno: int) -> FamilyParams:
+    try:
+        pairs = [p.split("=", 1) for p in line.split()]
+        kv = dict(pairs)
+        if len(pairs) != 2 or kv.keys() != {"n", "k"}:
+            raise ValueError("header keys must be n and k, each once")
+        return FamilyParams(int(kv["n"]), int(kv["k"]))
+    except ValueError as exc:
+        raise FamilyParseError(f"expected header 'n=<int> k=<int>', got {line!r}", lineno) from exc
+
+
+def _edge(line: str, params: FamilyParams, lineno: int) -> Mask:
+    """The mask of a stripped, nonempty data line, or the line's error."""
+    try:
+        verts = [int(tok) for tok in line.split()]
+    except ValueError as exc:
+        raise FamilyParseError(f"non-integer label in {line!r}", lineno) from exc
+    if len(verts) != params.k:
+        raise FamilyParseError(f"edge has {len(verts)} labels, expected k={params.k}", lineno)
+    if any(not 1 <= v <= params.n for v in verts):
+        raise FamilyParseError(f"label outside 1..{params.n}", lineno)
+    if sorted(verts) != verts or len(set(verts)) != len(verts):
+        raise FamilyParseError("labels must be strictly ascending", lineno)
+    return mask_of(verts)
+
+
+def _raise_first_repeat(lines: list[str], start: int, stop: int, params: FamilyParams) -> None:
+    """Raise the duplicate error of the first edge in ``lines[start:stop]``
+    that repeats an earlier one; the lines are known to parse."""
     seen: set[Mask] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(islice(lines, start, stop), start + 1):
         line = _strip(raw)
-        if not line:
-            continue
-        if params is None:
-            parts = line.split()
-            try:
-                kv = dict(p.split("=", 1) for p in parts)
-                params = FamilyParams(int(kv["n"]), int(kv["k"]))
-            except (ValueError, KeyError) as exc:
-                raise FamilyParseError(f"expected header 'n=<int> k=<int>', got {line!r}", lineno) from exc
-            continue
-        try:
-            verts = [int(tok) for tok in line.split()]
-        except ValueError as exc:
-            raise FamilyParseError(f"non-integer label in {line!r}", lineno) from exc
-        if len(verts) != params.k:
-            raise FamilyParseError(f"edge has {len(verts)} labels, expected k={params.k}", lineno)
-        if any(not 1 <= v <= params.n for v in verts):
-            raise FamilyParseError(f"label outside 1..{params.n}", lineno)
-        if sorted(verts) != verts or len(set(verts)) != len(verts):
-            raise FamilyParseError("labels must be strictly ascending", lineno)
-        m = mask_of(verts)
-        if m in seen:
-            raise FamilyParseError(f"duplicate edge {verts}", lineno)
-        seen.add(m)
+        if line:
+            m = _edge(line, params, lineno)
+            if m in seen:
+                raise FamilyParseError(f"duplicate edge {list(labels(m))}", lineno)
+            seen.add(m)
+
+
+def read_family_text(text: str) -> Family:
+    lines = text.splitlines()
+    params = None
+    for lineno, raw in enumerate(lines, 1):
+        line = _strip(raw)
+        if line:
+            params = _header(line, lineno)
+            break
     if params is None:
         raise FamilyParseError("missing header line", 1)
-    return Family(params, tuple(sorted(seen)))
+    # A line of k canonical labels with rising bits is its mask by OR;
+    # blank, comment and any other lines go through _edge.
+    start, k = lineno, params.k
+    table = {str(v): 1 << (v - 1) for v in range(1, params.n + 1)}
+    get = table.get
+    masks: list[Mask] = []
+    append = masks.append
+    for lineno, raw in enumerate(islice(lines, start, None), start + 1):
+        toks = raw.split()
+        if len(toks) == k:
+            prev = m = 0
+            for tok in toks:
+                b = get(tok, 0)
+                if b <= prev:
+                    break
+                m |= b
+                prev = b
+            else:
+                append(m)
+                continue
+        line = _strip(raw)
+        if line:
+            try:
+                append(_edge(line, params, lineno))
+            except FamilyParseError:
+                # a repeat on an earlier line comes first in file order
+                _raise_first_repeat(lines, start, lineno - 1, params)
+                raise
+    # One sort in place; equal neighbours are duplicates, named by a re-walk.
+    masks.sort()
+    if any(map(eq, masks, islice(masks, 1, None))):
+        _raise_first_repeat(lines, start, len(lines), params)
+    del lines  # not held while the edge tuple is built
+    return Family(params, tuple(masks))
 
 
 def read_family(path: str | Path) -> Family:
@@ -69,8 +131,17 @@ def read_family(path: str | Path) -> Family:
 
 
 def family_text(fam: Family) -> str:
-    lines = [f"n={fam.params.n} k={fam.params.k}"]
-    lines.extend(" ".join(str(v) for v in labels(e)) for e in fam.edges)
+    n, k = fam.params.n, fam.params.k
+    name = [""] + [str(v) for v in range(1, n + 1)]  # the label of bit v-1, by bit length v
+    lines = [f"n={n} k={k}"]
+    append = lines.append
+    for e in fam.edges:
+        parts = []
+        while e:
+            low = e & -e
+            parts.append(name[low.bit_length()])
+            e ^= low
+        append(" ".join(parts))
     return "\n".join(lines) + "\n"
 
 

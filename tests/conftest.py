@@ -205,6 +205,56 @@ def ref_sample_subset(rng: random.Random, pool: Mask, r: int) -> Mask:
     return m
 
 
+class RefParseError(ValueError):
+    def __init__(self, message: str, line: int):
+        super().__init__(f"line {line}: {message}")
+        self.line = line
+
+
+def ref_read_family_text(text: str) -> tuple[int, int, tuple[int, ...]]:
+    """Family-file reference: one pass in file order with a set, stdlib only.
+
+    Returns ``(n, k, sorted edge masks)`` or raises ``RefParseError`` at
+    the first offending line; a duplicate edge is reported at its second
+    occurrence.  The header must hold exactly the keys ``n`` and ``k``.
+    """
+    header = None
+    seen: set[int] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if header is None:
+            pairs = [p.split("=", 1) for p in line.split()]
+            try:
+                if sorted(p[0] for p in pairs) != ["k", "n"]:
+                    raise ValueError(line)
+                kv = dict(pairs)
+                header = n, k = int(kv["n"]), int(kv["k"])
+                if not 1 <= k <= n:
+                    raise ValueError(line)
+            except ValueError:
+                raise RefParseError(f"expected header 'n=<int> k=<int>', got {line!r}", lineno) from None
+            continue
+        try:
+            verts = [int(tok) for tok in line.split()]
+        except ValueError:
+            raise RefParseError(f"non-integer label in {line!r}", lineno) from None
+        if len(verts) != k:
+            raise RefParseError(f"edge has {len(verts)} labels, expected k={k}", lineno)
+        if any(not 1 <= v <= n for v in verts):
+            raise RefParseError(f"label outside 1..{n}", lineno)
+        if sorted(verts) != verts or len(set(verts)) != len(verts):
+            raise RefParseError("labels must be strictly ascending", lineno)
+        m = sum(1 << (v - 1) for v in verts)
+        if m in seen:
+            raise RefParseError(f"duplicate edge {verts}", lineno)
+        seen.add(m)
+    if header is None:
+        raise RefParseError("missing header line", 1)
+    return n, k, tuple(sorted(seen))
+
+
 def random_family(rng: random.Random, n: int, k: int, m: int) -> Family:
     pool = list(iter_ksubsets(n, k))
     chosen = rng.sample(pool, min(m, len(pool)))

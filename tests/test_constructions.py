@@ -22,6 +22,7 @@ from ekrlab.constructions import (
     shrink_core_k1,
     shrink_core_k2,
     _sample_subsets,
+    _select_outside,
 )
 from ekrlab.family import Family, FamilyParams, covers_size2, is_complete_star_on
 from ekrlab.generators import complete_star, hilton_milner
@@ -189,6 +190,16 @@ class TestShrinkK2:
         assert not r.ok
         assert isinstance(r.violation, LowCodegree)
         assert r.violation.verify(o)
+
+    def test_select_outside_pads_short_vertex_set(self):
+        # V(current) = {1..5} minus avoid = {1..4} leaves one vertex; k - 2 = 3
+        # needs two more, so the isolated vertices 6 and 7 are added first.
+        p = FamilyParams(10, 5)
+        current = TracedFamily(p, (mask_of([1, 2, 3, 4, 5]),), mask_of([1, 2, 3, 4, 5]))
+        padded, sel = _select_outside(current, mask_of([1, 2, 3, 4]))
+        assert padded.edges == current.edges
+        assert padded.vertex_set == mask_of(range(1, 8))
+        assert sel == mask_of([5, 6, 7])
 
     def test_preconditions(self):
         with pytest.raises(ValueError, match="n >= 230"):

@@ -1,15 +1,18 @@
 import hashlib
 import random
+from collections import Counter
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_family
+import ekrlab.io
+from conftest import RefParseError, random_family, ref_read_family_text
 from ekrlab.family import Family, FamilyParams
 from ekrlab.generators import complete_star, hilton_milner
 from ekrlab.io import FamilyParseError, family_text, read_family, read_family_text, write_family
-from ekrlab.masks import mask_of
+from ekrlab.masks import iter_ksubsets, labels, mask_of
 
 
 class TestRead:
@@ -50,6 +53,29 @@ class TestRead:
     def test_missing_header(self):
         with pytest.raises(FamilyParseError):
             read_family_text("# nothing\n")
+
+    @pytest.mark.parametrize("header", ["n=5 k=2 n=7", "n=5 k=2 foo=bar", "n=5 n=5", "n=5 k=2 k=2"])
+    def test_header_keys_exactly_n_and_k(self, header):
+        with pytest.raises(FamilyParseError, match="expected header") as ei:
+            read_family_text(f"# c\n{header}\n1 2\n")
+        assert ei.value.line == 2
+
+    def test_header_keys_in_either_order(self):
+        assert read_family_text("k=2 n=5\n1 2\n").params == FamilyParams(5, 2)
+
+    def test_odd_spellings(self):
+        fam = read_family_text("n=12 k=3\n01 +2 1_0\n\u0663 4 12\r\n")
+        assert fam.edges == (mask_of([1, 2, 10]), mask_of([3, 4, 12]))
+
+    def test_duplicate_before_later_error_wins(self):
+        with pytest.raises(FamilyParseError, match="duplicate edge") as ei:
+            read_family_text("n=5 k=2\n1 2\n3 4\n01 2\n1 x\n")
+        assert ei.value.line == 4
+
+    def test_error_before_later_duplicate_wins(self):
+        with pytest.raises(FamilyParseError, match="ascending") as ei:
+            read_family_text("n=5 k=2\n1 2\n4 3\n1 2\n")
+        assert ei.value.line == 3
 
 
 class TestRoundTrip:
@@ -99,3 +125,139 @@ def test_writer_pinned(build, digest):
     text = family_text(fam)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert read_family_text(text) == fam
+
+
+def _spell(rng, v):
+    """A label as ``int()`` reads it: mostly canonical, sometimes not."""
+    r = rng.random()
+    if r < 0.8:
+        return str(v)
+    if r < 0.85:
+        return "0" + str(v)
+    if r < 0.9:
+        return "+" + str(v)
+    if r < 0.95 and v >= 10:
+        return str(v)[0] + "_" + str(v)[1:]
+    return "".join(chr(0x660 + int(d)) for d in str(v))
+
+
+def _bad_line(rng, n, k):
+    """One data line that ``_edge`` rejects, of a random kind."""
+    verts = sorted(rng.sample(range(1, n + 1), k))
+    kind = rng.randrange(5)
+    if kind == 0:  # one label too many, or one too few
+        verts = verts + [n] if k == 1 or rng.random() < 0.5 else verts[:-1]
+    elif kind == 1:
+        verts[rng.randrange(k)] = rng.choice([0, -1, n + 1, 10 * n])
+    elif kind == 2 and k >= 2:
+        i = rng.randrange(k - 1)
+        if rng.random() < 0.5:
+            verts[i], verts[i + 1] = verts[i + 1], verts[i]
+        else:
+            verts[i + 1] = verts[i]
+    else:
+        toks = [str(v) for v in verts]
+        toks[rng.randrange(k)] = rng.choice(["x", "1.0", "0x1", "1__0", "_1", "--1", "2-"])
+        return " ".join(toks)
+    return " ".join(map(str, verts))
+
+
+def _random_family_text(rng):
+    """A small family file mixing valid edges, repeats, odd spellings,
+    comments, blank lines, bad lines and bad headers.  Returns the text and
+    the order in which repeats ("dup") and bad lines ("bad") were written."""
+    n = rng.randrange(1, 13) if rng.random() < 0.8 else rng.randrange(13, 41)
+    k = rng.randrange(1, min(n, 4) + 1)
+    lines, events = [], []
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        lines.append(rng.choice(["", "# comment", "   ", "\t# x"]))
+    r = rng.random()
+    if r < 0.9:
+        keys = [f"n={n}", f"k={k}"]
+        rng.shuffle(keys)
+        lines.append(rng.choice([" ", "  ", "\t"]).join(keys) + rng.choice(["", "  # header", " "]))
+    elif r < 0.98:
+        lines.append(
+            rng.choice(
+                [f"n={n} k={k} n={n + 1}", f"n={n} k={k} foo=bar", f"n={n}", f"n={n} k=x", f"k={k} {n}",
+                 f"n={k - 1} k={k}", f"n=0{n} k=+{k}", f"n= {n} k={k}", f"n={n} k={k}=1"]
+            )
+        )
+    else:
+        return "\n".join(lines + ["# only comments", ""]), events
+    edges = set()
+    for _ in range(rng.randrange(0, 14)):
+        r = rng.random()
+        if r < 0.7 or not edges:
+            e = tuple(sorted(rng.sample(range(1, n + 1), k)))
+            events.append("dup" if e in edges else "new")
+            edges.add(e)
+            line = rng.choice([" ", "  ", "\t"]).join(_spell(rng, v) for v in e)
+        elif r < 0.8:
+            events.append("dup")
+            line = " ".join(_spell(rng, v) for v in rng.choice(sorted(edges)))
+        elif r < 0.9:
+            events.append("bad")
+            line = _bad_line(rng, n, k)
+        else:
+            line = rng.choice(["", "# note", "  ", "#"])
+        if rng.random() < 0.1:
+            line += rng.choice(["  # trailing", "#x", " "])
+        lines.append(line)
+    sep = rng.choice(["\n", "\n", "\r\n", "\r"]) if rng.random() < 0.97 else "\u2028"
+    return sep.join(lines) + rng.choice(["", sep]), events
+
+
+def _outcome(read, error, text):
+    try:
+        return read(text)
+    except error as exc:
+        return str(exc), exc.line
+
+
+def test_differential_against_reference():
+    rng = random.Random(0xF11E)
+    kinds, orders = Counter(), Counter()
+    for _ in range(20_000):
+        text, events = _random_family_text(rng)
+        want = _outcome(ref_read_family_text, RefParseError, text)
+        got = _outcome(read_family_text, FamilyParseError, text)
+        if isinstance(got, Family):
+            got = got.params.n, got.params.k, got.edges
+        assert got == want, text
+        kinds["ok" if isinstance(want[0], int) else want[0].split(": ", 1)[1].split()[0]] += 1
+        if "dup" in events and "bad" in events:
+            orders["dup first" if events.index("dup") < events.index("bad") else "bad first"] += 1
+    # every outcome kind, and repeats both before and after a bad line
+    assert set(kinds) == {"ok", "duplicate", "edge", "label", "labels", "non-integer", "expected", "missing"}
+    assert min(kinds.values()) >= 100, kinds
+    assert min(orders["dup first"], orders["bad first"]) >= 1000, orders
+
+
+class TestFastRoute:
+    def test_canonical_lines_skip_edge(self, monkeypatch):
+        calls = []
+        real = ekrlab.io._edge
+
+        def spy(line, params, lineno):
+            calls.append(lineno)
+            return real(line, params, lineno)
+
+        monkeypatch.setattr(ekrlab.io, "_edge", spy)
+        star = complete_star(26, 4, 2)
+        assert read_family_text(family_text(star)) == star
+        assert calls == []
+        fam = read_family_text("n=5 k=3\n1 2 4\n01 2 3\n3 4 5\n")
+        assert fam.edges == (mask_of([1, 2, 3]), mask_of([1, 2, 4]), mask_of([3, 4, 5]))
+        assert calls == [3]
+
+    def test_late_duplicate_line_number(self):
+        edges = list(islice(iter_ksubsets(26, 3), 2512))
+        body = [" ".join(map(str, labels(e))) for e in edges]
+        body.insert(2299, body[7])  # the 2,300th edge line, file line 2,301
+        text = "n=26 k=3\n" + "\n".join(body) + "\n"
+        assert len(body) == 2513
+        with pytest.raises(FamilyParseError) as ei:
+            read_family_text(text)
+        assert ei.value.line == 2301
+        assert str(ei.value) == f"line 2301: duplicate edge {list(labels(edges[7]))}"
