@@ -112,10 +112,13 @@ def _compatibility(n: int, k: int) -> tuple[list[Mask], list[int]]:
 
 
 def _bron_kerbosch_pivot(
-    adj: list[int], budget: Optional[Budget]
+    adj: list[int], r: int, p: int, x: int, budget: Optional[Budget]
 ) -> Iterator[int]:
-    """Maximal cliques of the graph, as vertex-index masks, via pivoting."""
-    m = len(adj)
+    """Maximal cliques containing ``r``, as vertex-index masks, via pivoting.
+
+    ``r`` is a clique, ``p`` its common neighbours still to try and ``x``
+    those already covered; (0, all, 0) gives every maximal clique.
+    """
 
     def expand(r: int, p: int, x: int) -> Iterator[int]:
         if budget is not None:
@@ -141,7 +144,7 @@ def _bron_kerbosch_pivot(
             p ^= vb
             x |= vb
 
-    yield from expand(0, (1 << m) - 1, 0)
+    yield from expand(r, p, x)
 
 
 def enumerate_maximal_intersecting(
@@ -155,7 +158,13 @@ def enumerate_maximal_intersecting(
     These are exactly the maximal cliques of the compatibility graph on
     all k-subsets (adjacency = nonempty intersection).  With
     ``dedup_mode="canonical"`` one representative per relabeling class
-    is emitted.  Guarded at C(n, k) <= 10^4 so the graph stays buildable.
+    is emitted: the walk is started from the clique {[k]} (vertex 0 in
+    colex order) and so visits only the maximal families that contain
+    [k] = {1..k}.  Every class has such a member, since any nonempty
+    family relabels to one holding [k].  The labeled walk pivots on
+    vertex 0 at its root (all degrees are equal), so this is its first
+    branch and the representatives are the ones it meets first.
+    Guarded at C(n, k) <= 10^4 so the graph stays buildable.
     """
     if dedup_mode not in ("labeled", "canonical"):
         raise ValueError(f"unknown dedup mode {dedup_mode!r}")
@@ -166,8 +175,12 @@ def enumerate_maximal_intersecting(
             f"C({n},{k}) = {total} exceeds the enumeration guard {ENUMERATION_GUARD}"
         )
     verts, adj = _compatibility(n, k)
+    if dedup_mode == "canonical":  # [k] is vertex 0 in colex order
+        cliques = _bron_kerbosch_pivot(adj, 1, adj[0], 0, budget)
+    else:
+        cliques = _bron_kerbosch_pivot(adj, 0, (1 << len(adj)) - 1, 0, budget)
     seen: set[tuple[Mask, ...]] = set()
-    for clique in _bron_kerbosch_pivot(adj, budget):
+    for clique in cliques:
         edges = []
         q = clique
         while q:
@@ -210,7 +223,12 @@ def enumeration_report(
     recheck: bool = True,
     on_family: Optional[Callable[[int, Family], None]] = None,
 ) -> EnumerationReport:
-    """Consume the enumeration stream and aggregate order-independent maxima."""
+    """Consume the enumeration stream and record, per d, the maximum delta_d.
+
+    The value is independent of stream order; the index stored beside it
+    is that of the first family reaching it, so it depends on the order
+    (and, in canonical mode, on which member of each class is emitted).
+    """
     from .oracles import min_degree
 
     if ds is None:

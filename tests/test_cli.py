@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from conftest import ref_is_maximal_intersecting
 from ekrlab.cli import main
 from ekrlab.io import read_family
 from ekrlab.masks import labels
@@ -41,6 +42,20 @@ class TestGen:
         report = json.loads(out)
         assert report["families_found"] == 15
         assert len(list(out_dir.glob("*.fam"))) == 15
+
+    def test_all_maximal_canonical_representatives_hold_1_2_3(self, tmp_path, capsys):
+        out_dir = tmp_path / "fams"
+        code, out = run(
+            capsys, "gen", "all-maximal", "--n", "6", "--k", "3", "--dedup", "canonical",
+            "--out-dir", str(out_dir),
+        )
+        assert code == 0
+        assert json.loads(out)["families_found"] == 13
+        files = sorted(out_dir.glob("*.fam"))
+        assert len(files) == 13
+        for path in files:
+            assert "1 2 3" in path.read_text().splitlines()
+            assert ref_is_maximal_intersecting(read_family(path))
 
 
 class TestStatsAndCertify:

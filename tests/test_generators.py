@@ -2,10 +2,12 @@ from math import comb
 
 import pytest
 
-from conftest import brute_force_maximal_families, ref_is_maximal_intersecting
+import ekrlab.generators as generators
+from conftest import brute_force_maximal_families, ref_canonical_form, ref_is_maximal_intersecting
 from ekrlab.canonical import canonical_form
 from ekrlab.family import covers_size1, is_intersecting
 from ekrlab.generators import (
+    Budget,
     ResourceLimitError,
     complete_star,
     enumerate_maximal_intersecting,
@@ -16,6 +18,7 @@ from ekrlab.generators import (
 )
 from ekrlab.masks import iter_ksubsets, labels, mask_of
 from ekrlab.oracles import min_degree
+from ekrlab.verify import check_theorem
 
 
 class TestCompleteStar:
@@ -152,6 +155,76 @@ class TestCanonicalDedup:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             next(enumerate_maximal_intersecting(5, 2, "weird"))
+
+
+class TestAnchoredCanonical:
+    """Canonical mode walks only the maximal families through [k] = {1..k}."""
+
+    @staticmethod
+    def _formed(monkeypatch, n, k, budget=None):
+        formed = []
+
+        def spy(n_, edges):
+            formed.append(edges)
+            return canonical_form(n_, edges)
+
+        monkeypatch.setattr(generators, "canonical_form", spy)
+        reps = [f.edges for f in enumerate_maximal_intersecting(n, k, "canonical", budget)]
+        return formed, reps
+
+    @pytest.mark.parametrize("n,k", [(5, 2), (6, 2), (6, 3), (7, 2), (7, 3)])
+    def test_forms_exactly_the_labeled_families_through_k(self, monkeypatch, n, k):
+        first = (1 << k) - 1
+        through = [f.edges for f in enumerate_maximal_intersecting(n, k) if first in f.edges]
+        formed, reps = self._formed(monkeypatch, n, k)
+        assert len(set(formed)) == len(formed)
+        # the same families in the same order: the full walk pivots on
+        # [k] at its root, so its first branch is the anchored walk
+        assert formed == through
+        assert all(first in edges for edges in reps)
+
+    def test_pinned_counts(self, monkeypatch):
+        budget = Budget()
+        formed, reps = self._formed(monkeypatch, 6, 3, budget)
+        assert (len(formed), budget.nodes, len(reps)) == (512, 1023, 13)
+        formed, reps = self._formed(monkeypatch, 7, 3)
+        assert (len(formed), len(reps)) == (1860, 15)
+
+    @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 2), (4, 3), (5, 3)])
+    def test_classes_against_brute_force(self, n, k):
+        reps = [f.edges for f in enumerate_maximal_intersecting(n, k, "canonical")]
+        want = {ref_canonical_form(edges) for edges in brute_force_maximal_families(n, k)}
+        got = [ref_canonical_form(edges) for edges in reps]
+        assert len(set(got)) == len(got)
+        assert set(got) == want
+        assert all((1 << k) - 1 in edges for edges in reps)
+
+    @pytest.mark.parametrize(
+        "n,k,reps",
+        [
+            (3, 3, [(0b111,)]),
+            (4, 1, [(0b1,)]),
+            (5, 3, [tuple(iter_ksubsets(5, 3))]),
+        ],
+    )
+    def test_edge_cells_same_in_both_modes(self, n, k, reps):
+        seen, labeled = set(), []
+        for f in enumerate_maximal_intersecting(n, k):
+            form = canonical_form(n, f.edges)
+            if form not in seen:
+                seen.add(form)
+                labeled.append(f.edges)
+        canonical = [f.edges for f in enumerate_maximal_intersecting(n, k, "canonical")]
+        assert canonical == labeled == reps
+
+    def test_check_theorem_7_3_2(self):
+        rep = check_theorem(7, 3, 2, "canonical")
+        assert (rep.verdict, rep.max_delta, rep.families_checked, rep.achievers_all_stars) == (
+            "holds",
+            1,
+            15,
+            False,
+        )
 
 
 def test_reduction_soundness_tiny_scale():
