@@ -10,7 +10,7 @@ from typing import Callable, Iterator, Optional
 
 from .canonical import canonical_form
 from .family import Family, FamilyParams, is_intersecting
-from .masks import Mask, bit, iter_ksubsets, iter_subsets_within
+from .masks import Mask, bit, iter_ksubsets, iter_subsets_within, labels
 
 ENUMERATION_GUARD = 10_000
 
@@ -97,9 +97,79 @@ class Budget:
         return (time.monotonic() - self.started) * 1000.0
 
 
-def _compatibility(n: int, k: int) -> tuple[list[Mask], list[int]]:
-    """Vertices (k-subset masks, canonical order) and adjacency bitsets."""
-    verts = list(iter_ksubsets(n, k))
+@dataclass(frozen=True)
+class CompatibilityGraph:
+    """The graph on all k-subsets of [n], adjacent when they intersect.
+
+    Vertex i is ``verts[i]``, the i-th k-set in canonical order, and
+    ``adj[i]`` its neighbours as an index bitset; a clique is an index
+    bitset too, bit i standing for ``verts[i]``.
+    """
+
+    params: FamilyParams
+    verts: tuple[Mask, ...]
+    adj: tuple[int, ...]
+
+    def edges(self, clique: int) -> tuple[Mask, ...]:
+        """The clique's k-sets, in canonical order."""
+        verts, out = self.verts, []
+        while clique:
+            low = clique & -clique
+            out.append(verts[low.bit_length() - 1])
+            clique ^= low
+        return tuple(out)
+
+    def family(self, clique: int) -> Family:
+        return Family(self.params, self.edges(clique))
+
+    def containment(self, d: int) -> Containment:
+        """Per d-subset S of [n], canonical order, the vertices whose k-set holds S.
+
+        One index bitset per vertex of [n] (the k-sets through it) is
+        built first; each S then ANDs the bitsets of its d members.
+        """
+        n, k = self.params.n, self.params.k
+        if not (1 <= d <= k):
+            raise ValueError(f"require 1 <= d <= k, got d={d}")
+        through = [0] * n
+        for i, e in enumerate(self.verts):
+            for v in labels(e):
+                through[v - 1] |= 1 << i
+        dsets = tuple(iter_ksubsets(n, d))
+        holders = []
+        for s in dsets:
+            t = (1 << len(self.verts)) - 1
+            for v in labels(s):
+                t &= through[v - 1]
+            holders.append(t)
+        return Containment(dsets, tuple(holders))
+
+
+@dataclass(frozen=True)
+class Containment:
+    """The d-sets of [n] in canonical order, each with the index bitset of
+    the compatibility-graph vertices that contain it."""
+
+    dsets: tuple[Mask, ...]
+    holders: tuple[int, ...]
+
+    def min_degree(self, clique: int) -> tuple[int, Mask]:
+        """delta_d of the clique's family and the first d-set attaining it,
+        as ``oracles.min_degree`` gives them for that family."""
+        degrees = [(clique & h).bit_count() for h in self.holders]
+        low = min(degrees)
+        return low, self.dsets[degrees.index(low)]
+
+
+def compatibility_graph(n: int, k: int) -> CompatibilityGraph:
+    """Guarded at C(n, k) <= 10^4 so the graph stays buildable."""
+    params = FamilyParams(n, k)
+    total = comb(n, k)
+    if total > ENUMERATION_GUARD:
+        raise ResourceLimitError(
+            f"C({n},{k}) = {total} exceeds the enumeration guard {ENUMERATION_GUARD}"
+        )
+    verts = tuple(iter_ksubsets(n, k))
     m = len(verts)
     adj = [0] * m
     for i in range(m):
@@ -108,11 +178,11 @@ def _compatibility(n: int, k: int) -> tuple[list[Mask], list[int]]:
             if vi & verts[j]:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    return verts, adj
+    return CompatibilityGraph(params, verts, tuple(adj))
 
 
 def _bron_kerbosch_pivot(
-    adj: list[int], r: int, p: int, x: int, budget: Optional[Budget]
+    adj: tuple[int, ...], r: int, p: int, x: int, budget: Optional[Budget]
 ) -> Iterator[int]:
     """Maximal cliques containing ``r``, as vertex-index masks, via pivoting.
 
@@ -147,16 +217,14 @@ def _bron_kerbosch_pivot(
     yield from expand(r, p, x)
 
 
-def enumerate_maximal_intersecting(
-    n: int,
-    k: int,
+def maximal_cliques(
+    graph: CompatibilityGraph,
     dedup_mode: str = "labeled",
     budget: Optional[Budget] = None,
-) -> Iterator[Family]:
-    """Stream the maximal intersecting k-uniform families on [n].
+) -> Iterator[int]:
+    """Stream the maximal cliques of the compatibility graph, as index bitsets.
 
-    These are exactly the maximal cliques of the compatibility graph on
-    all k-subsets (adjacency = nonempty intersection).  With
+    These are exactly the maximal intersecting families.  With
     ``dedup_mode="canonical"`` one representative per relabeling class
     is emitted: the walk is started from the clique {[k]} (vertex 0 in
     colex order) and so visits only the maximal families that contain
@@ -164,36 +232,36 @@ def enumerate_maximal_intersecting(
     family relabels to one holding [k].  The labeled walk pivots on
     vertex 0 at its root (all degrees are equal), so this is its first
     branch and the representatives are the ones it meets first.
-    Guarded at C(n, k) <= 10^4 so the graph stays buildable.
     """
     if dedup_mode not in ("labeled", "canonical"):
         raise ValueError(f"unknown dedup mode {dedup_mode!r}")
-    params = FamilyParams(n, k)
-    total = comb(n, k)
-    if total > ENUMERATION_GUARD:
-        raise ResourceLimitError(
-            f"C({n},{k}) = {total} exceeds the enumeration guard {ENUMERATION_GUARD}"
-        )
-    verts, adj = _compatibility(n, k)
-    if dedup_mode == "canonical":  # [k] is vertex 0 in colex order
-        cliques = _bron_kerbosch_pivot(adj, 1, adj[0], 0, budget)
-    else:
-        cliques = _bron_kerbosch_pivot(adj, 0, (1 << len(adj)) - 1, 0, budget)
+    adj = graph.adj
+    if dedup_mode == "labeled":
+        yield from _bron_kerbosch_pivot(adj, 0, (1 << len(adj)) - 1, 0, budget)
+        return
+    n = graph.params.n
     seen: set[tuple[Mask, ...]] = set()
-    for clique in cliques:
-        edges = []
-        q = clique
-        while q:
-            i = (q & -q).bit_length() - 1
-            q &= q - 1
-            edges.append(verts[i])
-        fam = Family(params, tuple(edges))
-        if dedup_mode == "canonical":
-            form = canonical_form(n, fam.edges)
-            if form in seen:
-                continue
+    for clique in _bron_kerbosch_pivot(adj, 1, adj[0], 0, budget):  # [k] is vertex 0
+        form = canonical_form(n, graph.edges(clique))
+        if form not in seen:
             seen.add(form)
-        yield fam
+            yield clique
+
+
+def enumerate_maximal_intersecting(
+    n: int,
+    k: int,
+    dedup_mode: str = "labeled",
+    budget: Optional[Budget] = None,
+) -> Iterator[Family]:
+    """Stream the maximal intersecting k-uniform families on [n], as the
+    families of :func:`maximal_cliques` (same modes, same order).
+
+    Guarded at C(n, k) <= 10^4 so the graph stays buildable.
+    """
+    graph = compatibility_graph(n, k)
+    for clique in maximal_cliques(graph, dedup_mode, budget):
+        yield graph.family(clique)
 
 
 def is_maximal_intersecting(fam: Family) -> bool:
@@ -229,19 +297,21 @@ def enumeration_report(
     is that of the first family reaching it, so it depends on the order
     (and, in canonical mode, on which member of each class is emitted).
     """
-    from .oracles import min_degree
-
     if ds is None:
         ds = list(range(1, k))
     start = time.monotonic()
+    graph = compatibility_graph(n, k)
+    tables = [(d, graph.containment(d)) for d in ds]
     count = 0
     best: dict[int, tuple[int, int]] = {}
-    for idx, fam in enumerate(enumerate_maximal_intersecting(n, k, dedup_mode)):
+    for idx, clique in enumerate(maximal_cliques(graph, dedup_mode)):
         count += 1
+        if recheck or on_family is not None:
+            fam = graph.family(clique)
         if recheck and not is_maximal_intersecting(fam):
             raise AssertionError("enumerator emitted a non-maximal or non-intersecting family")
-        for d in ds:
-            val, _ = min_degree(fam, d)
+        for d, table in tables:
+            val, _ = table.min_degree(clique)
             if d not in best or val > best[d][0]:
                 best[d] = (val, idx)
         if on_family is not None:

@@ -216,6 +216,8 @@ def jsonable(obj: Any) -> Any:
 
     if isinstance(obj, BoundReport):
         out = {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj) if f.name != "achievers"}
+        if obj.nodes is None:  # only a budget stop reports where it stopped
+            del out["nodes"]
         out["achievers"] = [[list(labels(e)) for e in edges] for edges in obj.achievers]
         return out
     if isinstance(obj, SearchReport):

@@ -7,8 +7,16 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bounds import applicable_threshold, codegree_bound
-from .family import Family, FamilyParams, covers_size1, is_complete_star_on, is_intersecting
-from .generators import Budget, BudgetExceeded, enumerate_maximal_intersecting
+from .family import Family, covers_size1, is_complete_star_on, is_intersecting
+from .generators import (
+    Budget,
+    BudgetExceeded,
+    CompatibilityGraph,
+    Containment,
+    compatibility_graph,
+    enumerate_maximal_intersecting,  # noqa: F401  (kept for perfbench/tracing.py, which wraps it here)
+    maximal_cliques,
+)
 from .masks import Mask, lowest_vertex
 from .oracles import ExplicitOracle, min_degree, min_degree_scan
 
@@ -23,14 +31,15 @@ class BoundReport:
     d: int
     threshold: int
     bound: int
-    max_delta: int
+    max_delta: Optional[int]  # None when a budget stop came before the first family
     achievers: tuple[tuple[Mask, ...], ...]  # edge tuples, up to ACHIEVER_CAP
     achievers_truncated: bool
-    achievers_all_stars: Optional[bool]  # set when max_delta == bound
-    verdict: str  # "holds" | "violated" | "below-threshold"
+    achievers_all_stars: Optional[bool]  # set when max_delta == bound and the walk finished
+    verdict: str  # "holds" | "violated" | "below-threshold" | "inconclusive"
     families_checked: int
     elapsed_ms: float
     dedup_mode: str
+    nodes: Optional[int] = None  # Bron-Kerbosch nodes walked, set only on a budget stop
 
     def csv_row(self) -> list:
         return [
@@ -58,6 +67,14 @@ def _reverify_excess(fam: Family, d: int, bound: int) -> bool:
     return val > bound
 
 
+def _cross_checked(graph: CompatibilityGraph, degrees: Containment, clique: int, d: int) -> tuple[Mask, ...]:
+    """The clique's edges, once ``min_degree`` on its Family agrees with the bitset score."""
+    fam = graph.family(clique)
+    if min_degree(fam, d) != degrees.min_degree(clique):
+        raise AssertionError(f"bitset score and min_degree disagree on a family of {len(fam)} edges")
+    return fam.edges
+
+
 def check_theorem(
     n: int,
     k: int,
@@ -68,9 +85,14 @@ def check_theorem(
     """Compare the maximum of delta_d over all maximal intersecting
     families on (n, k) against the codegree bound C(n-d-1, k-d-1).
 
-    Degree monotonicity makes the maximal families sufficient.  Below
-    the applicable threshold the observed maximum is recorded as data
-    with the verdict "below-threshold", never as a violation.
+    Degree monotonicity makes the maximal families sufficient.  Each
+    maximal clique is scored on its index bitset through the graph's
+    d-set containment table; a family is built only when it enters the
+    achievers, and then its ``min_degree`` must agree with the score.
+    Below the applicable threshold the observed maximum is recorded as
+    data with the verdict "below-threshold", never as a violation.  A
+    budget stop gives "inconclusive" over the families checked so far,
+    unless one of them is a re-verified violator.
     """
     if not (1 <= d < k):
         raise ValueError("require 1 <= d < k")
@@ -78,29 +100,34 @@ def check_theorem(
     bound = codegree_bound(n, k, d)
     threshold = applicable_threshold(k, d)
     rule = "vertex-degree" if d == 1 else "codegree"
+    graph = compatibility_graph(n, k)
+    degrees = graph.containment(d)
 
     best = -1
     achievers: list[tuple[Mask, ...]] = []
     truncated = False
     count = 0
-
-    for fam in enumerate_maximal_intersecting(n, k, dedup_mode, budget=budget):
-        val, _ = min_degree(fam, d)
-        count += 1
-        if val > best:
-            best = val
-            achievers = [fam.edges]
-            truncated = False
-        elif val == best:
-            if len(achievers) < ACHIEVER_CAP:
-                achievers.append(fam.edges)
-            else:
-                truncated = True
+    stopped = False
+    try:
+        for clique in maximal_cliques(graph, dedup_mode, budget):
+            val, _ = degrees.min_degree(clique)
+            count += 1
+            if val > best:
+                best = val
+                achievers = [_cross_checked(graph, degrees, clique, d)]
+                truncated = False
+            elif val == best:
+                if len(achievers) < ACHIEVER_CAP:
+                    achievers.append(_cross_checked(graph, degrees, clique, d))
+                else:
+                    truncated = True
+    except BudgetExceeded:
+        stopped = True
 
     achievers.sort()
+    params = graph.params
     all_stars: Optional[bool] = None
-    if best == bound:
-        params = FamilyParams(n, k)
+    if best == bound and not stopped:
         all_stars = not truncated
         for edges in achievers if all_stars else ():
             fam = Family(params, edges)
@@ -108,14 +135,19 @@ def check_theorem(
             if not common or is_complete_star_on(fam, params.full, lowest_vertex(common)) is not None:
                 all_stars = False
                 break
-    if n < threshold:
+    confirmed = (
+        n >= threshold
+        and best > bound
+        and any(_reverify_excess(Family(params, edges), d, bound) for edges in achievers)
+    )
+    if confirmed:
+        verdict = "violated"
+    elif stopped:
+        verdict = "inconclusive"
+    elif n < threshold:
         verdict = "below-threshold"
-    elif best <= bound:
-        verdict = "holds"
     else:
-        params = FamilyParams(n, k)
-        confirmed = any(_reverify_excess(Family(params, edges), d, bound) for edges in achievers)
-        verdict = "violated" if confirmed else "holds"
+        verdict = "holds"
     elapsed = (time.monotonic() - start) * 1000.0
     return BoundReport(
         rule=rule,
@@ -124,7 +156,7 @@ def check_theorem(
         d=d,
         threshold=threshold,
         bound=bound,
-        max_delta=best,
+        max_delta=best if count else None,
         achievers=tuple(achievers),
         achievers_truncated=truncated,
         achievers_all_stars=all_stars,
@@ -132,6 +164,7 @@ def check_theorem(
         families_checked=count,
         elapsed_ms=elapsed,
         dedup_mode=dedup_mode,
+        nodes=budget.nodes if stopped else None,
     )
 
 
@@ -173,15 +206,18 @@ def search_counterexample(
         )
     if budget is None:
         budget = Budget()
+    graph = compatibility_graph(n, k)
+    degrees = graph.containment(d)
     count = 0
     hit: Optional[Family] = None
     hit_val: Optional[int] = None
     outcome = "exhausted"
     try:
-        for fam in enumerate_maximal_intersecting(n, k, "labeled", budget=budget):
+        for clique in maximal_cliques(graph, "labeled", budget):
             count += 1
-            val, _ = min_degree(fam, d)
+            val, _ = degrees.min_degree(clique)
             if val >= target:
+                fam = graph.family(clique)
                 sval, _ = min_degree_scan(ExplicitOracle(fam), d)
                 if is_intersecting(fam) and sval >= target:
                     hit, hit_val = fam, sval

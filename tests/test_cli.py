@@ -112,6 +112,13 @@ class TestCheckSearchBounds:
         payload = json.loads(out)
         assert payload["verdict"] == "holds"
 
+    def test_check_budget_stop_exit_0(self, capsys):
+        code = main(["check", "--n", "7", "--k", "3", "--d", "2", "--budget-nodes", "3"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        payload = json.loads(captured.out)
+        assert (payload["verdict"], payload["families_checked"], payload["nodes"]) == ("inconclusive", 0, 4)
+
     def test_check_csv_header(self, capsys):
         code, out = run(capsys, "--format", "csv", "check", "--n", "6", "--k", "2", "--d", "1")
         lines = out.strip().splitlines()

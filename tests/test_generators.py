@@ -3,17 +3,20 @@ from math import comb
 import pytest
 
 import ekrlab.generators as generators
-from conftest import brute_force_maximal_families, ref_canonical_form, ref_is_maximal_intersecting
+from conftest import brute_force_maximal_families, ref_canonical_form, ref_is_maximal_intersecting, ref_min_degree
 from ekrlab.canonical import canonical_form
 from ekrlab.family import covers_size1, is_intersecting
 from ekrlab.generators import (
     Budget,
+    Containment,
     ResourceLimitError,
+    compatibility_graph,
     complete_star,
     enumerate_maximal_intersecting,
     enumeration_report,
     hilton_milner,
     is_maximal_intersecting,
+    maximal_cliques,
     random_maximal_intersecting,
 )
 from ekrlab.masks import iter_ksubsets, labels, mask_of
@@ -225,6 +228,43 @@ class TestAnchoredCanonical:
             15,
             False,
         )
+
+
+class TestContainmentScore:
+    """The per-clique (delta_d, argmin) from the d-set containment table
+    equals the brute-force ``ref_min_degree`` of the clique's family."""
+
+    # Families on which a table missing its last d-set scores wrong; at
+    # d = 2 for (7,3) and (8,3) that d-set never decides, so d = 1 cells
+    # carry the check there.
+    DROPPED_LAST = {(6, 3, 1): 86, (6, 3, 2): 22, (7, 3, 1): 692, (8, 3, 1): 240}
+
+    @pytest.mark.parametrize("n,k", [(6, 3), (7, 3), (8, 3), (7, 2), (9, 2)])
+    def test_every_maximal_family_against_reference(self, n, k):
+        graph = compatibility_graph(n, k)
+        cliques = list(maximal_cliques(graph))
+        families = [graph.family(c) for c in cliques]
+        for d in range(1, k):
+            table = graph.containment(d)
+            assert table.dsets == tuple(iter_ksubsets(n, d))
+            want = [ref_min_degree(f, d) for f in families]
+            assert [table.min_degree(c) for c in cliques] == want
+            if (n, k, d) in self.DROPPED_LAST:
+                mutant = Containment(table.dsets[:-1], table.holders[:-1])
+                wrong = sum(mutant.min_degree(c) != w for c, w in zip(cliques, want))
+                assert wrong == self.DROPPED_LAST[n, k, d]
+
+    def test_d_outside_1_to_k_refused(self):
+        for d in (0, 3):
+            with pytest.raises(ValueError, match="1 <= d <= k"):
+                enumeration_report(5, 2, ds=[d])
+
+    def test_holders_are_the_vertices_containing_each_dset(self):
+        graph = compatibility_graph(6, 3)
+        for d in (1, 2, 3):
+            table = graph.containment(d)
+            for s, holders in zip(table.dsets, table.holders):
+                assert holders == sum(1 << i for i, e in enumerate(graph.verts) if e & s == s)
 
 
 def test_reduction_soundness_tiny_scale():

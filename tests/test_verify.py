@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import ekrlab.verify as verify
 from ekrlab.family import Family, FamilyParams, covers_size1
 from ekrlab.generators import Budget
 from ekrlab.io import to_json
@@ -39,6 +40,25 @@ class TestCheckTheorem:
     def test_d_range_guard(self):
         with pytest.raises(ValueError):
             check_theorem(7, 3, 3)
+
+    def test_budget_stop_is_inconclusive(self):
+        rep = check_theorem(7, 3, 2, budget=Budget(max_nodes=3))
+        assert (rep.verdict, rep.families_checked, rep.max_delta, rep.achievers) == ("inconclusive", 0, None, ())
+        assert rep.achievers_all_stars is None
+        assert rep.nodes == 4  # the fourth node is the one the budget refused
+        assert json.loads(to_json(rep))["nodes"] == 4
+
+    def test_budget_stop_keeps_the_families_checked(self):
+        rep = check_theorem(7, 3, 2, budget=Budget(max_nodes=300))
+        assert (rep.verdict, rep.families_checked, rep.nodes) == ("inconclusive", 123, 301)
+        assert rep.max_delta == 0 and rep.achievers_all_stars is None
+        full = check_theorem(7, 3, 2)
+        assert full.nodes is None and "nodes" not in json.loads(to_json(full))
+
+    def test_achiever_cross_check_raises_on_disagreement(self, monkeypatch):
+        monkeypatch.setattr(verify, "min_degree", lambda fam, d: (-1, 0))
+        with pytest.raises(AssertionError, match="disagree"):
+            check_theorem(6, 3, 2)
 
     def test_csv_row_shape(self):
         rep = check_theorem(6, 2, 1)
