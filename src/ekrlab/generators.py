@@ -5,9 +5,12 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from functools import reduce
 from math import comb
+from operator import and_, or_
 from typing import Callable, Iterator, Optional
 
+from .bounds import hilton_milner_bound
 from .canonical import canonical_form
 from .family import Family, FamilyParams, is_intersecting
 from .masks import Mask, bit, iter_ksubsets, iter_subsets_within, labels
@@ -48,7 +51,7 @@ def hilton_milner(n: int, k: int) -> Family:
         if rest & base:
             edges.append(one | rest)
     fam = Family.from_masks(params, edges)
-    expected = comb(n - 1, k - 1) - comb(n - k - 1, k - 1) + 1
+    expected = hilton_milner_bound(n, k)
     if len(fam) != expected:
         raise RuntimeError(f"Hilton-Milner ({n},{k}) has {len(fam)} edges, expected {expected}")
     return fam
@@ -103,11 +106,13 @@ class CompatibilityGraph:
 
     Vertex i is ``verts[i]``, the i-th k-set in canonical order, and
     ``adj[i]`` its neighbours as an index bitset; a clique is an index
-    bitset too, bit i standing for ``verts[i]``.
+    bitset too, bit i standing for ``verts[i]``.  ``incidence`` is that
+    of the complete family ``verts``: entry v-1 marks the k-sets through v.
     """
 
     params: FamilyParams
     verts: tuple[Mask, ...]
+    incidence: tuple[int, ...]
     adj: tuple[int, ...]
 
     def edges(self, clique: int) -> tuple[Mask, ...]:
@@ -123,26 +128,14 @@ class CompatibilityGraph:
         return Family(self.params, self.edges(clique))
 
     def containment(self, d: int) -> Containment:
-        """Per d-subset S of [n], canonical order, the vertices whose k-set holds S.
-
-        One index bitset per vertex of [n] (the k-sets through it) is
-        built first; each S then ANDs the bitsets of its d members.
-        """
+        """Per d-subset S of [n], canonical order, the vertices whose k-set
+        holds S: the AND of the incidence bitsets of S's members."""
         n, k = self.params.n, self.params.k
         if not (1 <= d <= k):
             raise ValueError(f"require 1 <= d <= k, got d={d}")
-        through = [0] * n
-        for i, e in enumerate(self.verts):
-            for v in labels(e):
-                through[v - 1] |= 1 << i
-        dsets = tuple(iter_ksubsets(n, d))
-        holders = []
-        for s in dsets:
-            t = (1 << len(self.verts)) - 1
-            for v in labels(s):
-                t &= through[v - 1]
-            holders.append(t)
-        return Containment(dsets, tuple(holders))
+        inc, dsets = self.incidence, tuple(iter_ksubsets(n, d))
+        holders = tuple(reduce(and_, [inc[v - 1] for v in labels(s)]) for s in dsets)
+        return Containment(dsets, holders)
 
 
 @dataclass(frozen=True)
@@ -162,23 +155,23 @@ class Containment:
 
 
 def compatibility_graph(n: int, k: int) -> CompatibilityGraph:
-    """Guarded at C(n, k) <= 10^4 so the graph stays buildable."""
+    """The graph on the complete family of k-sets, read off its incidence:
+    ``adj[i]`` ORs the incidence bitsets of ``verts[i]``'s vertices, less
+    bit i (always set there).  Guarded at C(n, k) <= 10^4, which bounds
+    the C(n, k)^2 adjacency bits and the Bron-Kerbosch walk over them.
+    """
     params = FamilyParams(n, k)
     total = comb(n, k)
     if total > ENUMERATION_GUARD:
         raise ResourceLimitError(
             f"C({n},{k}) = {total} exceeds the enumeration guard {ENUMERATION_GUARD}"
         )
-    verts = tuple(iter_ksubsets(n, k))
-    m = len(verts)
-    adj = [0] * m
-    for i in range(m):
-        vi = verts[i]
-        for j in range(i + 1, m):
-            if vi & verts[j]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return CompatibilityGraph(params, verts, tuple(adj))
+    complete = Family(params, tuple(iter_ksubsets(n, k)))
+    inc = complete.incidence
+    adj = tuple(
+        reduce(or_, [inc[v - 1] for v in labels(e)]) ^ (1 << i) for i, e in enumerate(complete.edges)
+    )
+    return CompatibilityGraph(params, complete.edges, inc, adj)
 
 
 def _bron_kerbosch_pivot(
@@ -288,7 +281,6 @@ def enumeration_report(
     k: int,
     dedup_mode: str = "labeled",
     ds: Optional[list[int]] = None,
-    recheck: bool = True,
     on_family: Optional[Callable[[int, Family], None]] = None,
 ) -> EnumerationReport:
     """Consume the enumeration stream and record, per d, the maximum delta_d.
@@ -306,9 +298,8 @@ def enumeration_report(
     best: dict[int, tuple[int, int]] = {}
     for idx, clique in enumerate(maximal_cliques(graph, dedup_mode)):
         count += 1
-        if recheck or on_family is not None:
-            fam = graph.family(clique)
-        if recheck and not is_maximal_intersecting(fam):
+        fam = graph.family(clique)
+        if not is_maximal_intersecting(fam):
             raise AssertionError("enumerator emitted a non-maximal or non-intersecting family")
         for d, table in tables:
             val, _ = table.min_degree(clique)

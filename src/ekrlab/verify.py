@@ -92,7 +92,9 @@ def check_theorem(
     Below the applicable threshold the observed maximum is recorded as
     data with the verdict "below-threshold", never as a violation.  A
     budget stop gives "inconclusive" over the families checked so far,
-    unless one of them is a re-verified violator.
+    unless one of them is a violator.  An excess at or above the
+    threshold is "violated" only once an achiever re-verifies by direct
+    scans; if none does, the call raises.
     """
     if not (1 <= d < k):
         raise ValueError("require 1 <= d < k")
@@ -135,12 +137,9 @@ def check_theorem(
             if not common or is_complete_star_on(fam, params.full, lowest_vertex(common)) is not None:
                 all_stars = False
                 break
-    confirmed = (
-        n >= threshold
-        and best > bound
-        and any(_reverify_excess(Family(params, edges), d, bound) for edges in achievers)
-    )
-    if confirmed:
+    if n >= threshold and best > bound:
+        if not any(_reverify_excess(Family(params, edges), d, bound) for edges in achievers):
+            raise AssertionError("claimed excess failed independent re-verification")
         verdict = "violated"
     elif stopped:
         verdict = "inconclusive"

@@ -136,6 +136,18 @@ def ref_find_pattern(edges: tuple[Mask, ...]) -> Optional[tuple[str, tuple[Mask,
     return None
 
 
+def ref_compatibility_adj(n: int, k: int) -> tuple[tuple[Mask, ...], tuple[int, ...]]:
+    """The k-sets of [n] in increasing mask order and, per k-set, the
+    index bitset of the other k-sets it meets, by testing every pair."""
+    verts = sorted(sum(1 << (v - 1) for v in c) for c in combinations(range(1, n + 1), k))
+    adj = [0] * len(verts)
+    for i, e in enumerate(verts):
+        for j, f in enumerate(verts):
+            if i != j and e & f:
+                adj[i] |= 1 << j
+    return tuple(verts), tuple(adj)
+
+
 def brute_force_maximal_families(n: int, k: int) -> set[tuple[Mask, ...]]:
     """All maximal intersecting families by filtering every edge subset.
 

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import re
 from math import comb
 
 import pytest
 
+import ekrlab.verify as verify
 from conftest import ref_is_maximal_intersecting
 from ekrlab.cli import main
 from ekrlab.io import read_family
@@ -133,6 +135,39 @@ class TestCheckSearchBounds:
         code, out = run(capsys, "--format", "text", "bounds", "--k-min", "2", "--k-max", "4", "--d-rule", "k-1")
         assert code == 0
         assert "threshold" in out
+
+    def test_check_violated_exit_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(verify, "applicable_threshold", lambda k, d: 0)
+        code, out = run(capsys, "check", "--n", "6", "--k", "3", "--d", "2")
+        assert code == 2
+        assert json.loads(out)["verdict"] == "violated"
+
+    def test_check_text(self, capsys):
+        code, out = run(capsys, "check", "--n", "7", "--k", "3", "--d", "2", "--format", "text")
+        assert code == 0
+        assert re.sub(r"\(6127 families, \d+ ms\)", "(6127 families, _ ms)", out) == (
+            "codegree n=7 k=3 d=2: max delta_2 = 1, bound = 1 -> holds (6127 families, _ ms)\n"
+        )
+
+    def test_bounds_csv(self, capsys):
+        code, out = run(capsys, "bounds", "--k-min", "2", "--k-max", "6", "--format", "csv")
+        assert code == 0
+        assert out == "k,d,threshold,bound_at_threshold\r\n2,1,5,1\r\n3,2,7,1\r\n4,3,11,1\r\n5,4,15,1\r\n6,5,18,1\r\n"
+
+    def test_bounds_json(self, capsys):
+        code, out = run(capsys, "bounds", "--k-min", "2", "--k-max", "6", "--format", "json")
+        assert code == 0 and len(out) == 411
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f6a0f2ab139047f89f8613822739a21d73b1042f8e971908826674e480fd0052"
+        )
+
+    def test_bounds_written_with_out(self, tmp_path, capsys):
+        path = tmp_path / "bounds.json"
+        code, out = run(capsys, "bounds", "--k-min", "3", "--k-max", "6", "--d-rule", "k-2", "--out", str(path))
+        assert (code, out) == (0, "")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "bd3e33d6dea305929958adf91c9e45376510e898329927958a299fb9fd2bdfe6"
+        )
 
     def test_usage_error_exit_1(self, capsys):
         assert main(["check", "--n", "7", "--k", "3"]) == 1  # missing --d

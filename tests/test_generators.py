@@ -3,7 +3,13 @@ from math import comb
 import pytest
 
 import ekrlab.generators as generators
-from conftest import brute_force_maximal_families, ref_canonical_form, ref_is_maximal_intersecting, ref_min_degree
+from conftest import (
+    brute_force_maximal_families,
+    ref_canonical_form,
+    ref_compatibility_adj,
+    ref_is_maximal_intersecting,
+    ref_min_degree,
+)
 from ekrlab.canonical import canonical_form
 from ekrlab.family import covers_size1, is_intersecting
 from ekrlab.generators import (
@@ -105,6 +111,11 @@ class TestEnumeration:
         nx_count = sum(1 for _ in nx.find_cliques(g))
         own = sum(1 for _ in enumerate_maximal_intersecting(7, 3))
         assert own == nx_count
+
+    def test_report_refuses_a_family_that_fails_the_maximality_recheck(self, monkeypatch):
+        monkeypatch.setattr(generators, "is_maximal_intersecting", lambda fam: False)
+        with pytest.raises(AssertionError, match="non-maximal"):
+            enumeration_report(5, 2)
 
     def test_guard(self):
         with pytest.raises(ResourceLimitError, match=r"C\(30,7\)"):
@@ -228,6 +239,12 @@ class TestAnchoredCanonical:
             15,
             False,
         )
+
+
+@pytest.mark.parametrize("n,k", [(5, 2), (6, 3), (7, 3), (8, 3), (9, 4)])
+def test_graph_adjacency_against_pair_loop(n, k):
+    graph = compatibility_graph(n, k)
+    assert (graph.verts, graph.adj) == ref_compatibility_adj(n, k)
 
 
 class TestContainmentScore:

@@ -60,6 +60,20 @@ class TestCheckTheorem:
         with pytest.raises(AssertionError, match="disagree"):
             check_theorem(6, 3, 2)
 
+    # (6,3,2) has max delta_2 = 2 over the bound 1; its threshold is 7,
+    # so the "violated" path runs only with the threshold patched to 0.
+    def test_excess_at_threshold_is_violated(self, monkeypatch):
+        monkeypatch.setattr(verify, "applicable_threshold", lambda k, d: 0)
+        rep = check_theorem(6, 3, 2)
+        assert (rep.verdict, rep.max_delta, rep.bound, rep.threshold) == ("violated", 2, 1, 0)
+        assert all(covers_size1(Family(FamilyParams(6, 3), edges))[0] == 0 for edges in rep.achievers)
+
+    def test_excess_failing_reverification_raises(self, monkeypatch):
+        monkeypatch.setattr(verify, "applicable_threshold", lambda k, d: 0)
+        monkeypatch.setattr(verify, "min_degree_scan", lambda oracle, d: (1, 0))
+        with pytest.raises(AssertionError, match="failed independent re-verification"):
+            check_theorem(6, 3, 2)
+
     def test_csv_row_shape(self):
         rep = check_theorem(6, 2, 1)
         row = rep.csv_row()
