@@ -6,8 +6,9 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import repeat
 from math import comb
-from operator import and_, or_
+from operator import and_, lt, or_
 from typing import Callable, Iterator, Optional
 
 from .bounds import hilton_milner_bound
@@ -152,6 +153,11 @@ class Containment:
         degrees = [(clique & h).bit_count() for h in self.holders]
         low = min(degrees)
         return low, self.dsets[degrees.index(low)]
+
+    def below(self, clique: int, t: int) -> bool:
+        """Whether some d-set has fewer than t holders in the clique, that
+        is ``min_degree(clique)[0] < t``; stops at the first such d-set."""
+        return any(map(lt, map(int.bit_count, map(and_, self.holders, repeat(clique))), repeat(t)))
 
 
 def compatibility_graph(n: int, k: int) -> CompatibilityGraph:
@@ -302,6 +308,8 @@ def enumeration_report(
         if not is_maximal_intersecting(fam):
             raise AssertionError("enumerator emitted a non-maximal or non-intersecting family")
         for d, table in tables:
+            if d in best and table.below(clique, best[d][0] + 1):
+                continue
             val, _ = table.min_degree(clique)
             if d not in best or val > best[d][0]:
                 best[d] = (val, idx)

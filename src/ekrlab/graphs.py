@@ -5,7 +5,8 @@ both 2-uniform :class:`Family` values on [n].  The detectors read the
 pair family's incidence bitsets (a disjointness bitset per edge) and
 answer deterministically in canonical order.  The one bulk operation
 (checking that every dense non-star graph on seven vertices contains a
-3-matching, a Q, or a K4) runs vectorized over all 2^21 graphs.
+3-matching, a Q, or a K4) runs over all 2^21 graphs at once, each set
+of graphs held as one big-int bitset.
 """
 
 from __future__ import annotations
@@ -13,13 +14,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .family import Family, FamilyParams, covers_size1, disjoint_pair
+from .generators import ResourceLimitError
 from .masks import Mask, bit, lowest_vertex
-
-if TYPE_CHECKING:
-    import numpy as np
 
 MATCHING3 = "matching3"
 PATTERN_Q = "Q"
@@ -169,6 +168,10 @@ def is_subgraph_of_cherry(pairs: Sequence[Mask]) -> bool:
     return False
 
 
+DENSE_EDGES = 6  # the structure step concerns non-star graphs with at least this many edges
+SWEEP_MAX_VERTICES = 8  # at nv = 9 each sweep table would be 2^36 bits (8 GiB)
+
+
 @dataclass(frozen=True)
 class SweepResult:
     num_vertices: int
@@ -176,6 +179,18 @@ class SweepResult:
     graphs_checked: int  # >= 6 edges and not a star
     violations: tuple[int, ...]  # graph masks with no pattern; empty on success
     elapsed_ms: float
+
+
+def _check_sweep_size(nv: int) -> None:
+    if nv > SWEEP_MAX_VERTICES:
+        raise ResourceLimitError(
+            f"a sweep over {nv} vertices needs 2^{nv * (nv - 1) // 2}-bit tables; "
+            f"at most {SWEEP_MAX_VERTICES} vertices are allowed"
+        )
+
+
+def _pairs(nv: int) -> list[Mask]:
+    return sorted(bit(a) | bit(b) for a, b in combinations(range(1, nv + 1), 2))
 
 
 def _pattern_seed_masks(nv: int, pair_index: dict[Mask, int]) -> list[int]:
@@ -207,24 +222,76 @@ def _pattern_seed_masks(nv: int, pair_index: dict[Mask, int]) -> list[int]:
     return sorted(set(seeds))
 
 
-def pattern_table(nv: int) -> tuple[np.ndarray, list[Mask]]:
-    """Boolean table over all graphs on nv vertices: contains a pattern?
+def _from_members(members: Iterable[int], total: int) -> int:
+    """The bitset of ``members`` (all below ``total``), set through one
+    bytearray: one big-int OR per member would copy the whole set each time."""
+    buf = bytearray((total + 7) >> 3)
+    for g in members:
+        buf[g >> 3] |= 1 << (g & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _members(bits: int) -> tuple[int, ...]:
+    """The set bits of ``bits``, ascending, read byte by byte."""
+    data = bits.to_bytes((bits.bit_length() + 7) >> 3, "little")
+    return tuple((i << 3) | j for i, byte in enumerate(data) if byte for j in range(8) if byte >> j & 1)
+
+
+def _submasks(m: int) -> Iterator[int]:
+    """Every submask of m, from m itself down to 0."""
+    s = m
+    while True:
+        yield s
+        if not s:
+            return
+        s = (s - 1) & m
+
+
+def _without_pair(i: int, total: int) -> int:
+    """The graphs lacking pair i: runs of 2^i ones and 2^i zeros, built by doubling."""
+    period, low = 2 << i, (1 << (1 << i)) - 1
+    while period < total:
+        low |= low << period
+        period <<= 1
+    return low
+
+
+def _at_least_edges(ne: int, t: int) -> int:
+    """The graphs with at least t of the ne pairs, grown pair by pair: a
+    graph holding pair m has at least s edges when the rest has s-1."""
+    sets = [1] + [0] * t  # sets[s]: the graphs on pairs 0..m-1 with at least s edges
+    for m in range(ne):
+        shift = 1 << m
+        for s in range(t, 0, -1):
+            sets[s] |= sets[s - 1] << shift
+        sets[0] |= sets[0] << shift
+    return sets[t]
+
+
+class GraphSet(int):
+    """A set of graphs on nv vertices as one int: bit g stands for the
+    graph whose edge-subset mask (over the canonical pair order) is g."""
+
+    def __getitem__(self, g: int) -> int:
+        return self >> g & 1
+
+
+def pattern_table(nv: int) -> tuple[GraphSet, list[Mask]]:
+    """Bitset over all graphs on nv vertices: bit g set when graph g
+    contains a pattern (``bool(table[g])``).
 
     Graphs are indexed by edge-subset masks over the canonical pair
-    order (returned alongside).  Built by seeding every embedded
-    3-matching/Q/K4 and closing upward under the subset-sum transform.
+    order (returned alongside).  Built on big-int bitsets: every
+    embedded 3-matching/Q/K4 is seeded, and the set is closed upward
+    pair by pair.  Refused above :data:`SWEEP_MAX_VERTICES` vertices.
     """
-    import numpy as np
-
-    pairs = sorted(bit(a) | bit(b) for a, b in combinations(range(1, nv + 1), 2))
-    pair_index = {p: i for i, p in enumerate(pairs)}
-    ne = len(pairs)
-    table = np.zeros(1 << ne, dtype=bool)
-    table[_pattern_seed_masks(nv, pair_index)] = True
-    for i in range(ne):
-        view = table.reshape(-1, 2, 1 << i)
-        view[:, 1, :] |= view[:, 0, :]
-    return table, pairs
+    _check_sweep_size(nv)
+    pairs = _pairs(nv)
+    total = 1 << len(pairs)
+    table = _from_members(_pattern_seed_masks(nv, {p: i for i, p in enumerate(pairs)}), total)
+    for i in range(len(pairs)):
+        table |= (table & _without_pair(i, total)) << (1 << i)
+    return GraphSet(table), pairs
 
 
 def graph_from_mask(gmask: int, nv: int, pairs: list[Mask]) -> Family:
@@ -235,33 +302,27 @@ def graph_from_mask(gmask: int, nv: int, pairs: list[Mask]) -> Family:
 def structure_sweep(nv: int = 7) -> SweepResult:
     """Exhaustively verify: >= 6 edges and not a star implies a pattern.
 
-    Runs over all 2^C(nv,2) labeled graphs with vectorized tables; the
-    violation list (empty in every verified case) carries graph masks
-    for replay through :func:`find_pattern`.
+    Runs over all 2^C(nv,2) labeled graphs on big-int bitsets: the
+    pattern table, the graphs with at least six edges grown pair by
+    pair, and the stars as the submasks of each star mask.  The violation
+    list (empty in every verified case) carries graph masks, ascending,
+    for replay through :func:`find_pattern`.  Refused above
+    :data:`SWEEP_MAX_VERTICES` vertices, before anything is allocated.
     """
-    import numpy as np
-
+    _check_sweep_size(nv)
     start = time.monotonic()
-    has_pattern, pairs = pattern_table(nv)
-    ne = len(pairs)
-    total = 1 << ne
-    gm = np.arange(total, dtype=np.uint32)
-    edge_count = np.bitwise_count(gm)
-    is_star = np.zeros(total, dtype=bool)
-    for v in range(1, nv + 1):
-        star_mask = 0
-        for i, p in enumerate(pairs):
-            if p & bit(v):
-                star_mask |= 1 << i
-        is_star |= (gm & np.uint32(~star_mask & (total - 1))) == 0
-    checked = (edge_count >= 6) & ~is_star
-    bad = checked & ~has_pattern
-    violations = tuple(int(x) for x in np.nonzero(bad)[0])
+    pairs = _pairs(nv)
+    total = 1 << len(pairs)
+    stars = [sum(1 << i for i, p in enumerate(pairs) if p & bit(v)) for v in range(1, nv + 1)]
+    is_star = _from_members((g for m in stars for g in _submasks(m)), total)
+    checked = _at_least_edges(len(pairs), DENSE_EDGES) & ~is_star
+    has_pattern, _ = pattern_table(nv)
+    violations = _members(checked & ~has_pattern)
     elapsed = (time.monotonic() - start) * 1000.0
     return SweepResult(
         num_vertices=nv,
         graphs_total=total,
-        graphs_checked=int(checked.sum()),
+        graphs_checked=checked.bit_count(),
         violations=violations,
         elapsed_ms=elapsed,
     )

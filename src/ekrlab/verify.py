@@ -87,9 +87,10 @@ def check_theorem(
 
     Degree monotonicity makes the maximal families sufficient.  Each
     maximal clique is scored on its index bitset through the graph's
-    d-set containment table; a family is built only when it enters the
-    achievers, and then its ``min_degree`` must agree with the score.
-    Below the applicable threshold the observed maximum is recorded as
+    d-set containment table; once the best score is positive, a clique
+    below it is dropped at the first d-set that shows so.  A family is
+    built only when it enters the achievers, and then its ``min_degree``
+    must agree with the score.  Below the applicable threshold the observed maximum is recorded as
     data with the verdict "below-threshold", never as a violation.  A
     budget stop gives "inconclusive" over the families checked so far,
     unless one of them is a violator.  An excess at or above the
@@ -112,8 +113,10 @@ def check_theorem(
     stopped = False
     try:
         for clique in maximal_cliques(graph, dedup_mode, budget):
-            val, _ = degrees.min_degree(clique)
             count += 1
+            if best > 0 and degrees.below(clique, best):
+                continue
+            val, _ = degrees.min_degree(clique)
             if val > best:
                 best = val
                 achievers = [_cross_checked(graph, degrees, clique, d)]
@@ -193,7 +196,8 @@ def search_counterexample(
     """Search for an intersecting family with delta_d >= target.
 
     Monotonicity reduces the search to maximal families, so the clique
-    stream is scanned with re-verification on a hit.  Exhausting the
+    stream is scanned, each clique dropped at the first d-set with fewer
+    than ``target`` holders, with re-verification on a hit.  Exhausting the
     stream certifies nonexistence at (n, k, d); a budget stop reports
     inconclusive instead.
     """
@@ -214,15 +218,15 @@ def search_counterexample(
     try:
         for clique in maximal_cliques(graph, "labeled", budget):
             count += 1
-            val, _ = degrees.min_degree(clique)
-            if val >= target:
-                fam = graph.family(clique)
-                sval, _ = min_degree_scan(ExplicitOracle(fam), d)
-                if is_intersecting(fam) and sval >= target:
-                    hit, hit_val = fam, sval
-                    outcome = "found"
-                    break
-                raise AssertionError("candidate failed independent re-verification")
+            if degrees.below(clique, target):
+                continue
+            fam = graph.family(clique)
+            sval, _ = min_degree_scan(ExplicitOracle(fam), d)
+            if is_intersecting(fam) and sval >= target:
+                hit, hit_val = fam, sval
+                outcome = "found"
+                break
+            raise AssertionError("candidate failed independent re-verification")
     except BudgetExceeded:
         outcome = "inconclusive"
     return SearchReport(

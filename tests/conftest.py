@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, permutations
+from math import comb
 from typing import Optional
 
 import pytest
@@ -134,6 +135,28 @@ def ref_find_pattern(edges: tuple[Mask, ...]) -> Optional[tuple[str, tuple[Mask,
         if all(e in present for e in needed):
             return "K4", tuple(sorted(needed))
     return None
+
+
+def ref_sweep_pairs(nv: int) -> list[Mask]:
+    """The pairs of [nv] as masks, increasing: graph g holds pair i when bit i of g is set."""
+    return sorted((1 << (a - 1)) | (1 << (b - 1)) for a, b in combinations(range(1, nv + 1), 2))
+
+
+def ref_pattern_table(nv: int) -> list[bool]:
+    """Per graph g on nv vertices, whether it holds a 3-matching, a Q or a K4, by plain loops."""
+    pairs = ref_sweep_pairs(nv)
+    return [
+        ref_find_pattern(tuple(p for i, p in enumerate(pairs) if g >> i & 1)) is not None
+        for g in range(1 << len(pairs))
+    ]
+
+
+def ref_sweep_checked(nv: int) -> int:
+    """The graphs on nv vertices with at least 6 edges that are not stars,
+    in closed form: two stars share one pair, so a star subgraph with at
+    least 6 edges has one center."""
+    ne = comb(nv, 2)
+    return sum(comb(ne, j) for j in range(6, ne + 1)) - nv * sum(comb(nv - 1, j) for j in range(6, nv))
 
 
 def ref_compatibility_adj(n: int, k: int) -> tuple[tuple[Mask, ...], tuple[int, ...]]:

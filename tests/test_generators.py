@@ -271,6 +271,16 @@ class TestContainmentScore:
                 wrong = sum(mutant.min_degree(c) != w for c, w in zip(cliques, want))
                 assert wrong == self.DROPPED_LAST[n, k, d]
 
+    @pytest.mark.parametrize("n,k", [(6, 3), (7, 3)])
+    def test_below_agrees_with_min_degree(self, n, k):
+        graph = compatibility_graph(n, k)
+        cliques = list(maximal_cliques(graph))
+        for d in range(1, k):
+            table = graph.containment(d)
+            lows = [table.min_degree(c)[0] for c in cliques]
+            for t in range(max(lows) + 2):
+                assert [table.below(c, t) for c in cliques] == [low < t for low in lows]
+
     def test_d_outside_1_to_k_refused(self):
         for d in (0, 3):
             with pytest.raises(ValueError, match="1 <= d <= k"):

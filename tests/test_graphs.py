@@ -10,8 +10,16 @@ from pathlib import Path
 import pytest
 
 import ekrlab
-from conftest import ref_find_pattern, ref_is_star_graph, ref_max_matching_upto
+from conftest import (
+    ref_find_pattern,
+    ref_is_star_graph,
+    ref_max_matching_upto,
+    ref_pattern_table,
+    ref_sweep_checked,
+    ref_sweep_pairs,
+)
 from ekrlab.family import Family, FamilyParams
+from ekrlab.generators import ResourceLimitError
 from ekrlab.graphs import (
     MATCHING3,
     PATTERN_K4,
@@ -76,12 +84,21 @@ class TestMatching:
             assert (m == 1) == (star.center is not None or is_triangle)
 
 
-def test_import_leaves_numpy_unloaded():
+def _loads_numpy(script: str) -> bool:
+    """Whether ``script``, run in a fresh interpreter, leaves numpy in ``sys.modules``."""
     src = str(Path(ekrlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    script = "import sys, ekrlab; print('numpy' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=60)
-    assert done.stdout.strip() == "False"
+    probe = f"import sys\n{script}\nprint('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60)
+    return done.stdout.strip() == "True"
+
+
+def test_import_leaves_numpy_unloaded():
+    assert not _loads_numpy("import ekrlab")
+
+
+def test_structure_sweep_leaves_numpy_unloaded():
+    assert not _loads_numpy("from ekrlab.graphs import structure_sweep\nassert not structure_sweep(7).violations")
 
 
 class TestStarGraph:
@@ -156,8 +173,23 @@ class TestStructureSweep:
             sw = structure_sweep(nv)
             assert sw.violations == ()
 
+    @pytest.mark.parametrize("nv", [5, 6, 7])
+    def test_checked_count_closed_form(self, nv):
+        assert structure_sweep(nv).graphs_checked == ref_sweep_checked(nv)
+
+    def test_table_against_brute_force_on_5_vertices(self):
+        table, pairs = pattern_table(5)
+        assert pairs == ref_sweep_pairs(5)
+        assert [bool(table[g]) for g in range(1 << 10)] == ref_pattern_table(5)
+
+    def test_nine_vertices_refused_before_allocating(self):
+        # each table at nv = 9 would be 2^36 bits (8 GiB)
+        for build in (structure_sweep, pattern_table):
+            with pytest.raises(ResourceLimitError, match="at most 8 vertices"):
+                build(9)
+
     def test_table_matches_find_pattern_on_6_vertices(self):
-        # full agreement between the vectorized table and the witness search
+        # full agreement between the bitset table and the witness search
         table, pairs = pattern_table(6)
         for gmask in range(1 << 15):
             g = graph_from_mask(gmask, 6, pairs)
