@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -270,10 +271,29 @@ def _at_least_edges(ne: int, t: int) -> int:
 
 class GraphSet(int):
     """A set of graphs on nv vertices as one int: bit g stands for the
-    graph whose edge-subset mask (over the canonical pair order) is g."""
+    graph whose edge-subset mask (over the canonical pair order) is g.
+
+    ``table[g]`` reads bit g for 0 <= g < ``size`` (the number of graphs)
+    and raises IndexError outside that range.  Lookups read a byte copy
+    made on the first one, so each costs O(1) rather than a shift of the
+    whole int.
+    """
+
+    size: int
+
+    def __new__(cls, bits: int, size: int) -> GraphSet:
+        obj = super().__new__(cls, bits)
+        obj.size = size
+        return obj
+
+    @cached_property
+    def _bytes(self) -> bytes:
+        return self.to_bytes((self.size + 7) >> 3, "little")
 
     def __getitem__(self, g: int) -> int:
-        return self >> g & 1
+        if not 0 <= g < self.size:
+            raise IndexError(f"graph {g} is outside this table of {self.size} graphs")
+        return self._bytes[g >> 3] >> (g & 7) & 1
 
 
 def pattern_table(nv: int) -> tuple[GraphSet, list[Mask]]:
@@ -291,7 +311,7 @@ def pattern_table(nv: int) -> tuple[GraphSet, list[Mask]]:
     table = _from_members(_pattern_seed_masks(nv, {p: i for i, p in enumerate(pairs)}), total)
     for i in range(len(pairs)):
         table |= (table & _without_pair(i, total)) << (1 << i)
-    return GraphSet(table), pairs
+    return GraphSet(table, total), pairs
 
 
 def graph_from_mask(gmask: int, nv: int, pairs: list[Mask]) -> Family:

@@ -90,10 +90,11 @@ def check_theorem(
     d-set containment table; once the best score is positive, a clique
     below it is dropped at the first d-set that shows so.  A family is
     built only when it enters the achievers, and then its ``min_degree``
-    must agree with the score.  Below the applicable threshold the observed maximum is recorded as
-    data with the verdict "below-threshold", never as a violation.  A
-    budget stop gives "inconclusive" over the families checked so far,
-    unless one of them is a violator.  An excess at or above the
+    must agree with the score.  Below the applicable threshold the
+    observed maximum is recorded as data with the verdict
+    "below-threshold", never as a violation.  A budget stop gives
+    "inconclusive" over the families checked so far, unless one of them
+    is a violator.  An excess at or above the
     threshold is "violated" only once an achiever re-verifies by direct
     scans; if none does, the call raises.
     """

@@ -84,21 +84,23 @@ class TestMatching:
             assert (m == 1) == (star.center is not None or is_triangle)
 
 
-def _loads_numpy(script: str) -> bool:
-    """Whether ``script``, run in a fresh interpreter, leaves numpy in ``sys.modules``."""
+def _probe_numpy(script: str) -> str:
+    """The stdout of ``script``, run in a fresh interpreter, followed by
+    whether numpy is then in ``sys.modules``: exactly "False" when the
+    script prints nothing and leaves numpy out."""
     src = str(Path(ekrlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     probe = f"import sys\n{script}\nprint('numpy' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60)
-    return done.stdout.strip() == "True"
+    return done.stdout.strip()
 
 
 def test_import_leaves_numpy_unloaded():
-    assert not _loads_numpy("import ekrlab")
+    assert _probe_numpy("import ekrlab") == "False"
 
 
 def test_structure_sweep_leaves_numpy_unloaded():
-    assert not _loads_numpy("from ekrlab.graphs import structure_sweep\nassert not structure_sweep(7).violations")
+    assert _probe_numpy("from ekrlab.graphs import structure_sweep\nassert not structure_sweep(7).violations") == "False"
 
 
 class TestStarGraph:
@@ -181,6 +183,14 @@ class TestStructureSweep:
         table, pairs = pattern_table(5)
         assert pairs == ref_sweep_pairs(5)
         assert [bool(table[g]) for g in range(1 << 10)] == ref_pattern_table(5)
+
+    def test_table_lookup_matches_the_bits_and_refuses_outside_graphs(self):
+        table, pairs = pattern_table(6)
+        assert table.size == 1 << len(pairs)
+        assert [table[g] for g in range(table.size)] == [int(table) >> g & 1 for g in range(table.size)]
+        for g in (table.size, table.size + 9, -1):
+            with pytest.raises(IndexError):
+                table[g]
 
     def test_nine_vertices_refused_before_allocating(self):
         # each table at nv = 9 would be 2^36 bits (8 GiB)
