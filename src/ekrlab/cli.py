@@ -48,11 +48,29 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _flag_ints(flag: str, text: str, form: str, count: Optional[int] = None, n: Optional[int] = None) -> list[int]:
+    """The comma-separated integers of a flag value, exactly ``count`` of them
+    if given.  With ``n`` they are vertex labels: each in 1..n, none repeated.
+    Errors are ValueErrors that name the flag and the form it expects."""
+    try:
+        values = [int(x) for x in text.split(",")]
+    except ValueError:
+        values = []
+    if not values or count is not None and len(values) != count:
+        raise ValueError(f"{flag} expects {form}, got {text!r}")
+    if n is not None:
+        if not all(1 <= x <= n for x in values):
+            raise ValueError(f"{flag} expects {form} in 1..{n}, got {text!r}")
+        if len(set(values)) != len(values):
+            raise ValueError(f"{flag} expects {form} without repeats, got {text!r}")
+    return values
+
+
 def _load_oracle(args: argparse.Namespace) -> FamilyOracle:
     if getattr(args, "infile", None):
         return ExplicitOracle(read_family(args.infile))
     if getattr(args, "star", None):
-        n, k, v = (int(x) for x in args.star.split(","))
+        n, k, v = _flag_ints("--star", args.star, "n,k,center", count=3)
         return StarOracle(n, k, v)
     raise SystemExit("one of --in or --star n,k,v is required")
 
@@ -159,7 +177,10 @@ def _construct_payload(procedure: str, oracle: FamilyOracle, result, vertex_boun
 
 def cmd_construct(args: argparse.Namespace) -> int:
     oracle = _load_oracle(args)
-    e = mask_of(int(x) for x in args.edge.split(",")) if args.edge else oracle.first_edge()
+    if args.edge:
+        e = mask_of(_flag_ints("--edge", args.edge, "comma-separated labels", n=oracle.params.n))
+    else:
+        e = oracle.first_edge()
     if e is None:
         raise SystemExit("the family is empty")
     if args.level == "k1":

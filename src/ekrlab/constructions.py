@@ -45,7 +45,7 @@ from .oracles import ExplicitOracle, FamilyOracle, link, min_degree
 
 SAMPLE_BUDGET = 10_000  # seeded final-claim samples on non-explicit oracles
 SPOT_BUDGET = 256  # per-window spot checks on non-explicit oracles
-SAMPLE_BATCH = 256  # samples drawn per numpy batch in _sample_subsets
+SAMPLE_BATCH = 256  # samples per batch of _sample_subsets: one getrandbits call, one swap pass
 
 
 class InternalContradictionError(RuntimeError):
@@ -285,17 +285,36 @@ def _as_oracle(source: FamilyOracle | Family) -> FamilyOracle:
     return ExplicitOracle(source) if isinstance(source, Family) else source
 
 
+def _random_floats(rng: random.Random, m: int):
+    """The next ``m`` values of ``rng.random()`` as a float64 array, from one
+    ``rng.getrandbits(64 * m)`` call.
+
+    CPython's ``random()`` takes two 32-bit Mersenne Twister words a, b and
+    returns ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``; ``getrandbits`` packs
+    the same words least significant first.  Reading them as little-endian
+    uint32 pairs gives the same floats and leaves ``rng`` in the same state.
+    """
+    import numpy as np
+
+    words = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m, "little"), "<u4")
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) / 9007199254740992.0
+
+
 def _sample_subsets(rng: random.Random, pool: Mask, r: int, count: int) -> Iterator[Mask]:
     """``count`` uniform r-subsets of the pool, as masks.
 
     Each sample is a partial Fisher-Yates shuffle of the pool's bits in
     ascending order: step i swaps positions i and
     ``i + int(rng.random() * (size - i))``.  Samples are drawn
-    SAMPLE_BATCH at a time: the batch's floats come from ``rng.random()``
-    in sample order, then its swaps run as numpy column operations
-    across the batch.  The masks and the final ``rng`` state therefore
-    equal ``count`` one-at-a-time draws.  The sampler only feeds spot
-    checks, never proofs.
+    SAMPLE_BATCH at a time: the batch's floats, in sample order, come
+    from one ``getrandbits`` call read as word pairs (``_random_floats``,
+    equal to ``rng.random()`` float for float), then its swaps run as
+    numpy column operations across the batch.  The masks and the final
+    ``rng`` state therefore equal ``count`` one-at-a-time draws, which
+    ``TestSampleSubsets`` checks against a plain ``rng.random()``
+    reference.  Batches are drawn one at a time, so a caller that draws
+    from ``rng`` between yields sees the stream split at the batch
+    boundaries.  The sampler only feeds spot checks, never proofs.
     """
     import numpy as np
 
@@ -306,11 +325,10 @@ def _sample_subsets(rng: random.Random, pool: Mask, r: int, count: int) -> Itera
         raise ValueError(f"cannot sample {r} of {size} pool vertices")
     span = size - np.arange(r, dtype=np.float64)
     steps = np.arange(r)
-    rand = rng.random
     while count > 0:
         b = min(SAMPLE_BATCH, count)
         count -= b
-        u = np.array([rand() for _ in range(b * r)]).reshape(b, r)
+        u = _random_floats(rng, b * r).reshape(b, r)
         j = (u * span).astype(np.intp) + steps
         # shuffled[i, c] is position i of sample c; flat index i * b + c
         shuffled = np.repeat(members[:, None], b, axis=1)

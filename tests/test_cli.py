@@ -178,6 +178,40 @@ class TestCheckSearchBounds:
     def test_enumeration_guard_exit_1(self, capsys):
         assert main(["check", "--n", "30", "--k", "7", "--d", "2"]) == 1
 
+    def test_edge_flag_names_the_first_edge(self, capsys):
+        default = run(capsys, "construct", "k1", "--star", "11,3,1")
+        assert run(capsys, "construct", "k1", "--star", "11,3,1", "--edge", "3,1,2") == default
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["certify", "k1", "--star", "20,3"], "--star expects n,k,center, got '20,3'"),
+            (["certify", "k1", "--star", "20,x,1"], "--star expects n,k,center, got '20,x,1'"),
+            (["certify", "k1", "--star", "20,3,1,4"], "--star expects n,k,center, got '20,3,1,4'"),
+            (
+                ["construct", "k1", "--star", "20,3,1", "--edge", "0,1,2"],
+                "--edge expects comma-separated labels in 1..20, got '0,1,2'",
+            ),
+            (
+                ["construct", "k1", "--star", "20,3,1", "--edge", "1,2,21"],
+                "--edge expects comma-separated labels in 1..20, got '1,2,21'",
+            ),
+            (
+                ["construct", "k1", "--star", "20,3,1", "--edge", "1,1,2"],
+                "--edge expects comma-separated labels without repeats, got '1,1,2'",
+            ),
+            (
+                ["construct", "k1", "--star", "20,3,1", "--edge", "1,,2"],
+                "--edge expects comma-separated labels, got '1,,2'",
+            ),
+        ],
+        ids=["star-short", "star-not-int", "star-long", "edge-zero", "edge-above-n", "edge-repeat", "edge-empty-label"],
+    )
+    def test_malformed_flag_exit_1(self, argv, message, capsys):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message}\n")
+
 
 # Whole stdout of certify and construct, pinned by sha256 with the exit
 # code.  construct k2 needs n >= 230 and certify k2 n >= 232 at k = 3.

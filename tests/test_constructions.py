@@ -21,6 +21,7 @@ from ekrlab.constructions import (
     cherry_reduce,
     shrink_core_k1,
     shrink_core_k2,
+    _random_floats,
     _sample_subsets,
     _select_outside,
 )
@@ -59,6 +60,45 @@ class TestSampleSubsets:
         ref_rng, rng = random.Random(2024), random.Random(2024)
         expected = [ref_sample_subset(ref_rng, pool, r) for _ in range(count)]
         assert list(_sample_subsets(rng, pool, r, count)) == expected
+        assert rng.getstate() == ref_rng.getstate()
+
+    @pytest.mark.parametrize("count", [1, SAMPLE_BATCH - 1, SAMPLE_BATCH, SAMPLE_BATCH + 1, 2 * SAMPLE_BATCH + 1])
+    def test_interleaved_draws_split_at_batches(self, count):
+        # the k-2 final check draws rng.choice after every yield; those
+        # draws follow each batch's floats, so per batch the reference
+        # draws its subsets first, then the choices
+        pool, r = GAPPY_POOL, 7
+        zchoices = [bit(v) for v in range(1, 200)]
+
+        def choose(rng, w):
+            z = rng.choice(zchoices)
+            while z & w:
+                z = rng.choice(zchoices)
+            return z
+
+        ref_rng, rng = random.Random(77), random.Random(77)
+        expected = []
+        for start in range(0, count, SAMPLE_BATCH):
+            batch = [ref_sample_subset(ref_rng, pool, r) for _ in range(min(SAMPLE_BATCH, count - start))]
+            expected += [(w, choose(ref_rng, w)) for w in batch]
+        got = [(w, choose(rng, w)) for w in _sample_subsets(rng, pool, r, count)]
+        assert got == expected
+        assert rng.getstate() == ref_rng.getstate()
+
+    def test_early_close_consumes_one_batch(self):
+        pool, r = full_mask(20), 5
+        ref_rng, rng = random.Random(9), random.Random(9)
+        expected = [ref_sample_subset(ref_rng, pool, r) for _ in range(SAMPLE_BATCH)]
+        gen = _sample_subsets(rng, pool, r, 1000)
+        assert [next(gen) for _ in range(3)] == expected[:3]
+        gen.close()
+        assert rng.getstate() == ref_rng.getstate()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2024, 2**40 + 3])
+    @pytest.mark.parametrize("m", [0, 1, 2, 255, 256, 257, 10**4])
+    def test_random_floats_equal_random(self, seed, m):
+        ref_rng, rng = random.Random(seed), random.Random(seed)
+        assert _random_floats(rng, m).tolist() == [ref_rng.random() for _ in range(m)]
         assert rng.getstate() == ref_rng.getstate()
 
     def test_rejects_oversized_sample(self):
