@@ -18,7 +18,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ekrlab.bounds import codegree_bound
-from ekrlab.generators import Budget
+from ekrlab.generators import Budget, ResourceLimitError
 from ekrlab.io import to_json
 from ekrlab.masks import labels
 from ekrlab.verify import search_counterexample
@@ -43,7 +43,7 @@ def run(cfg: ProbeConfig) -> list[dict]:
             bound = codegree_bound(n, k, cfg.d)
             try:
                 rep = search_counterexample(n, k, cfg.d, bound + 1, budget=Budget(max_ms=cfg.budget_ms))
-            except Exception as exc:  # enumeration guard etc.
+            except ResourceLimitError as exc:  # the enumeration guard; a failed re-verification propagates
                 print(f"(n={n}, k={k}, d={cfg.d}): skipped ({exc})")
                 continue
             rows.append(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io as _io
+import re
 import sys
 from pathlib import Path
 from typing import Optional
@@ -209,6 +210,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    if args.d_rule not in ("k-1", "k-2") and not re.fullmatch(r"d=[+-]?\d+", args.d_rule):
+        raise ValueError(f"--d-rule expects k-1, k-2 or d=<int>, got {args.d_rule!r}")
     ks = list(range(args.k_min, args.k_max + 1))
     rows = bnd.bound_table(ks, args.d_rule)
     if args.format == "csv":

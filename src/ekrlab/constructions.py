@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Optional, Sequence
 
 from .bounds import (
     ceil_cbrt_poly,
@@ -31,6 +31,7 @@ from .bounds import (
 )
 from .family import Family, FamilyParams, covers_size2, disjoint_pair, is_complete_star_on
 from .graphs import find_pattern, is_star_graph, is_subgraph_of_cherry, max_matching_upto
+from .io import fields_json
 from .masks import (
     Mask,
     bit,
@@ -57,8 +58,16 @@ class InternalContradictionError(RuntimeError):
 
 
 class Violation:
+    kind: ClassVar[str]
+
     def verify(self, oracle: FamilyOracle) -> bool:
         raise NotImplementedError
+
+    def to_dict(self) -> dict:
+        """``kind`` first, then the fields that are set."""
+        out = {"kind": self.kind}
+        out.update((name, value) for name, value in fields_json(self).items() if value is not None)
+        return out
 
 
 class _Refuted(Exception):
@@ -73,6 +82,7 @@ class _Refuted(Exception):
 class DisjointEdges(Violation):
     """Two edges of the family with empty intersection."""
 
+    kind: ClassVar[str] = "disjoint-edges"
     first: Mask
     second: Mask
 
@@ -88,6 +98,7 @@ class DisjointEdges(Violation):
 class ZeroCodegree(Violation):
     """A (k-1)-set contained in no edge."""
 
+    kind: ClassVar[str] = "zero-codegree"
     query_set: Mask
 
     def verify(self, oracle: FamilyOracle) -> bool:
@@ -98,6 +109,7 @@ class ZeroCodegree(Violation):
 class LowCodegree(Violation):
     """A query set whose degree falls short of the guaranteed value."""
 
+    kind: ClassVar[str] = "low-codegree"
     query_set: Mask
     observed: int
     required: int
@@ -111,6 +123,7 @@ class LowCodegree(Violation):
 class NotStar(Violation):
     """Star claim refuted on an explicit family: a missing or offending edge."""
 
+    kind: ClassVar[str] = "not-star"
     missing: Optional[Mask]
     offending: Optional[Mask]
 
@@ -197,6 +210,9 @@ class TracedFamily:
             vs |= e
         return TracedFamily(self.params, tuple(sorted(merged)), vs)
 
+    def to_dict(self) -> dict:
+        return {name: value for name, value in fields_json(self).items() if name != "params"}
+
 
 @dataclass(frozen=True)
 class ShrinkResult:
@@ -230,6 +246,13 @@ class Certificate:
     @property
     def is_star(self) -> bool:
         return self.center is not None
+
+    def to_dict(self) -> dict:
+        out = {"outcome": "star-center" if self.is_star else "violation", "center": self.center}
+        if self.violation is not None:
+            out["witness"] = self.violation.to_dict()
+        out["trace"] = fields_json(self.trace)
+        return {key: value for key, value in out.items() if value is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -351,27 +374,22 @@ def _sample_subsets(rng: random.Random, pool: Mask, r: int, count: int) -> Itera
 # core shrinking: one entry for both levels
 
 
-def _shrink(
-    source: FamilyOracle | Family,
-    e: Mask,
-    min_k: int,
-    threshold: Callable[[int], int],
-    grow: Callable[[CountingOracle, Mask, ConstructionTrace], tuple[TracedFamily, Optional[int]]],
-) -> ShrinkResult:
-    """Check the arguments, run ``grow`` from ``e`` and catch its witness."""
+def _shrink(level: _K1 | _K2, source: FamilyOracle | Family, e: Mask) -> ShrinkResult:
+    """Check the arguments, run the level's ``grow`` from ``e`` and catch its witness."""
     oracle = _as_oracle(source)
     p = oracle.params
     n, k = p.n, p.k
-    if k < min_k:
-        raise ValueError(f"k >= {min_k} required")
-    if n < threshold(k):
-        raise ValueError(f"n >= {threshold(k)} required for k={k}, got n={n}")
+    if k < level.min_k:
+        raise ValueError(f"k >= {level.min_k} required")
+    need = level.shrink_threshold(k)
+    if n < need:
+        raise ValueError(f"n >= {need} required for k={k}, got n={n}")
     co = CountingOracle(oracle)
     if not co.contains(e):
         raise ValueError(f"edge {labels(e)} is not in the family")
     trace = ConstructionTrace()
     try:
-        sub, cover_vertex = grow(co, e, trace)
+        sub, cover_vertex = level.grow(co, e, trace)
     except _Refuted as refuted:
         trace.queries_used = co.queries
         return ShrinkResult(None, refuted.violation, trace)
@@ -393,7 +411,7 @@ def shrink_core_k1(source: FamilyOracle | Family, e: Mask) -> ShrinkResult:
     (k-1)-degree is zero).  A DisjointEdges witness is returned when
     the k = 2 fallback exposes a non-intersecting input.
     """
-    return _shrink(source, e, 2, shrink_threshold_k1, _grow_k1)
+    return _shrink(_K1(), source, e)
 
 
 def _grow_k1(co: CountingOracle, e: Mask, trace: ConstructionTrace) -> tuple[TracedFamily, None]:
@@ -582,7 +600,7 @@ def shrink_core_k2(source: FamilyOracle | Family, e: Mask) -> ShrinkResult:
     back as LowCodegree witnesses.  The cover property is re-verified
     exhaustively over all vertex pairs before returning.
     """
-    return _shrink(source, e, 3, shrink_threshold_k2, _grow_k2)
+    return _shrink(_K2(), source, e)
 
 
 def _grow_k2(co: CountingOracle, e: Mask, trace: ConstructionTrace) -> tuple[TracedFamily, int]:
@@ -928,9 +946,9 @@ class _K1:
     """Codegree level k-1: the steps of the two-window argument that differ from k-2."""
 
     name, min_k, ell_key, copied = "k-1", 2, "ell", ()
-
-    def threshold(self, k: int) -> int:
-        return certify_threshold_k1(k)
+    certify_threshold = staticmethod(certify_threshold_k1)
+    shrink_threshold = staticmethod(shrink_threshold_k1)
+    grow = staticmethod(_grow_k1)
 
     def shrink(self, co: FamilyOracle, e: Mask) -> ShrinkResult:
         return shrink_core_k1(co, e)
@@ -1021,9 +1039,9 @@ class _K2:
     """Codegree level k-2: the steps of the two-window argument that differ from k-1."""
 
     name, min_k, ell_key, copied = "k-2", 3, "ell_cert", ("x", "s", "ell")
-
-    def threshold(self, k: int) -> int:
-        return certify_threshold_k2(k)
+    certify_threshold = staticmethod(certify_threshold_k2)
+    shrink_threshold = staticmethod(shrink_threshold_k2)
+    grow = staticmethod(_grow_k2)
 
     def shrink(self, co: FamilyOracle, e: Mask) -> ShrinkResult:
         return shrink_core_k2(co, e)
@@ -1116,7 +1134,7 @@ def _certify(
         raise ValueError(f"k >= {level.min_k} required")
     if samples < 0 or spot < 0:
         raise ValueError(f"samples and spot must be >= 0, got samples={samples} spot={spot}")
-    need = level.threshold(k)
+    need = level.certify_threshold(k)
     if n < need:
         raise ValueError(f"certification at codegree {level.name} requires n >= {need}, got n={n}")
     co = CountingOracle(oracle)

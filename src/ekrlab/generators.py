@@ -88,6 +88,11 @@ class Budget:
     nodes: int = 0
     started: float = field(default_factory=time.monotonic)
 
+    def __post_init__(self) -> None:
+        for name, cap in (("max_ms", self.max_ms), ("max_nodes", self.max_nodes)):
+            if cap is not None and cap < 0:
+                raise ValueError(f"{name} must be >= 0, got {cap}")
+
     def charge_node(self) -> None:
         self.nodes += 1
         if self.max_nodes is not None and self.nodes > self.max_nodes:

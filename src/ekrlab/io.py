@@ -13,11 +13,16 @@ Errors are ``FamilyParseError`` with a 1-based line number, and the first
 offending line in file order wins: a bad header, a non-integer label, a
 wrong size, a label out of range, labels not strictly ascending, or a
 duplicate edge (reported at its second occurrence).
+
+Reports serialize from their fields: a dataclass becomes ``{field: value}``
+in field order, with ``Mask`` fields as sorted label lists; a type shaped
+otherwise returns JSON-ready values from its ``to_dict()``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from itertools import islice
 from operator import eq
@@ -91,10 +96,10 @@ def read_family_text(text: str) -> Family:
     if params is None:
         raise FamilyParseError("missing header line", 1)
     # A line of k canonical labels with rising bits is its mask by OR;
-    # blank, comment and any other lines go through _edge.
-    start, k = lineno, params.k
-    table = {str(v): 1 << (v - 1) for v in range(1, params.n + 1)}
-    get = table.get
+    # blank, comment and any other lines go through _edge.  The table
+    # gets each token at first sight: its bit if it is str(v), v in 1..n.
+    start, k, n, width = lineno, params.k, params.n, len(str(params.n))
+    table: dict[str, int] = {}
     masks: list[Mask] = []
     append = masks.append
     for lineno, raw in enumerate(islice(lines, start, None), start + 1):
@@ -102,7 +107,11 @@ def read_family_text(text: str) -> Family:
         if len(toks) == k:
             prev = m = 0
             for tok in toks:
-                b = get(tok, 0)
+                try:
+                    b = table[tok]
+                except KeyError:
+                    canonical = len(tok) <= width and tok.isascii() and tok.isdigit() and tok[0] != "0"
+                    b = table[tok] = 1 << (int(tok) - 1) if canonical and int(tok) <= n else 0
                 if b <= prev:
                     break
                 m |= b
@@ -149,87 +158,43 @@ def write_family(path: str | Path, fam: Family) -> None:
     Path(path).write_text(family_text(fam))
 
 
+@functools.cache
+def _fields(cls: type) -> tuple[tuple[str, bool], ...]:
+    """(name, declared as masks) for each field of a dataclass, in order."""
+    return tuple((f.name, "Mask" in str(f.type)) for f in dataclasses.fields(cls))
+
+
+def _labeled(value: Any) -> Any:
+    """A mask, or masks nested in tuples, as sorted label lists; None stays None."""
+    if value is None:
+        return None
+    if isinstance(value, int):
+        return list(labels(value))
+    return [_labeled(v) for v in value]
+
+
+def fields_json(obj: Any) -> dict[str, Any]:
+    """A dataclass instance as ``{field: JSON-ready value}`` in field order."""
+    return {
+        name: _labeled(getattr(obj, name)) if is_mask else jsonable(getattr(obj, name))
+        for name, is_mask in _fields(type(obj))
+    }
+
+
 def jsonable(obj: Any) -> Any:
-    """Reports to JSON-ready structures; masks become sorted label lists."""
-    from .constructions import (
-        Certificate,
-        ConstructionTrace,
-        DisjointEdges,
-        LowCodegree,
-        NotStar,
-        TraceStep,
-        TracedFamily,
-        ZeroCodegree,
-    )
-
-    if isinstance(obj, Certificate):
-        out: dict[str, Any] = {"outcome": "star-center" if obj.is_star else "violation"}
-        if obj.center is not None:
-            out["center"] = obj.center
-        if obj.violation is not None:
-            out["witness"] = jsonable(obj.violation)
-        out["trace"] = jsonable(obj.trace)
-        return out
-    if isinstance(obj, DisjointEdges):
-        return {"kind": "disjoint-edges", "first": list(labels(obj.first)), "second": list(labels(obj.second))}
-    if isinstance(obj, ZeroCodegree):
-        return {"kind": "zero-codegree", "query_set": list(labels(obj.query_set))}
-    if isinstance(obj, LowCodegree):
-        return {
-            "kind": "low-codegree",
-            "query_set": list(labels(obj.query_set)),
-            "observed": obj.observed,
-            "required": obj.required,
-        }
-    if isinstance(obj, NotStar):
-        out = {"kind": "not-star"}
-        if obj.missing is not None:
-            out["missing"] = list(labels(obj.missing))
-        if obj.offending is not None:
-            out["offending"] = list(labels(obj.offending))
-        return out
-    if isinstance(obj, ConstructionTrace):
-        return {
-            "steps": [jsonable(s) for s in obj.steps],
-            "final_vertex_set": list(labels(obj.final_vertex_set)),
-            "queries_used": obj.queries_used,
-            "parameters": {k: jsonable(v) for k, v in obj.parameters.items()},
-        }
-    if isinstance(obj, TraceStep):
-        return {
-            "phase": obj.phase,
-            "query_set": list(labels(obj.query_set)),
-            "returned_edge": list(labels(obj.returned_edge)) if obj.returned_edge is not None else None,
-            "core": list(labels(obj.core)),
-            "core_size": obj.core_size,
-            "vertexset_size": obj.vertexset_size,
-            "excess": obj.excess,
-        }
-    if isinstance(obj, TracedFamily):
-        return {
-            "edges": [list(labels(e)) for e in obj.edges],
-            "vertex_set": list(labels(obj.vertex_set)),
-        }
-    if isinstance(obj, Family):
-        return {"n": obj.params.n, "k": obj.params.k, "edges": [list(labels(e)) for e in obj.edges]}
-    from .verify import BoundReport, SearchReport
-
-    if isinstance(obj, BoundReport):
-        out = {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj) if f.name != "achievers"}
-        if obj.nodes is None:  # only a budget stop reports where it stopped
-            del out["nodes"]
-        out["achievers"] = [[list(labels(e)) for e in edges] for edges in obj.achievers]
-        return out
-    if isinstance(obj, SearchReport):
-        out = {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj) if f.name != "family"}
-        out["family"] = [list(labels(e)) for e in obj.family] if obj.family is not None else None
-        return out
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    """Reports to JSON-ready structures: ``to_dict()`` where a type has one,
+    else a dataclass by its fields; lists, tuples and dicts recurse."""
+    if obj is None or isinstance(obj, (str, int, float)):
+        return obj
     if isinstance(obj, dict):
         return {k: jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
+    to_dict = getattr(obj, "to_dict", None)
+    if to_dict is not None:
+        return to_dict()
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return fields_json(obj)
     return obj
 
 

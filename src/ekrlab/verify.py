@@ -17,6 +17,7 @@ from .generators import (
     enumerate_maximal_intersecting,  # noqa: F401  (kept for perfbench/tracing.py, which wraps it here)
     maximal_cliques,
 )
+from .io import fields_json
 from .masks import Mask, lowest_vertex
 from .oracles import ExplicitOracle, min_degree, min_degree_scan
 
@@ -32,14 +33,20 @@ class BoundReport:
     threshold: int
     bound: int
     max_delta: Optional[int]  # None when a budget stop came before the first family
-    achievers: tuple[tuple[Mask, ...], ...]  # edge tuples, up to ACHIEVER_CAP
     achievers_truncated: bool
     achievers_all_stars: Optional[bool]  # set when max_delta == bound and the walk finished
     verdict: str  # "holds" | "violated" | "below-threshold" | "inconclusive"
     families_checked: int
     elapsed_ms: float
     dedup_mode: str
-    nodes: Optional[int] = None  # Bron-Kerbosch nodes walked, set only on a budget stop
+    nodes: Optional[int]  # Bron-Kerbosch nodes walked, set only on a budget stop
+    achievers: tuple[tuple[Mask, ...], ...]  # edge tuples, up to ACHIEVER_CAP
+
+    def to_dict(self) -> dict:
+        out = fields_json(self)
+        if self.nodes is None:  # only a budget stop reports where it stopped
+            del out["nodes"]
+        return out
 
     def csv_row(self) -> list:
         return [
@@ -178,13 +185,13 @@ class SearchReport:
     d: int
     target: int
     outcome: str  # "found" | "exhausted" | "inconclusive"
-    family: Optional[tuple[Mask, ...]]
     delta_found: Optional[int]
     families_checked: int
     nodes: int
     elapsed_ms: float
     budget_ms: Optional[int]
     budget_nodes: Optional[int]
+    family: Optional[tuple[Mask, ...]]
 
 
 def search_counterexample(

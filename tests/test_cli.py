@@ -204,8 +204,24 @@ class TestCheckSearchBounds:
                 ["construct", "k1", "--star", "20,3,1", "--edge", "1,,2"],
                 "--edge expects comma-separated labels, got '1,,2'",
             ),
+            (["check", "--n", "7", "--k", "3", "--d", "2", "--budget-nodes", "-1"], "max_nodes must be >= 0, got -1"),
+            (["search", "--n", "7", "--k", "3", "--d", "2", "--target", "2", "--budget-ms", "-5"], "max_ms must be >= 0, got -5"),
+            (["bounds", "--k-min", "3", "--k-max", "5", "--d-rule", "d=x"], "--d-rule expects k-1, k-2 or d=<int>, got 'd=x'"),
+            (["bounds", "--k-min", "3", "--k-max", "5", "--d-rule", "k-3"], "--d-rule expects k-1, k-2 or d=<int>, got 'k-3'"),
         ],
-        ids=["star-short", "star-not-int", "star-long", "edge-zero", "edge-above-n", "edge-repeat", "edge-empty-label"],
+        ids=[
+            "star-short",
+            "star-not-int",
+            "star-long",
+            "edge-zero",
+            "edge-above-n",
+            "edge-repeat",
+            "edge-empty-label",
+            "budget-nodes-negative",
+            "budget-ms-negative",
+            "d-rule-not-int",
+            "d-rule-unknown",
+        ],
     )
     def test_malformed_flag_exit_1(self, argv, message, capsys):
         assert main(argv) == 1

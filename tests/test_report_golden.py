@@ -1,9 +1,10 @@
-"""Pinned check and search reports: the sha256 of ``io.to_json`` per request.
+"""Pinned reports: the sha256 of ``io.to_json`` per request.
 
 ``elapsed_ms`` is removed before hashing; everything else in the report
 (maximum, achievers, star flag, verdict, counts, nodes) is pinned.  The
-cells cover labeled and canonical ``check_theorem`` and both search
-outcomes.  The same digests must come out under ``python -O``, which
+cells cover labeled and canonical ``check_theorem``, both search
+outcomes, enumeration reports in both dedup modes, a bound table and a
+structure sweep.  The same digests must come out under ``python -O``, which
 strips bare asserts.  Run this file as a script to print the map as JSON.
 """
 
@@ -17,6 +18,9 @@ import sys
 from pathlib import Path
 
 import ekrlab
+from ekrlab.bounds import bound_table
+from ekrlab.generators import enumeration_report
+from ekrlab.graphs import structure_sweep
 from ekrlab.io import to_json
 from ekrlab.verify import check_theorem, search_counterexample
 
@@ -30,12 +34,17 @@ def report_cases() -> dict:
         cases[f"check/canonical-{n}-{k}-{d}"] = lambda n=n, k=k, d=d: check_theorem(n, k, d, "canonical")
     for cell in [(6, 3, 2, 2), (7, 3, 2, 2)]:
         cases["search/" + "-".join(map(str, cell))] = lambda cell=cell: search_counterexample(*cell)
+    for mode in ("labeled", "canonical"):
+        cases[f"enumeration/{mode}-6-3"] = lambda mode=mode: enumeration_report(6, 3, mode)
+    cases["bounds/k-2-2-8"] = lambda: bound_table(range(2, 9), "k-2")
+    cases["sweep/5"] = lambda: structure_sweep(5)
     return cases
 
 
 def digest(report) -> str:
     payload = json.loads(to_json(report))
-    del payload["elapsed_ms"]
+    if isinstance(payload, dict):  # a bound table is a list of rows, untimed
+        del payload["elapsed_ms"]
     return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
 
 
@@ -53,6 +62,10 @@ REPORT_GOLDEN: dict[str, str] = {
     "check/canonical-7-2-1": "f2f940da0f2296e25a8c14fd3a64a787c715f70b547637202be9432b712d71db",
     "search/6-3-2-2": "dbcde593b6b1b7c57098251339e6899d708709cf95d15e9f76996c49e83ffca8",
     "search/7-3-2-2": "961398667344d425118ca2df622a89f670bb14ff5da14b03d99e1164b087d0fc",
+    "enumeration/labeled-6-3": "3bad756ba1c142217ca5303f44aeecf5a5e7fc98edb86e38a7731be40167d819",
+    "enumeration/canonical-6-3": "7bed4dfc0e0e0ae2d0373c09187f46087fe153f0af2d19fd44b2af3f4a66732e",
+    "bounds/k-2-2-8": "5e4e4db856d21672076144d703502e88a6ba315f7b3057279db3d1093e936f53",
+    "sweep/5": "7ccd03b31a280d8496575cc5c5b0c2e833bd8717f8600057e201772d7e5ec45a",
 }
 
 

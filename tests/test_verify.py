@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +109,32 @@ class TestSearch:
     def test_target_guard(self):
         with pytest.raises(ValueError, match="not above the bound"):
             search_counterexample(9, 2, 1, 1)
+
+
+@pytest.fixture
+def probe(monkeypatch):
+    """scripts/conjecture_probe.py as a module, registered for its dataclass."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "conjecture_probe.py"
+    spec = importlib.util.spec_from_file_location("conjecture_probe", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends its src folder
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestConjectureProbe:
+    def test_failed_reverification_propagates(self, probe, monkeypatch, tmp_path):
+        def refuted(*args, **kwargs):
+            raise AssertionError("candidate failed independent re-verification")
+
+        monkeypatch.setattr(probe, "search_counterexample", refuted)
+        with pytest.raises(AssertionError, match="re-verification"):
+            probe.run(probe.ProbeConfig([3], 2, [0], 1000, tmp_path))
+
+    def test_guarded_cell_is_skipped(self, probe, tmp_path, capsys):
+        assert probe.run(probe.ProbeConfig([8], 2, [0], 1000, tmp_path)) == []  # C(16,8) > 10^4
+        assert capsys.readouterr().out.startswith("(n=16, k=8, d=2): skipped (C(16,8) = 12870 exceeds")
 
 
 class TestSerialization:
