@@ -39,7 +39,6 @@ from .family import (
     disjoint_pair,
     is_complete_star_on,
     is_intersecting,
-    restrict,
 )
 from .generators import (
     Budget,

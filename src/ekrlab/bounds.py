@@ -7,32 +7,25 @@ on the corresponding real-valued expression.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from math import comb, isqrt
 
 
 def ceil_triangular_root(k: int) -> int:
     """Smallest m >= 0 with m(m+1)/2 >= k; equals ceil((sqrt(8k+1)-1)/2)."""
-    if k <= 0:
-        return 0
-    m = (isqrt(8 * k + 1) - 1) // 2
-    while m * (m + 1) < 2 * k:
-        m += 1
-    while m >= 1 and (m - 1) * m >= 2 * k:
-        m -= 1
-    return m
+    m = floor_triangular_root(k)
+    return m if m * (m + 1) >= 2 * k else m + 1
 
 
 def floor_triangular_root(k: int) -> int:
-    """Largest m >= 0 with m(m+1)/2 <= k; equals floor((sqrt(8k+1)-1)/2)."""
+    """Largest m >= 0 with m(m+1)/2 <= k; equals floor((sqrt(8k+1)-1)/2).
+
+    Exact, as m(m+1)/2 <= k holds just when 2m+1 <= isqrt(8k+1).
+    """
     if k <= 0:
         return 0
-    m = (isqrt(8 * k + 1) - 1) // 2
-    while (m + 1) * (m + 2) <= 2 * k:
-        m += 1
-    while m >= 1 and m * (m + 1) > 2 * k:
-        m -= 1
-    return m
+    return (isqrt(8 * k + 1) - 1) // 2
 
 
 def ceil_cbrt_poly(a: int, b: int, k: int) -> int:
@@ -179,16 +172,13 @@ def bound_table(k_values: list[int], d_rule: str) -> list[BoundRow]:
     ``d_rule`` is "k-1", "k-2", or "d=<int>" for a fixed codegree size.
     Exact arbitrary-precision binomial arithmetic throughout.
     """
+    offset = {"k-1": 1, "k-2": 2}.get(d_rule)
+    if offset is None and not re.fullmatch(r"d=[+-]?\d+", d_rule):
+        raise ValueError(f"unknown d rule {d_rule!r}")
+    fixed = int(d_rule[2:]) if offset is None else None
     rows = []
     for k in k_values:
-        if d_rule == "k-1":
-            d = k - 1
-        elif d_rule == "k-2":
-            d = k - 2
-        elif d_rule.startswith("d="):
-            d = int(d_rule[2:])
-        else:
-            raise ValueError(f"unknown d rule {d_rule!r}")
+        d = fixed if offset is None else k - offset
         if not (1 <= d < k):
             continue
         thr = applicable_threshold(k, d)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io as _io
+import json
 import re
 import sys
 from pathlib import Path
@@ -32,7 +33,7 @@ from .generators import (
     hilton_milner,
     random_maximal_intersecting,
 )
-from .io import family_text, jsonable, read_family, to_json, write_family
+from .io import family_text, read_family, to_json, write_family
 from .masks import labels, mask_of
 from .oracles import ExplicitOracle, FamilyOracle, StarOracle, min_degree
 from .verify import CSV_HEADER, check_theorem, search_counterexample
@@ -91,13 +92,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
         out_dir = Path(args.out_dir) if args.out_dir else None
         if out_dir:
             out_dir.mkdir(parents=True, exist_ok=True)
-        written = 0
 
         def sink(idx: int, fam: Family) -> None:
-            nonlocal written
             if out_dir:
                 write_family(out_dir / f"family_{idx:05d}.fam", fam)
-            written += 1
 
         report = enumeration_report(args.n, args.k, args.dedup, on_family=sink)
         _emit(args, to_json(report, indent=2))
@@ -203,9 +201,9 @@ def cmd_certify(args: argparse.Namespace) -> int:
     payload = {
         "procedure": f"certify-star-{args.level}",
         "params": {"n": oracle.params.n, "k": oracle.params.k},
+        **cert.to_dict(),
     }
-    payload.update(jsonable(cert))
-    _emit(args, to_json(payload, indent=2))
+    _emit(args, json.dumps(payload, indent=2))
     return EXIT_OK if cert.is_star else EXIT_FOUND
 
 

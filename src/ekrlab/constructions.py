@@ -29,7 +29,7 @@ from .bounds import (
     sqrt_term,
     x_param,
 )
-from .family import Family, FamilyParams, covers_size2, disjoint_pair, is_complete_star_on
+from .family import Family, FamilyParams, covers_size1, covers_size2, disjoint_pair, is_complete_star_on
 from .graphs import find_pattern, is_star_graph, is_subgraph_of_cherry, max_matching_upto
 from .io import fields_json
 from .masks import (
@@ -42,7 +42,7 @@ from .masks import (
     smallest_subset,
     fill_to_size,
 )
-from .oracles import ExplicitOracle, FamilyOracle, link, min_degree
+from .oracles import ExplicitOracle, FamilyOracle, as_oracle, link, min_degree
 
 SAMPLE_BUDGET = 10_000  # seeded final-claim samples on non-explicit oracles
 SPOT_BUDGET = 256  # per-window spot checks on non-explicit oracles
@@ -177,14 +177,13 @@ class ConstructionTrace:
 
 
 @dataclass(frozen=True)
-class TracedFamily:
+class TracedFamily(Family):
     """A subfamily plus an explicit vertex set (may carry isolated vertices)."""
 
-    params: FamilyParams
-    edges: tuple[Mask, ...]
     vertex_set: Mask
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         union = 0
         for e in self.edges:
             union |= e
@@ -192,19 +191,12 @@ class TracedFamily:
             raise ValueError("vertex set must contain every edge")
 
     @property
-    def family(self) -> Family:
-        return Family(self.params, self.edges)
-
-    @property
     def core(self) -> Mask:
-        c = self.params.full
-        for e in self.edges:
-            c &= e
-        return c
+        return covers_size1(self)[0]
 
-    def add(self, new_edges: Iterable[Mask], extra_vertices: Mask = 0) -> "TracedFamily":
+    def add(self, new_edges: Iterable[Mask]) -> "TracedFamily":
         merged = set(self.edges)
-        vs = self.vertex_set | extra_vertices
+        vs = self.vertex_set
         for e in new_edges:
             merged.add(e)
             vs |= e
@@ -304,10 +296,6 @@ class CountingOracle(FamilyOracle):
             yield e
 
 
-def _as_oracle(source: FamilyOracle | Family) -> FamilyOracle:
-    return ExplicitOracle(source) if isinstance(source, Family) else source
-
-
 def _random_floats(rng: random.Random, m: int):
     """The next ``m`` values of ``rng.random()`` as a float64 array, from one
     ``rng.getrandbits(64 * m)`` call.
@@ -376,7 +364,7 @@ def _sample_subsets(rng: random.Random, pool: Mask, r: int, count: int) -> Itera
 
 def _shrink(level: _K1 | _K2, source: FamilyOracle | Family, e: Mask) -> ShrinkResult:
     """Check the arguments, run the level's ``grow`` from ``e`` and catch its witness."""
-    oracle = _as_oracle(source)
+    oracle = as_oracle(source)
     p = oracle.params
     n, k = p.n, p.k
     if k < level.min_k:
@@ -494,7 +482,7 @@ def cherry_reduce(
     The extension adds the edges base | {x,y} over the edges xy of a
     3-matching, Q, or K4 found in the link (at most six new vertices).
     """
-    oracle = _as_oracle(source)
+    oracle = as_oracle(source)
     co = CountingOracle(oracle)
     p = oracle.params
     n, k = p.n, p.k
@@ -510,9 +498,9 @@ def cherry_reduce(
         raise ValueError(
             f"degree of {labels(base)} is {len(lk)}, below the required {required}"
         )
-    star = is_star_graph(lk)
-    if star.center is not None:
-        return CherryReduceResult(star_center=star.center, reduced=None, pattern=None)
+    center = is_star_graph(lk)
+    if center is not None:
+        return CherryReduceResult(star_center=center, reduced=None, pattern=None)
     witness = find_pattern(lk)
     if witness is None:
         raise InternalContradictionError(
@@ -521,7 +509,7 @@ def cherry_reduce(
     new_edges = [base | xy for xy in witness.edges]
     reduced = sub.add(new_edges)
     assert popcount(reduced.vertex_set) <= popcount(sub.vertex_set) + 6
-    cov = covers_size2(reduced.family, area)
+    cov = covers_size2(reduced, area)
     assert is_subgraph_of_cherry(cov.edges)
     return CherryReduceResult(star_center=None, reduced=reduced, pattern=witness)
 
@@ -652,9 +640,9 @@ def _grow_k2(co: CountingOracle, e: Mask, trace: ConstructionTrace) -> tuple[Tra
             vertex_set |= f1 | f2
             trace.record(1, w, f1, core, vertex_set, k)
         else:
-            star = is_star_graph(lk)
-            assert star.center is not None  # >= 6 pairwise-meeting pairs share a vertex
-            cbit = bit(star.center)
+            center = is_star_graph(lk)
+            assert center is not None  # >= 6 pairwise-meeting pairs share a vertex
+            cbit = bit(center)
             partner = None
             for t in lk.edges:
                 if t & cbit and not (t & ~cbit) & core:
@@ -709,7 +697,7 @@ def _grow_k2(co: CountingOracle, e: Mask, trace: ConstructionTrace) -> tuple[Tra
                     raise InternalContradictionError("padding left no room for a base set")
                 sel = smallest_subset(pool, k - 2)
                 lk = _link_at_least(co, sel)
-                out.append((sel, lk, is_star_graph(lk).center))
+                out.append((sel, lk, is_star_graph(lk)))
         return out
 
     done = False
@@ -735,7 +723,7 @@ def _grow_k2(co: CountingOracle, e: Mask, trace: ConstructionTrace) -> tuple[Tra
                 added = [f for sel, lk, w_center in (first, second) for f in _star_edges(sel, lk, w_center, phase1_vset)]
                 current = current.add(added)
                 trace.record(2, first[0], added[0], current.core, current.vertex_set, k)
-                cov = covers_size2(current.family, area)
+                cov = covers_size2(current, area)
                 allowed = bit(first[2]) | bit(second[2])
                 assert all(pr == allowed for pr in cov.edges)
                 continue
@@ -753,22 +741,22 @@ def _grow_k2(co: CountingOracle, e: Mask, trace: ConstructionTrace) -> tuple[Tra
         cover_union = 0
         for i in range(s):
             for j in range(i + 1, s):
-                cov = covers_size2(current.family, parts[i] | parts[j])
+                cov = covers_size2(current, parts[i] | parts[j])
                 assert is_subgraph_of_cherry(cov.edges)
                 for pr in cov.edges:
                     cover_union |= pr
         assert popcount(cover_union) <= 3 * s * s
         current, sel = _select_outside(current, cover_union | bit(v))
         lk = _link_at_least(co, sel)
-        star = is_star_graph(lk)
-        if star.center == v:
+        center = is_star_graph(lk)
+        if center == v:
             added = _star_edges(sel, lk, v, current.vertex_set)
             current = current.add(added)
             trace.record(2, sel, added[0], current.core, current.vertex_set, k)
             cover_vertex = v
-        elif star.center is not None:
+        elif center is not None:
             # A star away from v caps the cover count below the degree floor.
-            ubit = bit(star.center)
+            ubit = bit(center)
             added = []
             for zbit in iter_bits(current.vertex_set & ~(sel | ubit)):
                 pr = ubit | zbit
@@ -783,7 +771,7 @@ def _grow_k2(co: CountingOracle, e: Mask, trace: ConstructionTrace) -> tuple[Tra
             trace.record(2, sel, None, current.core, current.vertex_set, k)
             aux_union = 0
             if cover_union:
-                for pr in covers_size2(current.family, cover_union).edges:
+                for pr in covers_size2(current, cover_union).edges:
                     aux_union |= pr
             current, sel2 = _select_outside(current, aux_union | bit(v))
             lk2 = _link_at_least(co, sel2)
@@ -811,7 +799,7 @@ def _grow_k2(co: CountingOracle, e: Mask, trace: ConstructionTrace) -> tuple[Tra
     cvbit = bit(cover_vertex)
     if current.core & ~cvbit:
         raise InternalContradictionError("construction left a stray core vertex")
-    cov = covers_size2(current.family, current.vertex_set)
+    cov = covers_size2(current, current.vertex_set)
     for pr in cov.edges:
         if not pr & cvbit:
             raise InternalContradictionError(
@@ -1127,7 +1115,7 @@ def _certify(
     again and certify a window Y; distinct centers give a witness, a
     common center is checked globally.
     """
-    oracle = _as_oracle(source)
+    oracle = as_oracle(source)
     p = oracle.params
     n, k = p.n, p.k
     if k < level.min_k:

@@ -139,11 +139,6 @@ def is_intersecting(fam: Family) -> bool:
     return disjoint_pair(fam) is None
 
 
-def restrict(fam: Family, window: Mask) -> Family:
-    """Edges of the family contained in ``window``; parameters unchanged."""
-    return Family(fam.params, tuple(e for e in fam.edges if not e & ~window))
-
-
 def covers_size1(fam: Family) -> tuple[Mask, bool]:
     """Vertices lying in every edge, as (mask, vacuous).
 

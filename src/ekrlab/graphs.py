@@ -32,15 +32,6 @@ class PatternWitness:
     edges: tuple[Mask, ...]
 
 
-@dataclass(frozen=True)
-class StarCheck:
-    """Star test outcome: a canonical center, or a refuting edge pair."""
-
-    center: Optional[int]
-    refutation: Optional[tuple[Mask, Mask]]
-    empty: bool = False
-
-
 def _require_pairs(g: Family) -> None:
     if g.params.k != 2:
         raise ValueError(f"graph detectors need a 2-uniform family, got k={g.params.k}")
@@ -88,21 +79,12 @@ def max_matching_upto(g: Family, cap: int) -> list[Mask]:
     return [g.edges[0]]
 
 
-def is_star_graph(g: Family) -> StarCheck:
-    """Center shared by every edge (smallest on ties), else a refuting pair.
-
-    The refutation is the first disjoint edge pair in canonical order
-    when one exists; a common-vertex-free triangle refutes with its two
-    first edges.
-    """
+def is_star_graph(g: Family) -> Optional[int]:
+    """The vertex every edge contains (the smallest on ties), or None when
+    no vertex does or the graph has no edge."""
     _require_pairs(g)
-    if not g.edges:
-        return StarCheck(center=None, refutation=None, empty=True)
-    common, _ = covers_size1(g)
-    if common:
-        return StarCheck(center=lowest_vertex(common), refutation=None)
-    pair = disjoint_pair(g)
-    return StarCheck(center=None, refutation=pair if pair is not None else (g.edges[0], g.edges[1]))
+    common, vacuous = covers_size1(g)
+    return lowest_vertex(common) if common and not vacuous else None
 
 
 def find_pattern(g: Family) -> Optional[PatternWitness]:

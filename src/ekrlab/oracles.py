@@ -136,12 +136,14 @@ class StarOracle(FamilyOracle):
             yield core | rest
 
 
+def as_oracle(source: FamilyOracle | Family) -> FamilyOracle:
+    """An explicit family as its :class:`ExplicitOracle`; an oracle as itself."""
+    return ExplicitOracle(source) if isinstance(source, Family) else source
+
+
 def link(source: FamilyOracle | Family, base: Mask) -> Family:
     """Link of a (k-2)-set: the pairs T with T | base an edge, as a 2-uniform family on [n]."""
-    if isinstance(source, Family):
-        oracle: FamilyOracle = ExplicitOracle(source)
-    else:
-        oracle = source
+    oracle = as_oracle(source)
     p = oracle.params
     if popcount(base) != p.k - 2:
         raise ValueError(f"base must have size k-2 = {p.k - 2}")

@@ -101,19 +101,14 @@ def ref_max_matching_upto(edges: tuple[Mask, ...], cap: int) -> list[Mask]:
     return [edges[0]]
 
 
-def ref_is_star_graph(edges: tuple[Mask, ...]) -> tuple[Optional[int], Optional[tuple[Mask, Mask]], bool]:
-    """(center, refutation, empty) of a pair graph, by plain loops over its edges."""
+def ref_is_star_graph(edges: tuple[Mask, ...]) -> Optional[int]:
+    """The smallest vertex on every edge of a pair graph, or None, by a plain loop."""
     if not edges:
-        return None, None, True
+        return None
     common = edges[0]
     for e in edges[1:]:
         common &= e
-    if common:
-        return (common & -common).bit_length(), None, False
-    for e, f in combinations(edges, 2):
-        if not e & f:
-            return None, (e, f), False
-    return None, (edges[0], edges[1]), False
+    return (common & -common).bit_length() if common else None
 
 
 def ref_find_pattern(edges: tuple[Mask, ...]) -> Optional[tuple[str, tuple[Mask, ...]]]:

@@ -110,7 +110,7 @@ def test_criterion_04_structure_lemma_sweep():
             assert (w is not None) == bool(table[gmask])
             if w is not None:
                 assert verify_witness(g, w)
-            if len(g.edges) >= 6 and is_star_graph(g).center is None:
+            if len(g.edges) >= 6 and is_star_graph(g) is None:
                 assert w is not None
 
 
@@ -162,7 +162,7 @@ def test_criterion_07_core_shrink_k2_contract():
             assert r.ok and r.cover_vertex == 1
             assert popcount(r.subfamily.vertex_set) <= shrink_vertex_bound_k2(k)
             # exhaustive pair scan: every size-two cover contains the center
-            cov = covers_size2(r.subfamily.family, r.subfamily.vertex_set)
+            cov = covers_size2(r.subfamily, r.subfamily.vertex_set)
             assert all(pr & bit(1) for pr in cov.edges)
             assert cov.edges  # the center pairs with every other vertex of two edges
 

@@ -33,6 +33,18 @@ def test_triangular_roots_match_float_formula():
         assert floor_triangular_root(k) == math.floor((math.sqrt(8 * k + 1) - 1) / 2)
 
 
+def test_triangular_roots_satisfy_their_definitions_exactly():
+    # floor: f(f+1)/2 <= k < (f+1)(f+2)/2; ceil: (c-1)c/2 < k <= c(c+1)/2
+    m = math.isqrt(2 * 10**40)
+    triangular = [j * (j + 1) // 2 for j in range(m - 50, m + 50)]
+    near_1e40 = [*range(10**40 - 2000, 10**40 + 2000), *(t + dt for t in triangular for dt in (-1, 0, 1))]
+    assert ceil_triangular_root(0) == floor_triangular_root(0) == 0
+    for k in [*range(1, 10**5 + 1), *near_1e40]:
+        f, c = floor_triangular_root(k), ceil_triangular_root(k)
+        assert f * (f + 1) <= 2 * k < (f + 1) * (f + 2)
+        assert (c - 1) * c < 2 * k <= c * (c + 1)
+
+
 def test_k1_thresholds():
     assert certify_threshold_k1(2) == 9
     assert certify_threshold_k1(3) == 11
@@ -115,3 +127,8 @@ def test_bound_table_rules():
     assert all(r.d == 2 for r in rows)
     with pytest.raises(ValueError):
         bound_table([4], "bogus")
+    # the rule is parsed once, before any k: its own message, even for no k
+    with pytest.raises(ValueError, match="unknown d rule 'd=x'"):
+        bound_table([4], "d=x")
+    with pytest.raises(ValueError, match="unknown d rule 'bogus'"):
+        bound_table([], "bogus")

@@ -372,5 +372,34 @@ def test_shrink_digests():
     assert all_shrink_digests() == SHRINK_GOLDEN
 
 
+# The k-2 shrink's final consolidation (after every part pair is
+# reduced) is reached by no GOLDEN input.  Two-star unions reach it: the
+# shrink from the first edge and the certificate are pinned on each.  At
+# (230,3) the certificate is refused by the n threshold; at (232,3) the
+# consolidation also merges the covers of a reduced pair into its union,
+# and with the centers 2 and 7 that union moves the consolidation's base set.
+CONSOLIDATION_GOLDEN: dict[str, str] = {
+    "shrink/two-stars-230-3-1-2": "a56fc18dc2705dfc67850af54a1538c80ff8cfb3fdd7d9cd7619688c6ed2b3e5",
+    "certify/two-stars-230-3-1-2": "6591f4d2fce54a5851f3d53bf76796e2fd7a6e1abe9fe1a60b30be975ee25ec3",
+    "shrink/two-stars-232-3-5-9": "8520dfe11d94c998202c231eb8feff7d893c80bd4f1eed9a882dbe5212133974",
+    "certify/two-stars-232-3-5-9": "9c5e7d6404ce1800c4e771e7d02d3219280894bd9832062191fe0a7d9ec7eec0",
+    "shrink/two-stars-232-3-2-7": "64602b006684783b98c2d4b0fa1d4b6df4a822d65605cbd9a5b3c89adb5d7d64",
+    "certify/two-stars-232-3-2-7": "55bb2dc682eba09a3fdbb4c50c77d19681842bcc85d3e3520ebee85303add5c1",
+}
+
+
+def _shrink_from_first_edge(oracle):
+    return shrink_core_k2(oracle, oracle.first_edge())
+
+
+def test_final_consolidation_digests():
+    got = {}
+    for n, a, b in ((230, 1, 2), (232, 5, 9), (232, 2, 7)):
+        name = f"two-stars-{n}-3-{a}-{b}"
+        got[f"shrink/{name}"] = digest(lambda: _shrink_from_first_edge(TwoStarOracle(n, 3, a, b)))
+        got[f"certify/{name}"] = digest(lambda: certify_star_k2(TwoStarOracle(n, 3, a, b)))
+    assert got == CONSOLIDATION_GOLDEN
+
+
 if __name__ == "__main__":
     print(json.dumps({"certify": all_digests(), "shrink": all_shrink_digests()}, indent=1))

@@ -164,6 +164,28 @@ class TestShrinkK1:
             assert steps_with_query <= k + 1
 
 
+class TestTracedFamily:
+    def test_is_a_validated_family_with_a_vertex_set(self):
+        p = FamilyParams(8, 3)
+        sub = TracedFamily(p, (mask_of([1, 2, 3]), mask_of([1, 2, 4])), mask_of([1, 2, 3, 4, 8]))
+        assert isinstance(sub, Family) and mask_of([1, 2, 4]) in sub
+        assert sub.core == mask_of([1, 2])
+        assert covers_size2(sub, sub.vertex_set).edges == covers_size2(Family(p, sub.edges), sub.vertex_set).edges
+        grown = sub.add([mask_of([1, 5, 6]), mask_of([1, 2, 3])])
+        assert grown.edges == (mask_of([1, 2, 3]), mask_of([1, 2, 4]), mask_of([1, 5, 6]))
+        assert grown.vertex_set == mask_of([1, 2, 3, 4, 5, 6, 8]) and grown.core == mask_of([1])
+        assert TracedFamily(p, (), 0).core == p.full
+
+    def test_rejects_what_family_rejects(self):
+        p = FamilyParams(8, 3)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            TracedFamily(p, (mask_of([1, 2, 4]), mask_of([1, 2, 3])), mask_of([1, 2, 3, 4]))
+        with pytest.raises(ValueError, match="has size 2"):
+            TracedFamily(p, (mask_of([1, 2]),), mask_of([1, 2]))
+        with pytest.raises(ValueError, match="vertex set must contain every edge"):
+            TracedFamily(p, (mask_of([1, 2, 3]),), mask_of([1, 2]))
+
+
 class TestCherryReduce:
     def test_star_link_detected(self):
         o = StarOracle(8, 3, 2)
@@ -178,7 +200,7 @@ class TestCherryReduce:
         res = cherry_reduce(ExplicitOracle(fam), sub, mask_of([1]), mask_of([4, 5, 6]))
         assert not res.is_star_link
         assert res.pattern.kind == MATCHING3
-        assert covers_size2(res.reduced.family, mask_of([4, 5, 6])).edges == ()
+        assert covers_size2(res.reduced, mask_of([4, 5, 6])).edges == ()
 
     def test_q_link_leaves_cherry(self):
         edges = [[1, 2, 3], [1, 5, 6], [1, 5, 7], [1, 2, 5], [1, 3, 5], [1, 3, 6]]
@@ -187,7 +209,7 @@ class TestCherryReduce:
         res = cherry_reduce(ExplicitOracle(fam), sub, mask_of([1]), mask_of([2, 3]))
         assert not res.is_star_link
         assert res.pattern.kind == PATTERN_Q
-        cov = covers_size2(res.reduced.family, mask_of([2, 3])).edges
+        cov = covers_size2(res.reduced, mask_of([2, 3])).edges
         assert len(cov) <= 2
 
     def test_degree_precondition(self):
@@ -209,7 +231,7 @@ class TestShrinkK2:
         assert e & mask_of([r.cover_vertex])
         assert popcount(r.subfamily.vertex_set) <= shrink_vertex_bound_k2(k)
         # every size-two cover within the vertex set goes through the center
-        cov = covers_size2(r.subfamily.family, r.subfamily.vertex_set)
+        cov = covers_size2(r.subfamily, r.subfamily.vertex_set)
         assert all(pr & mask_of([center]) for pr in cov.edges)
         assert r.trace.parameters["ell"] <= (k + r.trace.parameters["x"] - 1) // r.trace.parameters["x"] + 1
 

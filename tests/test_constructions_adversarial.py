@@ -334,5 +334,5 @@ class TestPatchworkCases:
         assert r.cover_vertex in (1, 2)
         from ekrlab.family import covers_size2
 
-        cov = covers_size2(r.subfamily.family, r.subfamily.vertex_set)
+        cov = covers_size2(r.subfamily, r.subfamily.vertex_set)
         assert all(pr & bit(r.cover_vertex) for pr in cov.edges)

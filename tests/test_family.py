@@ -22,7 +22,6 @@ from ekrlab.family import (
     disjoint_pair,
     is_complete_star_on,
     is_intersecting,
-    restrict,
 )
 from ekrlab.generators import complete_star
 from ekrlab.masks import full_mask, iter_ksubsets, labels, mask_of
@@ -157,17 +156,6 @@ class TestCovers2:
             assert f.incidence == ref_incidence(f)
             full = f.params.full
             assert set(covers_size2(f, full).edges) == ref_covers_size2(f, full)
-
-
-class TestRestrict:
-    def test_star_window(self):
-        f = restrict(complete_star(6, 3, 1), mask_of([1, 2, 3, 4]))
-        assert [labels(e) for e in f.edges] == [(1, 2, 3), (1, 2, 4), (1, 3, 4)]
-
-    def test_identity_and_empty(self):
-        star = complete_star(5, 2, 1)
-        assert restrict(star, full_mask(5)) == star
-        assert restrict(star, 0).edges == ()
 
 
 class TestCompleteStarOn:

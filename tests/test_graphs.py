@@ -80,8 +80,7 @@ class TestMatching:
             m = len(max_matching_upto(g, 2))
             support = reduce(or_, edges)
             is_triangle = len(edges) == 3 and support.bit_count() == 3
-            star = is_star_graph(g)
-            assert (m == 1) == (star.center is not None or is_triangle)
+            assert (m == 1) == (is_star_graph(g) is not None or is_triangle)
 
 
 def _probe_numpy(script: str) -> str:
@@ -105,23 +104,19 @@ def test_structure_sweep_leaves_numpy_unloaded():
 
 class TestStarGraph:
     def test_center(self):
-        assert is_star_graph(pg(4, [(1, 2), (1, 3), (1, 4)])).center == 1
+        assert is_star_graph(pg(4, [(1, 2), (1, 3), (1, 4)])) == 1
 
     def test_refutation(self):
-        sc = is_star_graph(pg(4, [(1, 2), (3, 4)]))
-        assert sc.center is None
-        assert sc.refutation == (mask_of([1, 2]), mask_of([3, 4]))
+        assert is_star_graph(pg(4, [(1, 2), (3, 4)])) is None
 
     def test_triangle_refutation_without_disjoint_pair(self):
-        sc = is_star_graph(pg(3, [(1, 2), (1, 3), (2, 3)]))
-        assert sc.center is None and sc.refutation is not None
+        assert is_star_graph(pg(3, [(1, 2), (1, 3), (2, 3)])) is None
 
     def test_single_edge_smallest_center(self):
-        assert is_star_graph(pg(2, [(1, 2)])).center == 1
+        assert is_star_graph(pg(2, [(1, 2)])) == 1
 
     def test_empty_flagged(self):
-        sc = is_star_graph(Family(FamilyParams(3, 2), ()))
-        assert sc.empty and sc.center is None
+        assert is_star_graph(Family(FamilyParams(3, 2), ())) is None
 
 
 class TestFindPattern:
@@ -154,6 +149,18 @@ class TestFindPattern:
             w = find_pattern(g)
             if w is not None:
                 assert verify_witness(g, w)
+
+    def test_verify_witness_k4_shapes(self):
+        quad = [mask_of(p) for p in combinations(range(1, 5), 2)]
+        k5 = pg(5, list(combinations(range(1, 6), 2)))
+        assert verify_witness(k5, PatternWitness(PATTERN_K4, tuple(quad)))
+        repeated = quad[:5] + [quad[0]]
+        five_vertices = quad[:5] + [mask_of([4, 5])]
+        for edges in (repeated, five_vertices):
+            assert all(e in k5 for e in edges)
+            assert not verify_witness(k5, PatternWitness(PATTERN_K4, tuple(edges)))
+        without_34 = pg(4, [p for p in combinations(range(1, 5), 2) if p != (3, 4)])
+        assert not verify_witness(without_34, PatternWitness(PATTERN_K4, tuple(quad)))
 
 
 class TestCherry:
@@ -214,7 +221,7 @@ class TestStructureSweep:
             while found < 40:
                 chosen = rng.sample(all_pairs, rng.randrange(6, 16))
                 g = Family.from_masks(FamilyParams(nv, 2), chosen)
-                if is_star_graph(g).center is not None:
+                if is_star_graph(g) is not None:
                     continue
                 found += 1
                 w = find_pattern(g)
@@ -246,8 +253,7 @@ class TestAgainstPlainLoops:
     def check(g):
         w = find_pattern(g)
         assert (None if w is None else (w.kind, w.edges)) == ref_find_pattern(g.edges)
-        sc = is_star_graph(g)
-        assert (sc.center, sc.refutation, sc.empty) == ref_is_star_graph(g.edges)
+        assert is_star_graph(g) == ref_is_star_graph(g.edges)
 
     def test_all_graphs_on_6_vertices(self):
         pairs = [mask_of(p) for p in combinations(range(1, 7), 2)]
