@@ -16,6 +16,22 @@ edge ranks).  Rounds repeat until the number of colours stops growing.
 Every step depends only on colours and incidences, never on labels, so
 relabeling the family relabels the refined colouring with it.
 
+*Few orderings.*  The uniform colouring is refined once.  When the
+product of its cells' sizes' factorials is at most ``ORDERING_CAP``, the
+form is the minimum, over every ordering of the support that keeps the
+cells in colour order, of the sorted relabeled edge masks; otherwise the
+search below starts from that refined root.  This stays canonical: the
+refinement reads no labels, the choice of route reads only cell sizes,
+which relabeling keeps, and either route returns a relabeling of the
+family, so equal forms still mean isomorphic families.  Most maximal
+families need it: after the first refinement, 500 of the 512 anchored
+(6,3) families have 4 to 36 orderings, and the direct minimum spares
+the search's further refinements (650 against 3,630 ``_refine`` calls
+there).  The cap was measured on the anchored (6,3), (7,3) and (8,3)
+families (2-core x86 host, median of 7 in-process rounds): 48 took 80,
+354 and 1,219 ms against 81, 364 and 1,364 ms at 24 and 82, 372 and
+1,470 ms at 144.
+
 *Search.*  A node whose colouring is not discrete individualizes, in
 turn, each vertex of its first non-singleton colour cell.  A leaf's
 colouring orders the support, and its form is the sorted tuple of the
@@ -41,7 +57,14 @@ minimum of one already searched.
 
 from __future__ import annotations
 
+from itertools import chain, permutations, product
+from math import factorial, prod
+from operator import itemgetter
+
 from .masks import Mask, labels
+
+# Largest number of cell-respecting orderings minimized over directly.
+ORDERING_CAP = 48
 
 
 def _refine(
@@ -87,14 +110,34 @@ def canonical_form(n: int, edges: tuple[Mask, ...]) -> tuple[Mask, ...]:
     shift = max(len(e) for e in edge_pos).bit_length()
     dshift = max(len(inc) for inc in incidence).bit_length()
 
+    # each getter also reads slot s, a 0 past the positions, so that it
+    # returns a tuple even for an edge of one vertex
+    getters = [itemgetter(s, *e) for e in edge_pos]
+
+    def relabeled(bits: list[int]) -> tuple[Mask, ...]:
+        """Sorted edge masks, position ``v`` mapped to ``bits[v]``; ``bits[s]`` must be 0."""
+        return tuple(sorted([sum(g(bits)) for g in getters]))
+
+    root = _refine([0] * s, edge_pos, incidence, shift, dshift)
+    cells: list[list[int]] = [[] for _ in range(max(root) + 1)]
+    for v, c in enumerate(root):
+        cells[c].append(v)
+    if prod(factorial(len(cell)) for cell in cells) <= ORDERING_CAP:
+        forms = []
+        for order in product(*map(permutations, cells)):
+            bits = [0] * (s + 1)
+            for i, v in enumerate(chain.from_iterable(order)):
+                bits[v] = 1 << i
+            forms.append(relabeled(bits))
+        return min(forms)
+
     leaves: dict[tuple[Mask, ...], tuple[list[int], list[int]]] = {}
     automorphisms: list[list[int]] = []
     jump: int | None = None  # depth of the node to resume at, while unwinding
 
     def leaf(colors: list[int], path: list[int]) -> None:
         nonlocal jump
-        bits = [1 << c for c in colors]
-        form = tuple(sorted(sum(map(bits.__getitem__, e)) for e in edge_pos))
+        form = relabeled([1 << c for c in colors] + [0])
         if form not in leaves:
             leaves[form] = (colors, path)
             return
@@ -110,7 +153,6 @@ def canonical_form(n: int, edges: tuple[Mask, ...]) -> tuple[Mask, ...]:
 
     def descend(colors: list[int], path: list[int]) -> None:
         nonlocal jump
-        colors = _refine(colors, edge_pos, incidence, shift, dshift)
         ncolors = max(colors) + 1
         if ncolors == s:
             leaf(colors, path)
@@ -133,11 +175,11 @@ def canonical_form(n: int, edges: tuple[Mask, ...]) -> tuple[Mask, ...]:
             explored.append(u)
             child = colors[:]
             child[u] = ncolors
-            descend(child, path + [u])
+            descend(_refine(child, edge_pos, incidence, shift, dshift), path + [u])
             if jump is not None:
                 if jump < len(path):
                     return
                 jump = None
 
-    descend([0] * s, [])
+    descend(root, [])
     return min(leaves)

@@ -3,7 +3,9 @@
 networkx isomorphism of vertex/edge incidence graphs checks the class
 partition that canonical dedup produces; the brute-force minimum over
 all relabelings in ``conftest`` checks the form on symmetric families,
-where automorphism pruning cuts the search hardest.
+where automorphism pruning cuts the search hardest, on families on both
+sides of ``ORDERING_CAP``, and the partition of all anchored maximal
+(6,3) families.
 """
 
 from __future__ import annotations
@@ -78,7 +80,28 @@ SYMMETRIC = {
     # different orbits, so the first leaf alone is not canonical
     "triangle+square": tuple(sorted(mask_of(e) for e in ((1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (6, 7), (4, 7)))),
     "heptagon": cyclic(7, (0, 1)),
+    # refinement leaves 1, 4!*2! = ORDERING_CAP and 3!*3!*2! orderings;
+    # H has 8 automorphisms, so its 48 orderings give unequal forms
+    "triangle+tails": tuple(sorted(mask_of(e) for e in ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 5)))),
+    "H": tuple(sorted(mask_of(e) for e in ((1, 2), (1, 3), (1, 4), (2, 5), (2, 6)))),
+    "K2,3+pendants": tuple(
+        sorted(mask_of(e) for e in [(a, b) for a in (1, 2) for b in (3, 4, 5)] + [(3, 6), (4, 7), (5, 8)])
+    ),
 }
+
+
+@pytest.fixture
+def refine_calls(monkeypatch):
+    """The list of ``_refine`` calls made so far, one entry per call."""
+    calls = []
+    refine = canonical._refine
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return refine(*args, **kwargs)
+
+    monkeypatch.setattr(canonical, "_refine", counted)
+    return calls
 
 
 def test_forms_agree_with_brute_force_on_symmetric_families(rng):
@@ -96,15 +119,32 @@ def test_forms_agree_with_brute_force_on_symmetric_families(rng):
     assert len({ref for _, _, ref in instances}) == len(SYMMETRIC)
 
 
-def test_star_search_is_pruned(monkeypatch):
+def test_star_search_is_pruned(refine_calls):
     # the complete star at (7,2) has S6 symmetry: 720 leaves without pruning
-    calls = []
-    refine = canonical._refine
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return refine(*args, **kwargs)
-
-    monkeypatch.setattr(canonical, "_refine", counted)
     canonical_form(7, complete_star(7, 2, 1).edges)
-    assert 0 < len(calls) <= 30
+    assert 0 < len(refine_calls) <= 30
+
+
+def test_few_orderings_take_one_refinement(refine_calls):
+    # up to ORDERING_CAP orderings are minimized over after the root refinement
+    for name in ("triangle+tails", "H"):
+        refine_calls.clear()
+        canonical_form(8, SYMMETRIC[name])
+        assert len(refine_calls) == 1, name
+    refine_calls.clear()
+    canonical_form(8, SYMMETRIC["K2,3+pendants"])
+    assert len(refine_calls) > 1
+
+
+def test_anchored_6_3_partition_matches_brute_force(refine_calls):
+    # 4 to 720 refined orderings: both sides of ORDERING_CAP
+    families = [f.edges for f in enumerate_maximal_intersecting(6, 3) if 0b111 in f.edges]
+    forms, calls = [], []
+    for edges in families:
+        before = len(refine_calls)
+        forms.append(canonical_form(6, edges))
+        calls.append(len(refine_calls) - before)
+    refs = [ref_canonical_form(edges) for edges in families]
+    assert len(families) == 512
+    assert min(calls) == 1 < max(calls)
+    assert len(set(forms)) == len(set(refs)) == len(set(zip(forms, refs))) == 13

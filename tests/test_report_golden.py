@@ -30,7 +30,7 @@ def report_cases() -> dict:
     cases = {}
     for n, k, d in [(7, 3, 1), (7, 3, 2), (8, 3, 1), (8, 3, 2)]:
         cases[f"check/labeled-{n}-{k}-{d}"] = lambda n=n, k=k, d=d: check_theorem(n, k, d)
-    for n, k, d in [(6, 3, 1), (6, 3, 2), (7, 2, 1)]:
+    for n, k, d in [(6, 3, 1), (6, 3, 2), (7, 2, 1), (7, 3, 2)]:
         cases[f"check/canonical-{n}-{k}-{d}"] = lambda n=n, k=k, d=d: check_theorem(n, k, d, "canonical")
     for cell in [(6, 3, 2, 2), (7, 3, 2, 2)]:
         cases["search/" + "-".join(map(str, cell))] = lambda cell=cell: search_counterexample(*cell)
@@ -60,6 +60,7 @@ REPORT_GOLDEN: dict[str, str] = {
     "check/canonical-6-3-1": "c650011cc1403d38b43c74f8fca77f754db25e6582e91291e6def1b52c8a099c",
     "check/canonical-6-3-2": "7524033eda28f3ac03ac11dfcd7af7e6a6bd1cf1899fcf40d6e99083a1b578ad",
     "check/canonical-7-2-1": "f2f940da0f2296e25a8c14fd3a64a787c715f70b547637202be9432b712d71db",
+    "check/canonical-7-3-2": "42f29a07979ca0378a21236136e986169b50b5566197ec94088cd9a8a65eb762",
     "search/6-3-2-2": "dbcde593b6b1b7c57098251339e6899d708709cf95d15e9f76996c49e83ffca8",
     "search/7-3-2-2": "961398667344d425118ca2df622a89f670bb14ff5da14b03d99e1164b087d0fc",
     "enumeration/labeled-6-3": "3bad756ba1c142217ca5303f44aeecf5a5e7fc98edb86e38a7731be40167d819",
