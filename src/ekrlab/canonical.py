@@ -5,8 +5,14 @@ graph isomorphism, II" (J. Symb. Comput. 2014), cut down to the small
 ground sets (n <= 9) the deduplicated enumeration targets.
 
 Only the support is ordered, since isolated vertices never affect the
-edge tuple.  Each call maps the support to positions ``0..s-1`` and
-builds every vertex's list of incident edge indices once.
+edge tuple.  Each call maps the support to positions ``0..s-1``: an
+edge's 0-based labels come from the caller's ``members`` table when it
+has one (the canonical walk builds it once from the compatibility
+graph's k-sets) and are the positions already when the support is
+{1..s}.  It then builds, once, every vertex's list of incident edge
+indices and its packed incidence: the integer with bit ``width * i`` set
+for each edge ``i`` through the vertex, ``width`` being 8 when s <= 8
+(so a slot is a byte) and s otherwise.
 
 *Refinement.*  Colours are a list indexed by position.  An edge's colour
 is the multiset of its vertices' colours, coded as the integer
@@ -14,31 +20,47 @@ is the multiset of its vertices' colours, coded as the integer
 vertex's new colour is the rank of (old colour, multiset of incident
 edge ranks).  Rounds repeat until the number of colours stops growing.
 Every step depends only on colours and incidences, never on labels, so
-relabeling the family relabels the refined colouring with it.
+relabeling the family relabels the refined colouring with it.  The root
+colouring starts from the degree ranks, which is what the first round
+from the uniform colouring gives a k-uniform family, so the root takes
+one round fewer, and none when the degrees are already distinct.
 
-*Few orderings.*  The uniform colouring is refined once.  When the
-product of its cells' sizes' factorials is at most ``ORDERING_CAP``, the
-form is the minimum, over every ordering of the support that keeps the
-cells in colour order, of the sorted relabeled edge masks; otherwise the
-search below starts from that refined root.  This stays canonical: the
-refinement reads no labels, the choice of route reads only cell sizes,
-which relabeling keeps, and either route returns a relabeling of the
-family, so equal forms still mean isomorphic families.  Most maximal
-families need it: after the first refinement, 500 of the 512 anchored
-(6,3) families have 4 to 36 orderings, and the direct minimum spares
-the search's further refinements (650 against 3,630 ``_refine`` calls
-there).  The cap was measured on the anchored (6,3), (7,3) and (8,3)
-families (2-core x86 host, median of 7 in-process rounds): 48 took 80,
-354 and 1,219 ms against 81, 364 and 1,364 ms at 24 and 82, 372 and
-1,470 ms at 144.
+*Few orderings.*  When the product of the root cells' sizes' factorials
+is at most ``ORDERING_CAP``, the form is the minimum, over every
+ordering of the support that keeps the cells in colour order, of the
+sorted relabeled edge masks; otherwise the search below starts from the
+root.  This stays canonical: the refinement reads no labels, the choice
+of route reads only cell sizes, which relabeling keeps, and either route
+returns a relabeling of the family, so equal forms still mean isomorphic
+families.  The minimum is built from per-cell shares of one packed
+vector, whose slot ``i`` holds edge ``i``'s relabeled mask: putting
+vertex ``v`` at position ``p`` adds ``packed[v] << p``, and the slots
+never carry, since an edge's mask is a sum of distinct bits below
+``1 << s``.  The cells take consecutive blocks of positions in colour
+order.  Singleton cells have one position each, so together they add
+one fixed base vector; a cell of size ``c`` gives one share for each of
+its ``c!`` orderings of its block.  An ordering of the support is then
+the base plus one share per non-singleton cell, one integer addition
+each, and its form is its slots, read by one ``int.to_bytes`` (by
+shifts when s > 8), sorted.  Most maximal families take this route: 506
+of the 512 anchored (6,3) families, 1,827 of 1,860 at (7,3) and 4,600
+of 4,709 at (8,3); the rest have 720 or 5,040 orderings.  ``_refine`` runs 566, 2,208 and
+6,122 times per pass over those families (3,630, 14,430 and 45,532
+with the search alone).  The cap was measured on the same families
+(2-core x86 host): per family, the search took 0.5-0.9 ms and the
+direct minimum about 2.5-3 us per ordering (0.37 ms at 144 orderings,
+2.3-2.5 ms at 720); per pass, median of 7 interleaved in-process
+rounds, 144 took 60, 264 and 854 ms against 63, 307 and 1,148 ms at 48
+and 70, 309 and 950 ms at 720.
 
 *Search.*  A node whose colouring is not discrete individualizes, in
 turn, each vertex of its first non-singleton colour cell.  A leaf's
 colouring orders the support, and its form is the sorted tuple of the
-relabeled edge masks.  The canonical form is the minimum form over all
-leaves.  Because the search tree of a relabeled family is the relabeled
-tree, two families get equal forms exactly when some relabeling maps one
-to the other.
+relabeled edge masks: the slots of the sum of the packed incidences,
+each shifted by its vertex's colour.  The canonical form is the minimum
+form over all leaves.  Because the search tree of a relabeled family is
+the relabeled tree, two families get equal forms exactly when some
+relabeling maps one to the other.
 
 *Pruning.*  Two leaves with the same form give an automorphism ``g``:
 the map that sends each vertex of the earlier leaf to the vertex at the
@@ -57,14 +79,16 @@ minimum of one already searched.
 
 from __future__ import annotations
 
-from itertools import chain, permutations, product
+from functools import reduce
+from itertools import permutations, repeat
 from math import factorial, prod
-from operator import itemgetter
+from operator import lshift, or_
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .masks import Mask, labels
 
 # Largest number of cell-respecting orderings minimized over directly.
-ORDERING_CAP = 48
+ORDERING_CAP = 144
 
 
 def _refine(
@@ -93,43 +117,82 @@ def _refine(
         ncolors = len(ranked)
 
 
-def canonical_form(n: int, edges: tuple[Mask, ...]) -> tuple[Mask, ...]:
-    """Canonical edge tuple of a labeled family on [n]."""
+def member_table(edges: Iterable[Mask]) -> dict[Mask, tuple[int, ...]]:
+    """Each mask's 0-based labels, ascending: the ``members`` argument of
+    :func:`canonical_form` for families whose edges are among ``edges``."""
+    return {e: tuple(v - 1 for v in labels(e)) for e in edges}
+
+
+def _sorted_slots(totals: Iterable[int], m: int, width: int) -> Iterator[list[int]]:
+    """Each packed vector's ``m`` slots of ``width`` bits, sorted."""
+    if width == 8:
+        return map(sorted, map(int.to_bytes, totals, repeat(m), repeat("little")))
+    low = (1 << width) - 1
+    return (sorted([t >> i & low for i in range(0, m * width, width)]) for t in totals)
+
+
+def _direct_minimum(cells: list[list[int]], packed: list[int], m: int, width: int) -> tuple[Mask, ...]:
+    """Minimum sorted relabeled edge tuple over the orderings that keep
+    ``cells`` in colour order, vertex ``v`` contributing ``packed[v]``."""
+    base = 0
+    blocks = []
+    offset = 0
+    for cell in cells:
+        if len(cell) == 1:
+            base += packed[cell[0]] << offset
+        else:
+            blocks.append((offset, [packed[v] for v in cell]))
+        offset += len(cell)
+    totals = [base]
+    for offset, incidences in blocks:
+        orders = permutations(range(offset, offset + len(incidences)))
+        shares = [sum(map(lshift, incidences, order)) for order in orders]
+        totals = [t + share for share in shares for t in totals]
+    return tuple(min(_sorted_slots(totals, m, width)))
+
+
+def canonical_form(
+    n: int, edges: tuple[Mask, ...], members: Optional[Mapping[Mask, tuple[int, ...]]] = None
+) -> tuple[Mask, ...]:
+    """Canonical edge tuple of a labeled k-uniform family on [n].
+
+    ``members``, if given, maps each edge to its 0-based labels (see
+    :func:`member_table`), so that a walk forming many families from the
+    same k-sets labels each k-set once.
+    """
     if not edges:
         return ()
-    support_mask = 0
-    for e in edges:
-        support_mask |= e
-    position = {v: i for i, v in enumerate(labels(support_mask))}
-    s = len(position)
-    edge_pos = [tuple(position[v] for v in labels(e)) for e in edges]
+    if members is None:
+        members = member_table(edges)
+    edge_pos = [members[e] for e in edges]
+    support = reduce(or_, edges)
+    s = support.bit_count()
+    if support & (support + 1):  # the support is not {1..s}: renumber it 0..s-1
+        at = [0] * support.bit_length()
+        for i, v in enumerate(labels(support)):
+            at[v - 1] = i
+        edge_pos = [tuple(map(at.__getitem__, e)) for e in edge_pos]
+    width = 8 if s <= 8 else s
     incidence: list[list[int]] = [[] for _ in range(s)]
+    packed = [0] * s  # vertex v: bit (width * i) for each edge i through v
     for i, e in enumerate(edge_pos):
+        slot = 1 << (width * i)
         for v in e:
             incidence[v].append(i)
+            packed[v] |= slot
+
+    degrees = [len(inc) for inc in incidence]
+    rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
+    root = [rank[d] for d in degrees]  # what a first round from the uniform colouring gives
     shift = max(len(e) for e in edge_pos).bit_length()
-    dshift = max(len(inc) for inc in incidence).bit_length()
-
-    # each getter also reads slot s, a 0 past the positions, so that it
-    # returns a tuple even for an edge of one vertex
-    getters = [itemgetter(s, *e) for e in edge_pos]
-
-    def relabeled(bits: list[int]) -> tuple[Mask, ...]:
-        """Sorted edge masks, position ``v`` mapped to ``bits[v]``; ``bits[s]`` must be 0."""
-        return tuple(sorted([sum(g(bits)) for g in getters]))
-
-    root = _refine([0] * s, edge_pos, incidence, shift, dshift)
+    dshift = max(degrees).bit_length()
+    if len(rank) < s:
+        root = _refine(root, edge_pos, incidence, shift, dshift)
     cells: list[list[int]] = [[] for _ in range(max(root) + 1)]
     for v, c in enumerate(root):
         cells[c].append(v)
     if prod(factorial(len(cell)) for cell in cells) <= ORDERING_CAP:
-        forms = []
-        for order in product(*map(permutations, cells)):
-            bits = [0] * (s + 1)
-            for i, v in enumerate(chain.from_iterable(order)):
-                bits[v] = 1 << i
-            forms.append(relabeled(bits))
-        return min(forms)
+        return _direct_minimum(cells, packed, len(edge_pos), width)
 
     leaves: dict[tuple[Mask, ...], tuple[list[int], list[int]]] = {}
     automorphisms: list[list[int]] = []
@@ -137,7 +200,8 @@ def canonical_form(n: int, edges: tuple[Mask, ...]) -> tuple[Mask, ...]:
 
     def leaf(colors: list[int], path: list[int]) -> None:
         nonlocal jump
-        form = relabeled([1 << c for c in colors] + [0])
+        [slots] = _sorted_slots([sum(map(lshift, packed, colors))], len(edge_pos), width)
+        form = tuple(slots)
         if form not in leaves:
             leaves[form] = (colors, path)
             return

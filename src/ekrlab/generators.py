@@ -12,7 +12,7 @@ from operator import and_, lt, or_
 from typing import Callable, Iterator, Optional
 
 from .bounds import hilton_milner_bound
-from .canonical import canonical_form
+from .canonical import canonical_form, member_table
 from .family import Family, FamilyParams, is_intersecting
 from .masks import Mask, bit, iter_ksubsets, iter_subsets_within, labels
 
@@ -243,10 +243,10 @@ def maximal_cliques(
     if dedup_mode == "labeled":
         yield from _bron_kerbosch_pivot(adj, 0, (1 << len(adj)) - 1, 0, budget)
         return
-    n = graph.params.n
+    n, members = graph.params.n, member_table(graph.verts)
     seen: set[tuple[Mask, ...]] = set()
     for clique in _bron_kerbosch_pivot(adj, 1, adj[0], 0, budget):  # [k] is vertex 0
-        form = canonical_form(n, graph.edges(clique))
+        form = canonical_form(n, graph.edges(clique), members)
         if form not in seen:
             seen.add(form)
             yield clique

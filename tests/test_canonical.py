@@ -17,8 +17,14 @@ import pytest
 
 import ekrlab.canonical as canonical
 from conftest import ref_canonical_form
-from ekrlab.canonical import canonical_form
-from ekrlab.generators import complete_star, enumerate_maximal_intersecting, hilton_milner
+from ekrlab.canonical import canonical_form, member_table
+from ekrlab.generators import (
+    compatibility_graph,
+    complete_star,
+    enumerate_maximal_intersecting,
+    hilton_milner,
+    maximal_cliques,
+)
 from ekrlab.masks import iter_ksubsets, labels, mask_of
 
 
@@ -80,12 +86,23 @@ SYMMETRIC = {
     # different orbits, so the first leaf alone is not canonical
     "triangle+square": tuple(sorted(mask_of(e) for e in ((1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (6, 7), (4, 7)))),
     "heptagon": cyclic(7, (0, 1)),
-    # refinement leaves 1, 4!*2! = ORDERING_CAP and 3!*3!*2! orderings;
-    # H has 8 automorphisms, so its 48 orderings give unequal forms
+    # refinement leaves 1, 4!*2!, 3!*3!*2!, 4!*3! = ORDERING_CAP and 5!*2!
+    # orderings; H has 8 automorphisms, so its 48 orderings give unequal
+    # forms, and so do the 240 of pentagon+path (20 automorphisms)
     "triangle+tails": tuple(sorted(mask_of(e) for e in ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 5)))),
     "H": tuple(sorted(mask_of(e) for e in ((1, 2), (1, 3), (1, 4), (2, 5), (2, 6)))),
     "K2,3+pendants": tuple(
         sorted(mask_of(e) for e in [(a, b) for a in (1, 2) for b in (3, 4, 5)] + [(3, 6), (4, 7), (5, 8)])
+    ),
+    "K4+claw": tuple(sorted(mask_of(e) for e in [*combinations((1, 2, 3, 4), 2), (5, 6), (5, 7), (5, 8)])),
+    "pentagon+path": tuple(sorted(mask_of(e) for e in ((1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (6, 7), (7, 8)))),
+    # 8 edges on 7 points, both refined to singleton cells: only those
+    # cells' shares tell them apart
+    "rigid-a": tuple(
+        sorted(mask_of(e) for e in ((1, 4), (2, 4), (3, 5), (4, 5), (2, 6), (3, 6), (5, 6), (6, 7)))
+    ),
+    "rigid-b": tuple(
+        sorted(mask_of(e) for e in ((2, 3), (2, 4), (2, 5), (2, 6), (3, 6), (4, 6), (4, 7), (5, 7)))
     ),
 }
 
@@ -127,13 +144,23 @@ def test_star_search_is_pruned(refine_calls):
 
 def test_few_orderings_take_one_refinement(refine_calls):
     # up to ORDERING_CAP orderings are minimized over after the root refinement
-    for name in ("triangle+tails", "H"):
+    for name in ("triangle+tails", "H", "K2,3+pendants", "K4+claw"):
         refine_calls.clear()
         canonical_form(8, SYMMETRIC[name])
         assert len(refine_calls) == 1, name
     refine_calls.clear()
-    canonical_form(8, SYMMETRIC["K2,3+pendants"])
+    canonical_form(8, SYMMETRIC["pentagon+path"])
     assert len(refine_calls) > 1
+
+
+def test_distinct_degrees_take_no_refinement(refine_calls):
+    # the degree ranks seed the root colouring; when they are already
+    # discrete there is nothing to refine
+    triples = ((1, 2, 3), (1, 3, 4), (1, 3, 6), (1, 4, 6), (2, 3, 6), (3, 4, 6), (3, 5, 6))
+    edges = tuple(sorted(map(mask_of, triples)))
+    by_degree = (5, 2, 4, 1, 6, 3)  # degrees 1 to 6
+    assert canonical_form(6, edges) == relabel(edges, [by_degree.index(v) + 1 for v in range(1, 7)])
+    assert refine_calls == []
 
 
 def test_anchored_6_3_partition_matches_brute_force(refine_calls):
@@ -148,3 +175,47 @@ def test_anchored_6_3_partition_matches_brute_force(refine_calls):
     assert len(families) == 512
     assert min(calls) == 1 < max(calls)
     assert len(set(forms)) == len(set(refs)) == len(set(zip(forms, refs))) == 13
+
+
+def partition(forms: list) -> list[int]:
+    """Each item's class, numbered by first appearance."""
+    first: dict = {}
+    return [first.setdefault(form, len(first)) for form in forms]
+
+
+@pytest.mark.parametrize("n,count,classes", [(6, 512, 13), (7, 1860, 15)])
+def test_routes_agree_on_anchored_families(monkeypatch, n, count, classes):
+    # search only, default, direct minimum only: the form values may differ
+    # between routes, the partition of the anchored (n,3) families may not
+    graph = compatibility_graph(n, 3)
+    families = [graph.edges(c) for c in maximal_cliques(graph) if c & 1]
+    assert len(families) == count
+    members = member_table(graph.verts)
+    partitions = []
+    for cap in (0, canonical.ORDERING_CAP, 10**6):
+        monkeypatch.setattr(canonical, "ORDERING_CAP", cap)
+        partitions.append(partition([canonical_form(n, edges, members) for edges in families]))
+    assert partitions[0] == partitions[1] == partitions[2]
+    assert max(partitions[0]) + 1 == classes
+
+
+def test_member_table_and_renumbered_supports_give_the_same_forms(rng):
+    # with or without the walk's table and with the support moved off
+    # {1..s} (renumbered to 0..s-1); then cycles on 12 and 70 vertices,
+    # whose slots are wider than a byte
+    graph = compatibility_graph(6, 3)
+    members = member_table(graph.verts)
+    for clique in [c for c in maximal_cliques(graph) if c & 1][::16]:
+        edges = graph.edges(clique)
+        form = canonical_form(6, edges)
+        assert canonical_form(6, edges, members) == form
+        for n in (9, 12, 70):
+            perm = rng.sample(range(1, n + 1), 6)
+            assert canonical_form(n, relabel(edges, perm)) == form
+    for n in (12, 70):
+        cycle, halves = cyclic(n, (0, 1)), cyclic(n // 2, (0, 1))
+        two_cycles = halves + tuple(e << (n // 2) for e in halves)
+        perm = rng.sample(range(1, n + 1), n)
+        assert canonical_form(n, relabel(cycle, perm)) == canonical_form(n, cycle)
+        assert canonical_form(n, relabel(two_cycles, perm)) == canonical_form(n, two_cycles)
+        assert canonical_form(n, cycle) != canonical_form(n, two_cycles)

@@ -178,9 +178,9 @@ class TestAnchoredCanonical:
     def _formed(monkeypatch, n, k, budget=None):
         formed = []
 
-        def spy(n_, edges):
+        def spy(n_, edges, *members):
             formed.append(edges)
-            return canonical_form(n_, edges)
+            return canonical_form(n_, edges, *members)
 
         monkeypatch.setattr(generators, "canonical_form", spy)
         reps = [f.edges for f in enumerate_maximal_intersecting(n, k, "canonical", budget)]

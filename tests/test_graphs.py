@@ -102,6 +102,11 @@ def test_structure_sweep_leaves_numpy_unloaded():
     assert _probe_numpy("from ekrlab.graphs import structure_sweep\nassert not structure_sweep(7).violations") == "False"
 
 
+def test_canonical_check_leaves_numpy_unloaded():
+    check = "from ekrlab.verify import check_theorem\nassert check_theorem(6, 3, 2, 'canonical').families_checked"
+    assert _probe_numpy(check) == "False"
+
+
 class TestStarGraph:
     def test_center(self):
         assert is_star_graph(pg(4, [(1, 2), (1, 3), (1, 4)])) == 1

@@ -55,3 +55,24 @@ def test_traced_check_matches_untraced_and_uninstalls():
     )
     # min_degree runs once per family entering the achievers, as a cross-check
     assert counts.get("oracles.min_degree_calls", 0) >= len(traced.achievers) > 0
+
+
+def test_traced_canonical_check_counts_every_anchored_family():
+    # the walk calls generators.canonical_form by name, once per maximal
+    # family through [3]: 512 at (6,3)
+    untraced = verify.check_theorem(6, 3, 2, "canonical")
+    instrumentation = _tracing_module().Instrumentation()
+    instrumentation.install()
+    try:
+        traced = verify.check_theorem(6, 3, 2, "canonical")
+        counts = dict(instrumentation.tracer.counts)
+    finally:
+        instrumentation.uninstall()
+    assert (traced.verdict, traced.max_delta, traced.families_checked) == (
+        untraced.verdict,
+        untraced.max_delta,
+        untraced.families_checked,
+    )
+    assert counts["canonical.forms"] == 512
+    # canonical_form reaches _refine through the module attribute
+    assert counts["canonical.refine_calls"] > 0
