@@ -4,18 +4,18 @@ The graphs here are links of (k-2)-sets and families of size-two covers,
 both 2-uniform :class:`Family` values on [n].  The detectors read the
 pair family's incidence bitsets (a disjointness bitset per edge) and
 answer deterministically in canonical order.  The one bulk operation
-(checking that every dense non-star graph on seven vertices contains a
-3-matching, a Q, or a K4) runs over all 2^21 graphs at once, each set
-of graphs held as one big-int bitset.
+(checking that every dense non-star graph on up to eight vertices
+contains a 3-matching, a Q, or a K4) walks only the graphs that hold
+none of them, a few thousand, rather than all 2^C(nv,2).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from math import comb
+from typing import Iterator, Optional, Sequence
 
 from .family import Family, FamilyParams, covers_size1, disjoint_pair
 from .generators import ResourceLimitError
@@ -152,7 +152,7 @@ def is_subgraph_of_cherry(pairs: Sequence[Mask]) -> bool:
 
 
 DENSE_EDGES = 6  # the structure step concerns non-star graphs with at least this many edges
-SWEEP_MAX_VERTICES = 8  # at nv = 9 each sweep table would be 2^36 bits (8 GiB)
+SWEEP_MAX_VERTICES = 8  # the sweep reports are pinned up to here
 
 
 @dataclass(frozen=True)
@@ -165,10 +165,11 @@ class SweepResult:
 
 
 def _check_sweep_size(nv: int) -> None:
+    if nv < 0:
+        raise ValueError(f"a sweep needs a vertex count of at least 0, got {nv}")
     if nv > SWEEP_MAX_VERTICES:
         raise ResourceLimitError(
-            f"a sweep over {nv} vertices needs 2^{nv * (nv - 1) // 2}-bit tables; "
-            f"at most {SWEEP_MAX_VERTICES} vertices are allowed"
+            f"a sweep over {nv} vertices is refused; at most {SWEEP_MAX_VERTICES} vertices are allowed"
         )
 
 
@@ -205,95 +206,32 @@ def _pattern_seed_masks(nv: int, pair_index: dict[Mask, int]) -> list[int]:
     return sorted(set(seeds))
 
 
-def _from_members(members: Iterable[int], total: int) -> int:
-    """The bitset of ``members`` (all below ``total``), set through one
-    bytearray: one big-int OR per member would copy the whole set each time."""
-    buf = bytearray((total + 7) >> 3)
-    for g in members:
-        buf[g >> 3] |= 1 << (g & 7)
-    return int.from_bytes(buf, "little")
+def _pattern_free(nv: int) -> Iterator[int]:
+    """Each graph on nv vertices with no 3-matching, Q or K4, as an
+    edge-subset mask over :func:`_pairs`, depth first from the empty graph.
 
-
-def _members(bits: int) -> tuple[int, ...]:
-    """The set bits of ``bits``, ascending, read byte by byte."""
-    data = bits.to_bytes((bits.bit_length() + 7) >> 3, "little")
-    return tuple((i << 3) | j for i, byte in enumerate(data) if byte for j in range(8) if byte >> j & 1)
-
-
-def _submasks(m: int) -> Iterator[int]:
-    """Every submask of m, from m itself down to 0."""
-    s = m
-    while True:
-        yield s
-        if not s:
-            return
-        s = (s - 1) & m
-
-
-def _without_pair(i: int, total: int) -> int:
-    """The graphs lacking pair i: runs of 2^i ones and 2^i zeros, built by doubling."""
-    period, low = 2 << i, (1 << (1 << i)) - 1
-    while period < total:
-        low |= low << period
-        period <<= 1
-    return low
-
-
-def _at_least_edges(ne: int, t: int) -> int:
-    """The graphs with at least t of the ne pairs, grown pair by pair: a
-    graph holding pair m has at least s edges when the rest has s-1."""
-    sets = [1] + [0] * t  # sets[s]: the graphs on pairs 0..m-1 with at least s edges
-    for m in range(ne):
-        shift = 1 << m
-        for s in range(t, 0, -1):
-            sets[s] |= sets[s - 1] << shift
-        sets[0] |= sets[0] << shift
-    return sets[t]
-
-
-class GraphSet(int):
-    """A set of graphs on nv vertices as one int: bit g stands for the
-    graph whose edge-subset mask (over the canonical pair order) is g.
-
-    ``table[g]`` reads bit g for 0 <= g < ``size`` (the number of graphs)
-    and raises IndexError outside that range.  Lookups read a byte copy
-    made on the first one, so each costs O(1) rather than a shift of the
-    whole int.
+    Holding a pattern is closed upward, so these graphs are closed
+    downward, and a walk that adds pairs in increasing index order meets
+    each of them exactly once.  Pair i joins g unless a seed has i as its
+    highest pair and all its other pairs in g.  Over seed indices, with
+    ``top[i]`` the seeds whose highest pair is i and ``outside`` the seeds
+    holding a pair below i that g lacks, that is ``top[i] & ~outside``.
     """
-
-    size: int
-
-    def __new__(cls, bits: int, size: int) -> GraphSet:
-        obj = super().__new__(cls, bits)
-        obj.size = size
-        return obj
-
-    @cached_property
-    def _bytes(self) -> bytes:
-        return self.to_bytes((self.size + 7) >> 3, "little")
-
-    def __getitem__(self, g: int) -> int:
-        if not 0 <= g < self.size:
-            raise IndexError(f"graph {g} is outside this table of {self.size} graphs")
-        return self._bytes[g >> 3] >> (g & 7) & 1
-
-
-def pattern_table(nv: int) -> tuple[GraphSet, list[Mask]]:
-    """Bitset over all graphs on nv vertices: bit g set when graph g
-    contains a pattern (``bool(table[g])``).
-
-    Graphs are indexed by edge-subset masks over the canonical pair
-    order (returned alongside).  Built on big-int bitsets: every
-    embedded 3-matching/Q/K4 is seeded, and the set is closed upward
-    pair by pair.  Refused above :data:`SWEEP_MAX_VERTICES` vertices.
-    """
-    _check_sweep_size(nv)
     pairs = _pairs(nv)
-    total = 1 << len(pairs)
-    table = _from_members(_pattern_seed_masks(nv, {p: i for i, p in enumerate(pairs)}), total)
-    for i in range(len(pairs)):
-        table |= (table & _without_pair(i, total)) << (1 << i)
-    return GraphSet(table, total), pairs
+    top, column = [0] * len(pairs), [0] * len(pairs)
+    for j, seed in enumerate(_pattern_seed_masks(nv, {p: i for i, p in enumerate(pairs)})):
+        top[seed.bit_length() - 1] |= 1 << j
+        for i in range(seed.bit_length()):
+            if seed >> i & 1:
+                column[i] |= 1 << j
+    stack = [(0, 0, 0)]  # (g, the pair after g's highest, the seeds with a pair below it that g lacks)
+    while stack:
+        g, first, outside = stack.pop()
+        yield g
+        for i in range(first, len(pairs)):
+            if not top[i] & ~outside:
+                stack.append((g | 1 << i, i + 1, outside))
+            outside |= column[i]
 
 
 def graph_from_mask(gmask: int, nv: int, pairs: list[Mask]) -> Family:
@@ -304,27 +242,30 @@ def graph_from_mask(gmask: int, nv: int, pairs: list[Mask]) -> Family:
 def structure_sweep(nv: int = 7) -> SweepResult:
     """Exhaustively verify: >= 6 edges and not a star implies a pattern.
 
-    Runs over all 2^C(nv,2) labeled graphs on big-int bitsets: the
-    pattern table, the graphs with at least six edges grown pair by
-    pair, and the stars as the submasks of each star mask.  The violation
-    list (empty in every verified case) carries graph masks, ascending,
-    for replay through :func:`find_pattern`.  Refused above
-    :data:`SWEEP_MAX_VERTICES` vertices, before anything is allocated.
+    Walks only the pattern-free graphs (:func:`_pattern_free`): a
+    violation is one with at least six edges inside no star, and the list
+    (empty in every verified case) carries graph masks, ascending, for
+    replay through :func:`find_pattern`.  ``graphs_checked`` is the number
+    of dense non-stars in closed form, the sum over j >= 6 of
+    C(C(nv,2), j) less nv times the sum over 6 <= j < nv of C(nv-1, j):
+    two stars share at most one pair, so a star subgraph with at least
+    two edges has one center.  Refused below 0 and above
+    :data:`SWEEP_MAX_VERTICES` vertices, before any work.
     """
     _check_sweep_size(nv)
     start = time.monotonic()
     pairs = _pairs(nv)
-    total = 1 << len(pairs)
     stars = [sum(1 << i for i, p in enumerate(pairs) if p & bit(v)) for v in range(1, nv + 1)]
-    is_star = _from_members((g for m in stars for g in _submasks(m)), total)
-    checked = _at_least_edges(len(pairs), DENSE_EDGES) & ~is_star
-    has_pattern, _ = pattern_table(nv)
-    violations = _members(checked & ~has_pattern)
+    violations = sorted(
+        g for g in _pattern_free(nv) if g.bit_count() >= DENSE_EDGES and all(g & ~star for star in stars)
+    )
+    dense = sum(comb(len(pairs), j) for j in range(DENSE_EDGES, len(pairs) + 1))
+    dense_stars = nv * sum(comb(nv - 1, j) for j in range(DENSE_EDGES, nv))
     elapsed = (time.monotonic() - start) * 1000.0
     return SweepResult(
         num_vertices=nv,
-        graphs_total=total,
-        graphs_checked=checked.bit_count(),
-        violations=violations,
+        graphs_total=1 << len(pairs),
+        graphs_checked=dense - dense_stars,
+        violations=tuple(violations),
         elapsed_ms=elapsed,
     )

@@ -25,12 +25,13 @@ from ekrlab.graphs import (
     PATTERN_K4,
     PATTERN_Q,
     PatternWitness,
+    _pairs,
+    _pattern_free,
     find_pattern,
     graph_from_mask,
     is_star_graph,
     is_subgraph_of_cherry,
     max_matching_upto,
-    pattern_table,
     structure_sweep,
     verify_witness,
 )
@@ -187,35 +188,47 @@ class TestStructureSweep:
             sw = structure_sweep(nv)
             assert sw.violations == ()
 
-    @pytest.mark.parametrize("nv", [5, 6, 7])
+    @pytest.mark.parametrize("nv", [5, 6, 7, 8])
     def test_checked_count_closed_form(self, nv):
         assert structure_sweep(nv).graphs_checked == ref_sweep_checked(nv)
 
-    def test_table_against_brute_force_on_5_vertices(self):
-        table, pairs = pattern_table(5)
-        assert pairs == ref_sweep_pairs(5)
-        assert [bool(table[g]) for g in range(1 << 10)] == ref_pattern_table(5)
+    @pytest.mark.parametrize("nv", [5, 6])
+    def test_sweep_against_every_graph(self, nv):
+        # graphs_checked is a formula and the walk skips the graphs with a
+        # pattern, so count the dense non-stars and their violations here
+        pairs = ref_sweep_pairs(nv)
+        has_pattern = ref_pattern_table(nv)
+        dense = [
+            g
+            for g in range(1 << len(pairs))
+            if g.bit_count() >= 6 and ref_is_star_graph(tuple(p for i, p in enumerate(pairs) if g >> i & 1)) is None
+        ]
+        sw = structure_sweep(nv)
+        assert sw.graphs_checked == len(dense)
+        assert sw.violations == tuple(g for g in dense if not has_pattern[g]) == ()
 
-    def test_table_lookup_matches_the_bits_and_refuses_outside_graphs(self):
-        table, pairs = pattern_table(6)
-        assert table.size == 1 << len(pairs)
-        assert [table[g] for g in range(table.size)] == [int(table) >> g & 1 for g in range(table.size)]
-        for g in (table.size, table.size + 9, -1):
-            with pytest.raises(IndexError):
-                table[g]
+    @pytest.mark.parametrize("nv", [5, 6])
+    def test_walk_against_brute_force(self, nv):
+        assert _pairs(nv) == ref_sweep_pairs(nv)
+        walked = list(_pattern_free(nv))
+        assert len(walked) == len(set(walked))
+        assert sorted(walked) == [g for g, has in enumerate(ref_pattern_table(nv)) if not has]
 
     def test_nine_vertices_refused_before_allocating(self):
-        # each table at nv = 9 would be 2^36 bits (8 GiB)
-        for build in (structure_sweep, pattern_table):
-            with pytest.raises(ResourceLimitError, match="at most 8 vertices"):
-                build(9)
+        with pytest.raises(ResourceLimitError, match="at most 8 vertices"):
+            structure_sweep(9)
 
-    def test_table_matches_find_pattern_on_6_vertices(self):
-        # full agreement between the bitset table and the witness search
-        table, pairs = pattern_table(6)
+    @pytest.mark.parametrize("nv", [-1, -2])
+    def test_negative_vertex_count_refused(self, nv):
+        with pytest.raises(ValueError, match="at least 0"):
+            structure_sweep(nv)
+
+    def test_walk_matches_find_pattern_on_6_vertices(self):
+        # find_pattern returns None exactly on the walked graphs
+        pairs = _pairs(6)
+        free = set(_pattern_free(6))
         for gmask in range(1 << 15):
-            g = graph_from_mask(gmask, 6, pairs)
-            assert (find_pattern(g) is not None) == bool(table[gmask])
+            assert (find_pattern(graph_from_mask(gmask, 6, pairs)) is None) == (gmask in free)
 
     def test_random_large_graphs_have_patterns(self, rng):
         # dense non-star graphs beyond 7 vertices (the statement is not

@@ -3,9 +3,10 @@
 ``elapsed_ms`` is removed before hashing; everything else in the report
 (maximum, achievers, star flag, verdict, counts, nodes) is pinned.  The
 cells cover labeled and canonical ``check_theorem``, both search
-outcomes, enumeration reports in both dedup modes, a bound table and a
-structure sweep.  The same digests must come out under ``python -O``, which
-strips bare asserts.  Run this file as a script to print the map as JSON.
+outcomes, enumeration reports in both dedup modes, a bound table and
+structure sweeps at 5, 7 and 8 vertices.  The same digests must come out
+under ``python -O``, which strips bare asserts.  Run this file as a script
+to print the map as JSON.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ def report_cases() -> dict:
     for mode in ("labeled", "canonical"):
         cases[f"enumeration/{mode}-6-3"] = lambda mode=mode: enumeration_report(6, 3, mode)
     cases["bounds/k-2-2-8"] = lambda: bound_table(range(2, 9), "k-2")
-    cases["sweep/5"] = lambda: structure_sweep(5)
+    for nv in (5, 7, 8):
+        cases[f"sweep/{nv}"] = lambda nv=nv: structure_sweep(nv)
     return cases
 
 
@@ -67,6 +69,8 @@ REPORT_GOLDEN: dict[str, str] = {
     "enumeration/canonical-6-3": "7bed4dfc0e0e0ae2d0373c09187f46087fe153f0af2d19fd44b2af3f4a66732e",
     "bounds/k-2-2-8": "5e4e4db856d21672076144d703502e88a6ba315f7b3057279db3d1093e936f53",
     "sweep/5": "7ccd03b31a280d8496575cc5c5b0c2e833bd8717f8600057e201772d7e5ec45a",
+    "sweep/7": "4e4091964198bf887739d2e2398c5b37f67809215b56838b6fdb2295ddf2fb05",
+    "sweep/8": "3b1fcfe78d80d7e2c2e865ea15f55222bf18abee6d195c5b2bdd85e46684a12e",
 }
 
 

@@ -1,0 +1,47 @@
+"""Smoke tests for the experiment scripts, each run in a subprocess."""
+
+from __future__ import annotations
+
+import csv
+import subprocess
+import sys
+from pathlib import Path
+
+from ekrlab.verify import CSV_HEADER
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args], capture_output=True, text=True, timeout=120
+    )
+
+
+def test_structure_lemma_sweep_prints_totals():
+    done = run_script("structure_lemma_sweep.py", "--vertices", "5", "6")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("5 vertices: 1024 graphs, 386 dense non-stars, OK (")
+    assert lines[1].startswith("6 vertices: 32768 graphs, 27824 dense non-stars, OK (")
+
+
+def test_structure_lemma_sweep_refuses_negative_vertex_count():
+    done = run_script("structure_lemma_sweep.py", "--vertices", "-3")
+    assert done.returncode != 0
+    assert "at least 0" in done.stderr
+    assert "OK" not in done.stdout
+
+
+def test_threshold_sweep_writes_one_row_per_cell(tmp_path):
+    out = tmp_path / "sweep.csv"
+    done = run_script("threshold_sweep.py", "--n-max", "6", "--k-max", "3", "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    with open(out, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == CSV_HEADER
+    cells = [(n, k, d) for k in (2, 3) for n in range(k + 1, 7) for d in range(1, k)]
+    col = {name: header.index(name) for name in ("n", "k", "d")}
+    assert [(int(r[col["n"]]), int(r[col["k"]]), int(r[col["d"]])) for r in rows] == cells
+    assert f"wrote {len(cells)} rows to {out}" in done.stdout
