@@ -13,6 +13,7 @@ import io as _io
 import json
 import re
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 from typing import Optional
 
@@ -66,6 +67,20 @@ def _flag_ints(flag: str, text: str, form: str, count: Optional[int] = None, n: 
         if len(set(values)) != len(values):
             raise ValueError(f"{flag} expects {form} without repeats, got {text!r}")
     return values
+
+
+def _emit_report(args: argparse.Namespace, report, header: list[str], rows: list, lines: list[str]) -> None:
+    """``report`` as JSON, ``rows`` under ``header`` as csv, or ``lines`` as text, by ``--format``."""
+    if args.format == "csv":
+        buf = _io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(header)
+        w.writerows(rows)
+        _emit(args, buf.getvalue())
+    elif args.format == "text":
+        _emit(args, "\n".join(lines))
+    else:
+        _emit(args, to_json(report, indent=2))
 
 
 def _load_oracle(args: argparse.Namespace) -> FamilyOracle:
@@ -130,21 +145,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     report = check_theorem(args.n, args.k, args.d, dedup_mode=args.dedup, budget=_budget(args))
-    if args.format == "csv":
-        buf = _io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(CSV_HEADER)
-        w.writerow(report.csv_row())
-        _emit(args, buf.getvalue())
-    elif args.format == "text":
-        _emit(
-            args,
-            f"{report.rule} n={report.n} k={report.k} d={report.d}: "
-            f"max delta_{report.d} = {report.max_delta}, bound = {report.bound} -> {report.verdict} "
-            f"({report.families_checked} families, {report.elapsed_ms:.0f} ms)",
-        )
-    else:
-        _emit(args, to_json(report, indent=2))
+    text = (
+        f"{report.rule} n={report.n} k={report.k} d={report.d}: "
+        f"max delta_{report.d} = {report.max_delta}, bound = {report.bound} -> {report.verdict} "
+        f"({report.families_checked} families, {report.elapsed_ms:.0f} ms)"
+    )
+    _emit_report(args, report, CSV_HEADER, [report.csv_row()], [text])
     return EXIT_FOUND if report.verdict == "violated" else EXIT_OK
 
 
@@ -182,14 +188,12 @@ def cmd_construct(args: argparse.Namespace) -> int:
         e = oracle.first_edge()
     if e is None:
         raise SystemExit("the family is empty")
-    if args.level == "k1":
-        result = shrink_core_k1(oracle, e)
-        vb = bnd.shrink_vertex_bound_k1(oracle.params.k)
-        payload = _construct_payload("shrink-core-k1", oracle, result, vb)
-    else:
-        result = shrink_core_k2(oracle, e)
-        vb = bnd.shrink_vertex_bound_k2(oracle.params.k)
-        payload = _construct_payload("shrink-core-k2", oracle, result, vb)
+    shrink, vertex_bound = {
+        "k1": (shrink_core_k1, bnd.shrink_vertex_bound_k1),
+        "k2": (shrink_core_k2, bnd.shrink_vertex_bound_k2),
+    }[args.level]
+    result = shrink(oracle, e)
+    payload = _construct_payload(f"shrink-core-{args.level}", oracle, result, vertex_bound(oracle.params.k))
     _emit(args, to_json(payload, indent=2))
     return EXIT_OK if result.ok else EXIT_FOUND
 
@@ -212,18 +216,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         raise ValueError(f"--d-rule expects k-1, k-2 or d=<int>, got {args.d_rule!r}")
     ks = list(range(args.k_min, args.k_max + 1))
     rows = bnd.bound_table(ks, args.d_rule)
-    if args.format == "csv":
-        buf = _io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["k", "d", "threshold", "bound_at_threshold"])
-        for r in rows:
-            w.writerow([r.k, r.d, r.threshold, r.bound_at_threshold])
-        _emit(args, buf.getvalue())
-    elif args.format == "text":
-        lines = [f"k={r.k} d={r.d}: threshold n >= {r.threshold}, bound {r.bound_at_threshold}" for r in rows]
-        _emit(args, "\n".join(lines))
-    else:
-        _emit(args, to_json(rows, indent=2))
+    lines = [f"k={r.k} d={r.d}: threshold n >= {r.threshold}, bound {r.bound_at_threshold}" for r in rows]
+    _emit_report(args, rows, [f.name for f in fields(bnd.BoundRow)], [astuple(r) for r in rows], lines)
     return EXIT_OK
 
 
@@ -238,6 +232,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=["json", "csv", "text"], default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    # --n/--k/--d of check and search; the level and source of construct and certify
+    cell = argparse.ArgumentParser(add_help=False)
+    for flag in ("--n", "--k", "--d"):
+        cell.add_argument(flag, type=int, required=True)
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("level", choices=["k1", "k2"])
+    source.add_argument("--in", dest="infile")
+    source.add_argument("--star", help="implicit complete star as n,k,center")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate families")
@@ -257,35 +259,22 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--in", dest="infile", required=True)
     stats.set_defaults(func=cmd_stats)
 
-    check = sub.add_parser("check", help="bound check over all maximal families", parents=[common])
-    check.add_argument("--n", type=int, required=True)
-    check.add_argument("--k", type=int, required=True)
-    check.add_argument("--d", type=int, required=True)
+    check = sub.add_parser("check", help="bound check over all maximal families", parents=[common, cell])
     check.add_argument("--dedup", choices=["labeled", "canonical"], default="labeled")
-    check.add_argument("--budget-ms", type=int, default=None)
-    check.add_argument("--budget-nodes", type=int, default=None)
     check.set_defaults(func=cmd_check)
 
-    search = sub.add_parser("search", help="counterexample search", parents=[common])
-    search.add_argument("--n", type=int, required=True)
-    search.add_argument("--k", type=int, required=True)
-    search.add_argument("--d", type=int, required=True)
+    search = sub.add_parser("search", help="counterexample search", parents=[common, cell])
     search.add_argument("--target", type=int, required=True)
-    search.add_argument("--budget-ms", type=int, default=None)
-    search.add_argument("--budget-nodes", type=int, default=None)
     search.set_defaults(func=cmd_search)
+    for p in (check, search):
+        p.add_argument("--budget-ms", type=int, default=None)
+        p.add_argument("--budget-nodes", type=int, default=None)
 
-    construct = sub.add_parser("construct", help="run a core-shrinking construction", parents=[common])
-    construct.add_argument("level", choices=["k1", "k2"])
-    construct.add_argument("--in", dest="infile")
-    construct.add_argument("--star", help="implicit complete star as n,k,center")
+    construct = sub.add_parser("construct", help="run a core-shrinking construction", parents=[common, source])
     construct.add_argument("--edge", help="starting edge as comma-separated labels")
     construct.set_defaults(func=cmd_construct)
 
-    certify = sub.add_parser("certify", help="run a star certification", parents=[common])
-    certify.add_argument("level", choices=["k1", "k2"])
-    certify.add_argument("--in", dest="infile")
-    certify.add_argument("--star", help="implicit complete star as n,k,center")
+    certify = sub.add_parser("certify", help="run a star certification", parents=[common, source])
     certify.set_defaults(func=cmd_certify)
 
     bounds_p = sub.add_parser("bounds", help="threshold/bound table", parents=[common])

@@ -8,6 +8,11 @@ checkable violation witness instead of raising.  Inside a procedure a
 witness is raised as ``_Refuted`` where it is found and caught at the
 procedure's one exit.  Witnesses re-verify against the oracle via
 :meth:`Violation.verify`.
+
+Each certification witness route is written once: the k-1 gap probe, the
+off-center extension of an absent k-1 star edge, the scan of an outside
+(k-2)-set's extensions, and the explicit fallback (a disjoint pair or a
+low d-set of ``oracle.family``, set when it answers for an explicit family).
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from .masks import (
     smallest_subset,
     fill_to_size,
 )
-from .oracles import ExplicitOracle, FamilyOracle, as_oracle, link, min_degree
+from .oracles import FamilyOracle, as_oracle, link, min_degree
 
 SAMPLE_BUDGET = 10_000  # seeded final-claim samples on non-explicit oracles
 SPOT_BUDGET = 256  # per-window spot checks on non-explicit oracles
@@ -256,6 +261,7 @@ class CountingOracle(FamilyOracle):
 
     def __init__(self, inner: FamilyOracle):
         self.inner = inner
+        self.family = inner.family
         self.queries = 0
 
     @property
@@ -554,6 +560,16 @@ def _select_outside(current: TracedFamily, avoid: Mask) -> tuple[TracedFamily, M
     return current, smallest_subset(current.vertex_set & ~avoid, p.k - 2)
 
 
+def _outside_miss(co: FamilyOracle, w: Mask, ctx_edges: Sequence[Mask]) -> Optional[DisjointEdges]:
+    """The first extension of the (k-2)-set ``w`` with the first context edge it misses, if any."""
+    for t in _link_at_least(co, w).edges:
+        g = w | t
+        for h in ctx_edges:
+            if not g & h:
+                return DisjointEdges(g, h)
+    return None
+
+
 def _refute_by_outside_query(co: FamilyOracle, ctx_edges: Sequence[Mask], ctx_vertex_set: Mask) -> Violation:
     """Produce a witness from a (k-2)-set outside a small context family.
 
@@ -566,15 +582,12 @@ def _refute_by_outside_query(co: FamilyOracle, ctx_edges: Sequence[Mask], ctx_ve
     avail = p.full & ~ctx_vertex_set
     if popcount(avail) < p.k - 2:
         raise InternalContradictionError("context vertex set too large for an outside query")
-    w = smallest_subset(avail, p.k - 2)
-    for t in _link_at_least(co, w).edges:
-        g = w | t
-        for h in ctx_edges:
-            if not g & h:
-                return DisjointEdges(g, h)
-    raise InternalContradictionError(
-        "every extension of an outside (k-2)-set covers the context family"
-    )
+    miss = _outside_miss(co, smallest_subset(avail, p.k - 2), ctx_edges)
+    if miss is None:
+        raise InternalContradictionError(
+            "every extension of an outside (k-2)-set covers the context family"
+        )
+    return miss
 
 
 def shrink_core_k2(source: FamilyOracle | Family, e: Mask) -> ShrinkResult:
@@ -756,13 +769,7 @@ def _grow_k2(co: CountingOracle, e: Mask, trace: ConstructionTrace) -> tuple[Tra
             cover_vertex = v
         elif center is not None:
             # A star away from v caps the cover count below the degree floor.
-            ubit = bit(center)
-            added = []
-            for zbit in iter_bits(current.vertex_set & ~(sel | ubit)):
-                pr = ubit | zbit
-                if pr in lk:
-                    added.append(sel | pr)
-            ctx = current.add(added)
+            ctx = current.add(_star_edges(sel, lk, center, current.vertex_set))
             raise _Refuted(_refute_by_outside_query(co, ctx.edges, ctx.vertex_set))
         else:
             res = cherry_reduce(co, current, sel, cover_union)
@@ -839,19 +846,29 @@ def _gap_probe_k1(
     raise InternalContradictionError("gap probe found a one-vertex cover of a coreless family")
 
 
-def _missing_edge_probe_k1(
-    co: FamilyOracle, ctx: TracedFamily, window: Mask, v: int, m: Mask
-) -> Violation:
-    """Witness from a star edge ``m`` (through v) in the window reported absent."""
+def _off_center_extension(co: FamilyOracle, m: Mask, v: int) -> Mask:
+    """The first extension of m - v for a star edge ``m`` (through v) reported absent."""
     w = m & ~bit(v)
     f = co.extension(w, 0)
     if f is None:
-        return ZeroCodegree(w)
+        raise _Refuted(ZeroCodegree(w))
     if f & bit(v):
         raise InternalContradictionError(
             f"oracle returned the star edge {labels(f)} previously reported missing"
         )
-    return _gap_probe_k1(co, tuple(ctx.edges) + (f,), ctx.vertex_set | f, window)
+    return f
+
+
+def _explicit_refutation(co: FamilyOracle, d: int, required: int) -> None:
+    """On an explicit family, raise its first disjoint pair, else its first d-set of degree below ``required``."""
+    if co.family is None:
+        return
+    pair = disjoint_pair(co.family)
+    if pair is not None:
+        raise _Refuted(DisjointEdges(*pair))
+    val, arg = min_degree(co.family, d)
+    if val < required:
+        raise _Refuted(ZeroCodegree(arg) if required == 1 else LowCodegree(arg, val, required))
 
 
 def _offending_probe_k2(co: FamilyOracle, ctx: TracedFamily, f: Mask, v: int) -> Violation:
@@ -859,31 +876,16 @@ def _offending_probe_k2(co: FamilyOracle, ctx: TracedFamily, f: Mask, v: int) ->
 
     A (k-2)-set disjoint from both the context and ``f`` can only reach
     its guaranteed degree if some extension misses the context or
-    misses ``f``; either miss is a disjoint edge pair.
+    misses ``f``; either miss is a disjoint edge pair, a miss of ``f`` first.
     """
     p = co.params
     avail = p.full & ~(ctx.vertex_set | f | bit(v))
     if popcount(avail) < p.k - 2:
-        if isinstance(co, CountingOracle) and isinstance(co.inner, ExplicitOracle):
-            fam = co.inner.family
-            pair = disjoint_pair(fam)
-            if pair is not None:
-                return DisjointEdges(*pair)
-            val, arg = min_degree(fam, p.k - 2)
-            required = p.n - p.k + 1
-            if val < required:
-                return LowCodegree(arg, val, required)
+        _explicit_refutation(co, p.k - 2, p.n - p.k + 1)
         raise InternalContradictionError("no room for an outside probe against the off-center edge")
-    w = smallest_subset(avail, p.k - 2)
-    for t in _link_at_least(co, w).edges:
-        g = w | t
-        if not g & f:
-            return DisjointEdges(g, f)
-        for h in ctx.edges:
-            if not g & h:
-                return DisjointEdges(g, h)
+    miss = _outside_miss(co, smallest_subset(avail, p.k - 2), (f, *ctx.edges))
     # the off-center edge itself is a checkable refutation of the star claim
-    return NotStar(missing=None, offending=f)
+    return miss or NotStar(missing=None, offending=f)
 
 
 def _missing_edge_probe_k2(co: FamilyOracle, ctx: TracedFamily, m: Mask, v: int) -> Violation:
@@ -905,7 +907,6 @@ def _star_check(
     co: FamilyOracle,
     window: Mask,
     v: int,
-    explicit: Optional[Family],
     rng: random.Random,
     count: int,
     offending: Callable[[Mask], Violation],
@@ -920,8 +921,8 @@ def _star_check(
     ``missing``.  The probe's witness is raised.
     """
     vb = bit(v)
-    if explicit is not None:
-        sv = is_complete_star_on(explicit, window, v)
+    if co.family is not None:
+        sv = is_complete_star_on(co.family, window, v)
         if sv is not None:
             raise _Refuted(offending(sv.edge) if sv.kind == "offending" else missing(sv.edge))
         return
@@ -949,11 +950,13 @@ class _K1:
         return lowest_vertex(core)
 
     def probes(self, co: FamilyOracle, ctx: TracedFamily, window: Mask, v: int):
-        """(offending, missing): witness routes for one window's star check."""
-        return (
-            lambda edge: _gap_probe_k1(co, tuple(ctx.edges) + (edge,), ctx.vertex_set | edge, window),
-            lambda edge: _missing_edge_probe_k1(co, ctx, window, v, edge),
-        )
+        """(offending, missing): witness routes for one window's star check; an
+        absent star edge goes to ``offending`` with its off-center extension."""
+
+        def offending(edge: Mask) -> Violation:
+            return _gap_probe_k1(co, tuple(ctx.edges) + (edge,), ctx.vertex_set | edge, window)
+
+        return offending, lambda edge: offending(_off_center_extension(co, edge, v))
 
     def cross(self, co: FamilyOracle, ctx: TracedFamily, window_x: Mask, v: int) -> Mask:
         """The star edge through v and the lowest k-1 vertices outside window X."""
@@ -972,7 +975,8 @@ class _K1:
         h = smallest_subset(window_x & ~(f | vb), p.k - 1) | vb
         if co.contains(h):
             raise _Refuted(DisjointEdges(f, h))
-        raise _Refuted(_missing_edge_probe_k1(co, ctx, window_x, v, h))
+        _, missing = self.probes(co, ctx, window_x, v)
+        raise _Refuted(missing(h))
 
     def ell(self, k: int) -> int:
         return sqrt_term(k) - 1
@@ -988,7 +992,6 @@ class _K1:
         window_x: Mask,
         window_y: Mask,
         v: int,
-        explicit: Optional[Family],
         rng: random.Random,
         samples: int,
     ) -> None:
@@ -1003,24 +1006,14 @@ class _K1:
                     h = smallest_subset(pool, p.k - 1) | vb
                     if co.contains(h):
                         return DisjointEdges(f, h)
-            if explicit is not None:
-                pair = disjoint_pair(explicit)
-                if pair is not None:
-                    return DisjointEdges(*pair)
-                val, arg = min_degree(explicit, p.k - 1)
-                if val == 0:
-                    return ZeroCodegree(arg)
+            _explicit_refutation(co, p.k - 1, 1)
             # the off-center edge itself is a checkable refutation of the star claim
             return NotStar(missing=None, offending=f)
 
         def missing(edge: Mask) -> Violation:
-            w = edge & ~vb
-            f = co.extension(w, 0)
-            if f is None:
-                return ZeroCodegree(w)
-            return offending(f)
+            return offending(_off_center_extension(co, edge, v))
 
-        _star_check(co, p.full, v, explicit, rng, samples, offending, missing)
+        _star_check(co, p.full, v, rng, samples, offending, missing)
 
 
 class _K2:
@@ -1080,7 +1073,6 @@ class _K2:
         window_x: Mask,
         window_y: Mask,
         v: int,
-        explicit: Optional[Family],
         rng: random.Random,
         samples: int,
     ) -> None:
@@ -1088,8 +1080,8 @@ class _K2:
         seeded (k-2)-sets get a degree check and one random star edge each."""
         p = co.params
         vb = bit(v)
-        if explicit is not None:
-            _star_check(co, p.full, v, explicit, rng, samples, *self.probes(co, ctx, p.full, v))
+        if co.family is not None:
+            _star_check(co, p.full, v, rng, samples, *self.probes(co, ctx, p.full, v))
             return
         required = p.n - p.k + 1
         pool = p.full & ~vb
@@ -1126,7 +1118,6 @@ def _certify(
     if n < need:
         raise ValueError(f"certification at codegree {level.name} requires n >= {need}, got n={n}")
     co = CountingOracle(oracle)
-    explicit = oracle.family if isinstance(oracle, ExplicitOracle) else None
     rng = random.Random(seed)
     trace = ConstructionTrace()
     trace.parameters["seed"] = seed
@@ -1146,7 +1137,7 @@ def _certify(
         window_x = fill_to_size(ctx_x.vertex_set, n - k, p.full)
         v = level.center(co, ctx_x, r1.cover_vertex, window_x)
         offending_x, missing_x = level.probes(co, ctx_x, window_x, v)
-        _star_check(co, window_x, v, explicit, rng, spot, offending_x, missing_x)
+        _star_check(co, window_x, v, rng, spot, offending_x, missing_x)
 
         r2 = level.shrink(co, level.cross(co, ctx_x, window_x, v))
         trace.steps.extend(r2.trace.steps)
@@ -1158,7 +1149,7 @@ def _certify(
         assert window_x | window_y == p.full
         v2 = level.center(co, ctx_y, r2.cover_vertex, window_y)
         offending_y, missing_y = level.probes(co, ctx_y, window_y, v2)
-        _star_check(co, window_y, v2, explicit, rng, spot, offending_y, missing_y)
+        _star_check(co, window_y, v2, rng, spot, offending_y, missing_y)
         if v2 != v:
             # Star edges of the two windows, one inside X and one through the
             # vertices outside X, are disjoint; an absent one instead reopens
@@ -1188,7 +1179,7 @@ def _certify(
         assert min(popcount(x0), popcount(y0)) >= xy_min
         trace.parameters.update({level.ell_key: ell, "Z1": z1, "Z2": z2, "X0": x0, "Y0": y0})
 
-        level.final_check(co, ctx_x, window_x, window_y, v, explicit, rng, samples)
+        level.final_check(co, ctx_x, window_x, window_y, v, rng, samples)
     except _Refuted as refuted:
         trace.queries_used = co.queries
         return Certificate(None, refuted.violation, trace)

@@ -1,9 +1,10 @@
 """Query access to families, explicit or implicit.
 
 An oracle answers containment, codegree, and extension queries.  The
-explicit realization wraps a materialized :class:`Family`; the star
-realization answers for the complete star centered at a vertex without
-materializing its C(n-1, k-1) edges.
+explicit realization wraps a materialized :class:`Family` and exposes it
+as ``family``, which is None on an oracle that answers for no explicit
+family; the star realization answers for the complete star centered at a
+vertex without materializing its C(n-1, k-1) edges.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from .masks import (
 
 
 class FamilyOracle(ABC):
+    family: Optional[Family] = None  # the explicit family the oracle answers for, if it has one
+
     @property
     @abstractmethod
     def params(self) -> FamilyParams: ...
@@ -235,20 +238,14 @@ def min_degree(oracle: FamilyOracle | Family, d: int) -> tuple[int, Mask]:
     Vertices outside the edge union count: an untouched d-set gives 0.
     The empty explicit family has minimum degree 0 everywhere.
     """
-    if isinstance(oracle, Family):
-        fam = oracle
-        if not (1 <= d <= fam.params.k):
-            raise ValueError(f"require 1 <= d <= k, got d={d}")
-        if not fam.edges:
-            return 0, smallest_subset(fam.params.full, d)
-        return _min_degree_explicit(fam, d)
+    p = oracle.params
+    if not (1 <= d <= p.k):
+        raise ValueError(f"require 1 <= d <= k, got d={d}")
+    fam = oracle if isinstance(oracle, Family) else oracle.family
+    if fam is not None:
+        return _min_degree_explicit(fam, d) if fam.edges else (0, smallest_subset(p.full, d))
     if isinstance(oracle, StarOracle):
-        p = oracle.params
-        if not (1 <= d <= p.k):
-            raise ValueError(f"require 1 <= d <= k, got d={d}")
         value = comb(p.n - d - 1, p.k - d - 1) if p.k - d - 1 >= 0 else 0
         avoid = p.full & ~bit(oracle.center)
         return value, smallest_subset(avoid, d)
-    if isinstance(oracle, ExplicitOracle):
-        return min_degree(oracle.family, d)
     return min_degree_scan(oracle, d)

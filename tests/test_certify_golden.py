@@ -10,7 +10,9 @@ procedure that raises is pinned by its error type and message.
 
 The shrinks are pinned on the same inputs: each input's first
 SHRINK_EDGES edges from ``enumerate_extensions(0)`` are shrunk at its
-level, and the outcomes are joined into one digest.
+level, and the outcomes are joined into one digest.  Every certificate
+and shrink witness from a source that answers as one family must also
+re-verify against a fresh copy of that source.
 
 The same digests must come out under ``python -O``, which strips bare
 asserts.  Run this file as a script to print both maps as JSON.
@@ -18,6 +20,7 @@ asserts.  Run this file as a script to print both maps as JSON.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -34,7 +37,7 @@ from ekrlab.family import Family
 from ekrlab.generators import complete_star, hilton_milner
 from ekrlab.io import to_json
 from ekrlab.masks import bit, iter_ksubsets, mask_of
-from ekrlab.oracles import ExplicitOracle, StarOracle
+from ekrlab.oracles import ExplicitOracle, StarOracle, as_oracle
 from test_constructions_adversarial import PuncturedStarOracle, SplitStarOracle, SwitchingStarOracle, TwoStarOracle
 
 
@@ -148,31 +151,52 @@ def golden_cases() -> dict:
     }
 
 
-def outcome(run) -> str:
+def attempt(run):
+    """The result of ``run()``, or the exception it raised."""
     try:
-        return to_json(run())
+        return run()
     except Exception as exc:  # a refused input is pinned by its error
-        return f"{type(exc).__name__}: {exc}"
+        return exc
 
 
-def digest(run) -> str:
-    return hashlib.sha256(outcome(run).encode()).hexdigest()
+def outcome(result) -> str:
+    if isinstance(result, Exception):
+        return f"{type(result).__name__}: {result}"
+    return to_json(result)
 
 
-def shrink_digest(level: str, source) -> str:
-    """One digest over the shrinks from the source's first SHRINK_EDGES edges."""
-    oracle = ExplicitOracle(source) if isinstance(source, Family) else source
-    edges = list(islice(oracle.enumerate_extensions(0), SHRINK_EDGES))
-    text = "\n".join(outcome(lambda e=e: SHRINK[level](source, e)) for e in edges)
+def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def digest(run) -> str:
+    return sha256(outcome(attempt(run)))
+
+
+@functools.cache
+def certify_results() -> dict:
+    """Input name -> certificate (or error); computed once per process."""
+    return {name: attempt(run) for name, run in golden_cases().items()}
+
+
+@functools.cache
+def shrink_results() -> dict:
+    """Input name -> the shrinks (or errors) from the source's first
+    SHRINK_EDGES edges; computed once per process."""
+    out = {}
+    for name, (level, source, _) in golden_inputs().items():
+        edges = list(islice(as_oracle(source).enumerate_extensions(0), SHRINK_EDGES))
+        out[name] = [attempt(lambda e=e: SHRINK[level](source, e)) for e in edges]
+    return out
+
+
 def all_digests() -> dict[str, str]:
-    return {name: digest(run) for name, run in golden_cases().items()}
+    return {name: sha256(outcome(result)) for name, result in certify_results().items()}
 
 
 def all_shrink_digests() -> dict[str, str]:
-    return {name: shrink_digest(level, source) for name, (level, source, _) in golden_inputs().items()}
+    """One digest per input over its shrinks' outcomes, joined by newlines."""
+    return {name: sha256("\n".join(map(outcome, results))) for name, results in shrink_results().items()}
 
 
 GOLDEN: dict[str, str] = {
@@ -370,6 +394,27 @@ def test_digests_under_optimize_flag():
 
 def test_shrink_digests():
     assert all_shrink_digests() == SHRINK_GOLDEN
+
+
+# Sources that answer as one family; split and switching oracles answer
+# like no single family, so a witness against them need not re-verify.
+SINGLE_FAMILY = (Family, ExplicitOracle, StarOracle, TwoStarOracle, PuncturedStarOracle)
+WITNESSES_CHECKED = 73  # certificate and shrink witnesses from those sources
+
+
+def test_single_family_witnesses_verify():
+    # every certificate and shrink witness behind the digests above
+    # re-verifies against a freshly built copy of its source
+    checked = 0
+    for name, (_, source, _) in golden_inputs().items():
+        if not isinstance(source, SINGLE_FAMILY):
+            continue
+        for result in (certify_results()[name], *shrink_results()[name]):
+            violation = getattr(result, "violation", None)
+            if violation is not None:
+                assert violation.verify(as_oracle(source)), (name, violation)
+                checked += 1
+    assert checked == WITNESSES_CHECKED
 
 
 # The k-2 shrink's final consolidation (after every part pair is

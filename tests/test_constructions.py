@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -13,7 +14,9 @@ from ekrlab.bounds import (
 from ekrlab.constructions import (
     SAMPLE_BATCH,
     DisjointEdges,
+    InternalContradictionError,
     LowCodegree,
+    NotStar,
     TracedFamily,
     ZeroCodegree,
     certify_star_k1,
@@ -424,3 +427,71 @@ class TestGapProbe:
         window = fill_to_size(mask_of([1, 2, 3, 4, 5]), 8, full_mask(11))
         viol = _gap_probe_k1(o, ctx.edges, mask_of([1, 2, 3, 4, 5]), window)
         assert isinstance(viol, DisjointEdges) and viol.verify(o)
+
+
+def _witness(call):
+    """The violation a probe returns or raises inside its procedure."""
+    from ekrlab.constructions import _Refuted
+
+    try:
+        return call()
+    except _Refuted as refuted:
+        return refuted.violation
+
+
+class TestOffendingProbeK2:
+    # an off-center edge against a context that spans all of [8]: no
+    # outside (k-2)-set is left, so only an explicit family can refute
+
+    P = FamilyParams(8, 3)
+    FULL = TracedFamily(P, (), full_mask(8))
+
+    def probe(self, fam, ctx=FULL, f=mask_of([2, 3, 4]), v=1):
+        from ekrlab.constructions import CountingOracle, _offending_probe_k2
+
+        o = CountingOracle(ExplicitOracle(fam))
+        viol = _witness(lambda: _offending_probe_k2(o, ctx, f, v))
+        assert viol.verify(o)
+        return viol
+
+    def test_complete_star_is_a_contradiction(self):
+        with pytest.raises(InternalContradictionError, match="no room for an outside probe"):
+            self.probe(complete_star(8, 3, 1))
+
+    def test_low_codegree_on_hilton_milner(self):
+        assert self.probe(hilton_milner(8, 3)) == LowCodegree(mask_of([5]), 3, 6)
+
+    def test_disjoint_pair_first(self):
+        fam = Family.from_labels(self.P, [[1, 2, 3], [4, 5, 6], [1, 4, 7]])
+        assert self.probe(fam) == DisjointEdges(mask_of([1, 2, 3]), mask_of([4, 5, 6]))
+
+    def test_not_star_when_every_outside_extension_meets_everything(self):
+        # every edge through 5 meets f = {1,2,3}, the only context edge
+        f = mask_of([1, 2, 3])
+        through5 = [mask_of([5, a, b]) for a, b in combinations([1, 2, 3, 4, 6, 7, 8], 2) if {a, b} & {1, 2, 3}]
+        fam = Family.from_masks(self.P, [f, *through5])
+        assert self.probe(fam, TracedFamily(self.P, (f,), f), f, 4) == NotStar(missing=None, offending=f)
+
+
+class TestFinalCheckK1Explicit:
+    # both windows are {1,2,3,4}: no star edge through 1 avoids {2,3,4}
+    # inside them, so the off-center edge {2,3,4} goes to the explicit fallback
+
+    P = FamilyParams(9, 3)
+    X = mask_of([1, 2, 3, 4])
+
+    def check(self, fam):
+        from ekrlab.constructions import CountingOracle, _K1
+
+        o = CountingOracle(ExplicitOracle(fam))
+        ctx = TracedFamily(self.P, (), 0)
+        viol = _witness(lambda: _K1().final_check(o, ctx, self.X, self.X, 1, random.Random(0), 10))
+        assert viol.verify(o)
+        return viol
+
+    def test_disjoint_pair(self):
+        fam = Family.from_masks(self.P, complete_star(9, 3, 1).edges + (mask_of([2, 3, 4]),))
+        assert self.check(fam) == DisjointEdges(mask_of([2, 3, 4]), mask_of([1, 5, 6]))
+
+    def test_zero_codegree_on_hilton_milner(self):
+        assert self.check(hilton_milner(9, 3)) == ZeroCodegree(mask_of([5, 6]))

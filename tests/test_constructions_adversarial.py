@@ -23,6 +23,7 @@ from ekrlab.constructions import (
     certify_star_k2,
     shrink_core_k2,
 )
+from ekrlab.bounds import certify_threshold_k1
 from ekrlab.family import Family, FamilyParams
 from ekrlab.generators import complete_star
 from ekrlab.masks import bit, iter_bits, iter_subsets_within, labels, mask_of, popcount, smallest_subset
@@ -240,6 +241,35 @@ except Exception as exc:
             timeout=60,
         )
         assert done.stdout.startswith("InternalContradictionError oracle returned the edge (3, 8)")
+
+
+class WindowedStarOracle(StarOracle):
+    """The complete star at ``center``, except that ``contains`` denies every
+    edge inside none of ``windows``; the other queries answer for the whole
+    star.  No single family answers this way."""
+
+    def __init__(self, n: int, k: int, center: int, windows: tuple[int, ...]):
+        super().__init__(n, k, center)
+        self.windows = windows
+
+    def contains(self, e):
+        return super().contains(e) and any(not e & ~w for w in self.windows)
+
+
+class TestAbsentStarEdgeReturned:
+    # contains denies the star edges outside both windows of the clean run,
+    # so the final check samples one of them as absent, and extension hands
+    # that very star edge back; it must not become a witness
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_final_check_refuses_the_star_edge(self, k):
+        n = certify_threshold_k1(k)
+        par = certify_star_k1(StarOracle(n, k, 1)).trace.parameters
+        window_x = par["X0"] | par["Z2"] | bit(1)
+        window_y = par["Y0"] | par["Z1"] | bit(1)
+        assert popcount(window_x) == popcount(window_y) == n - k
+        oracle = WindowedStarOracle(n, k, 1, (window_x, window_y))
+        with pytest.raises(InternalContradictionError, match=r"returned the star edge .* previously reported missing"):
+            certify_star_k1(oracle)
 
 
 class TestTwoStarUnion:
