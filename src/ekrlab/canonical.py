@@ -9,49 +9,58 @@ edge tuple.  Each call maps the support to positions ``0..s-1``: an
 edge's 0-based labels come from the caller's ``members`` table when it
 has one (the canonical walk builds it once from the compatibility
 graph's k-sets) and are the positions already when the support is
-{1..s}.  It then builds, once, every vertex's list of incident edge
-indices and its packed incidence: the integer with bit ``width * i`` set
-for each edge ``i`` through the vertex, ``width`` being 8 when s <= 8
-(so a slot is a byte) and s otherwise.
+{1..s}.  It then builds every vertex's packed incidence: the integer
+with bit ``width * i`` set for each edge ``i`` through the vertex,
+``width`` being 8 when s <= 8 (so a slot is a byte) and s otherwise.  A
+vertex's degree is its packed incidence's bit count, and the ranks of
+the degrees split the support into degree cells.
 
 *Refinement.*  Colours are a list indexed by position.  An edge's colour
 is the multiset of its vertices' colours, coded as the integer
 ``sum(1 << (shift * c))``; the distinct edge codes are ranked, and a
 vertex's new colour is the rank of (old colour, multiset of incident
-edge ranks).  Rounds repeat until the number of colours stops growing.
-Every step depends only on colours and incidences, never on labels, so
-relabeling the family relabels the refined colouring with it.  The root
-colouring starts from the degree ranks, which is what the first round
-from the uniform colouring gives a k-uniform family, so the root takes
-one round fewer, and none when the degrees are already distinct.
+edge ranks), read from each vertex's list of incident edge indices.
+Rounds repeat until the number of colours stops growing.  Every step
+depends only on colours and incidences, never on labels, so relabeling
+the family relabels the refined colouring with it.  The root colouring
+starts from the degree ranks, which is what the first round from the
+uniform colouring gives a k-uniform family, so the root takes one round
+fewer.
 
-*Few orderings.*  When the product of the root cells' sizes' factorials
-is at most ``ORDERING_CAP``, the form is the minimum, over every
-ordering of the support that keeps the cells in colour order, of the
-sorted relabeled edge masks; otherwise the search below starts from the
-root.  This stays canonical: the refinement reads no labels, the choice
-of route reads only cell sizes, which relabeling keeps, and either route
-returns a relabeling of the family, so equal forms still mean isomorphic
-families.  The minimum is built from per-cell shares of one packed
-vector, whose slot ``i`` holds edge ``i``'s relabeled mask: putting
-vertex ``v`` at position ``p`` adds ``packed[v] << p``, and the slots
-never carry, since an edge's mask is a sum of distinct bits below
-``1 << s``.  The cells take consecutive blocks of positions in colour
-order.  Singleton cells have one position each, so together they add
-one fixed base vector; a cell of size ``c`` gives one share for each of
-its ``c!`` orderings of its block.  An ordering of the support is then
-the base plus one share per non-singleton cell, one integer addition
-each, and its form is its slots, read by one ``int.to_bytes`` (by
-shifts when s > 8), sorted.  Most maximal families take this route: 506
-of the 512 anchored (6,3) families, 1,827 of 1,860 at (7,3) and 4,600
-of 4,709 at (8,3); the rest have 720 or 5,040 orderings.  ``_refine`` runs 566, 2,208 and
-6,122 times per pass over those families (3,630, 14,430 and 45,532
-with the search alone).  The cap was measured on the same families
-(2-core x86 host): per family, the search took 0.5-0.9 ms and the
-direct minimum about 2.5-3 us per ordering (0.37 ms at 144 orderings,
-2.3-2.5 ms at 720); per pass, median of 7 interleaved in-process
-rounds, 144 took 60, 264 and 854 ms against 63, 307 and 1,148 ms at 48
-and 70, 309 and 950 ms at 720.
+*Few orderings.*  The form is the minimum, over every ordering of the
+support that keeps some cells in colour order, of the sorted relabeled
+edge masks, whenever those cells leave at most ``ORDERING_CAP``
+orderings (the product of the cells' sizes' factorials).  The degree
+cells are tried first, with no incidence lists and no refinement; when
+they leave more orderings, the incidence lists are built and the root
+refined, and the refined cells are tried; when they too leave more, the
+search below starts from the root.  This stays canonical: degrees and
+refinement read no labels, the choice of route reads only cell sizes,
+which relabeling keeps, and every route returns a relabeling of the
+family, so equal forms still mean isomorphic families.  The minimum is
+built from per-cell shares of one packed vector, whose slot ``i`` holds
+edge ``i``'s relabeled mask: putting vertex ``v`` at position ``p`` adds
+``packed[v] << p``, and the slots never carry, since an edge's mask is a
+sum of distinct bits below ``1 << s``.  The cells take consecutive
+blocks of positions in colour order.  Singleton cells have one position
+each, so together they add one fixed base vector; a cell of size ``c``
+gives one share for each of its ``c!`` orderings of its block.  An
+ordering of the support is then the base plus one share per
+non-singleton cell, one integer addition each, and its form is its
+slots, read by one ``int.to_bytes`` (by shifts when s > 8), sorted.
+Most maximal families take the degree cells: 506 of the 512 anchored
+(6,3) families, 1,827 of 1,860 at (7,3) and 4,600 of 4,709 at (8,3).
+The rest have 720 or 5,040 degree-cell orderings, and their refined
+cells leave more than the cap too, so they search.  ``_refine`` runs
+60, 381 and 1,522 times per pass over those families, against 566,
+2,208 and 6,122 when every family with repeated degrees was refined
+first (3,630, 14,430 and 45,532 with the search alone).  The cap was
+measured on the same families (2-core x86 host): per family, the search
+took 0.5-0.9 ms and the direct minimum about 2.5-3 us per ordering (0.37
+ms at 144 orderings, 2.3-2.5 ms at 720); per pass, median of 7
+interleaved in-process rounds with the degree cells first, 144 took 21,
+92 and 296 ms against 20, 114 and 472 ms at 48 and 24, 108 and 336 ms
+at 720.
 
 *Search.*  A node whose colouring is not discrete individualizes, in
 turn, each vertex of its first non-singleton colour cell.  A leaf's
@@ -131,6 +140,14 @@ def _sorted_slots(totals: Iterable[int], m: int, width: int) -> Iterator[list[in
     return (sorted([t >> i & low for i in range(0, m * width, width)]) for t in totals)
 
 
+def _cells(colors: list[int]) -> list[list[int]]:
+    """The positions of each colour ``0..c-1``, in colour order."""
+    cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
+    for v, c in enumerate(colors):
+        cells[c].append(v)
+    return cells
+
+
 def _direct_minimum(cells: list[list[int]], packed: list[int], m: int, width: int) -> tuple[Mask, ...]:
     """Minimum sorted relabeled edge tuple over the orderings that keep
     ``cells`` in colour order, vertex ``v`` contributing ``packed[v]``."""
@@ -173,24 +190,27 @@ def canonical_form(
             at[v - 1] = i
         edge_pos = [tuple(map(at.__getitem__, e)) for e in edge_pos]
     width = 8 if s <= 8 else s
-    incidence: list[list[int]] = [[] for _ in range(s)]
     packed = [0] * s  # vertex v: bit (width * i) for each edge i through v
     for i, e in enumerate(edge_pos):
         slot = 1 << (width * i)
         for v in e:
-            incidence[v].append(i)
             packed[v] |= slot
 
-    degrees = [len(inc) for inc in incidence]
+    degrees = [p.bit_count() for p in packed]
     rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
     root = [rank[d] for d in degrees]  # what a first round from the uniform colouring gives
+    cells = _cells(root)
+    if prod(factorial(len(cell)) for cell in cells) <= ORDERING_CAP:
+        return _direct_minimum(cells, packed, len(edge_pos), width)
+
+    incidence: list[list[int]] = [[] for _ in range(s)]
+    for i, e in enumerate(edge_pos):
+        for v in e:
+            incidence[v].append(i)
     shift = max(len(e) for e in edge_pos).bit_length()
     dshift = max(degrees).bit_length()
-    if len(rank) < s:
-        root = _refine(root, edge_pos, incidence, shift, dshift)
-    cells: list[list[int]] = [[] for _ in range(max(root) + 1)]
-    for v, c in enumerate(root):
-        cells[c].append(v)
+    root = _refine(root, edge_pos, incidence, shift, dshift)
+    cells = _cells(root)
     if prod(factorial(len(cell)) for cell in cells) <= ORDERING_CAP:
         return _direct_minimum(cells, packed, len(edge_pos), width)
 

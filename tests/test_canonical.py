@@ -10,6 +10,7 @@ sides of ``ORDERING_CAP``, and the partition of all anchored maximal
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 
 import networkx as nx
@@ -86,9 +87,11 @@ SYMMETRIC = {
     # different orbits, so the first leaf alone is not canonical
     "triangle+square": tuple(sorted(mask_of(e) for e in ((1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (6, 7), (4, 7)))),
     "heptagon": cyclic(7, (0, 1)),
-    # refinement leaves 1, 4!*2!, 3!*3!*2!, 4!*3! = ORDERING_CAP and 5!*2!
-    # orderings; H has 8 automorphisms, so its 48 orderings give unequal
-    # forms, and so do the 240 of pentagon+path (20 automorphisms)
+    # the degree cells leave 2!^3 and 4!*2! orderings for the first two;
+    # for the rest they leave more than ORDERING_CAP, and refinement then
+    # leaves 3!*3!*2!, 4!*3! = ORDERING_CAP and 5!*2!; H has 8
+    # automorphisms, so its 48 orderings give unequal forms, and so do
+    # the 240 of pentagon+path (20 automorphisms)
     "triangle+tails": tuple(sorted(mask_of(e) for e in ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 5)))),
     "H": tuple(sorted(mask_of(e) for e in ((1, 2), (1, 3), (1, 4), (2, 5), (2, 6)))),
     "K2,3+pendants": tuple(
@@ -142,15 +145,14 @@ def test_star_search_is_pruned(refine_calls):
     assert 0 < len(refine_calls) <= 30
 
 
-def test_few_orderings_take_one_refinement(refine_calls):
-    # up to ORDERING_CAP orderings are minimized over after the root refinement
-    for name in ("triangle+tails", "H", "K2,3+pendants", "K4+claw"):
+def test_each_route_takes_its_refinement_count(refine_calls):
+    # degree cells within ORDERING_CAP: no refinement; refined cells within
+    # it: the root refinement alone; otherwise the search below the root
+    expected = {"triangle+tails": 0, "H": 0, "K2,3+pendants": 1, "K4+claw": 1, "pentagon+path": 10}
+    for name, count in expected.items():
         refine_calls.clear()
         canonical_form(8, SYMMETRIC[name])
-        assert len(refine_calls) == 1, name
-    refine_calls.clear()
-    canonical_form(8, SYMMETRIC["pentagon+path"])
-    assert len(refine_calls) > 1
+        assert len(refine_calls) == count, name
 
 
 def test_distinct_degrees_take_no_refinement(refine_calls):
@@ -164,7 +166,7 @@ def test_distinct_degrees_take_no_refinement(refine_calls):
 
 
 def test_anchored_6_3_partition_matches_brute_force(refine_calls):
-    # 4 to 720 refined orderings: both sides of ORDERING_CAP
+    # 4 to 720 degree-cell orderings: both sides of ORDERING_CAP
     families = [f.edges for f in enumerate_maximal_intersecting(6, 3) if 0b111 in f.edges]
     forms, calls = [], []
     for edges in families:
@@ -173,7 +175,7 @@ def test_anchored_6_3_partition_matches_brute_force(refine_calls):
         calls.append(len(refine_calls) - before)
     refs = [ref_canonical_form(edges) for edges in families]
     assert len(families) == 512
-    assert min(calls) == 1 < max(calls)
+    assert Counter(calls) == {0: 506, 10: 6}
     assert len(set(forms)) == len(set(refs)) == len(set(zip(forms, refs))) == 13
 
 

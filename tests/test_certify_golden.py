@@ -38,7 +38,13 @@ from ekrlab.generators import complete_star, hilton_milner
 from ekrlab.io import to_json
 from ekrlab.masks import bit, iter_ksubsets, mask_of
 from ekrlab.oracles import ExplicitOracle, StarOracle, as_oracle
-from test_constructions_adversarial import PuncturedStarOracle, SplitStarOracle, SwitchingStarOracle, TwoStarOracle
+from test_constructions_adversarial import (
+    LowBandStarOracle,
+    PuncturedStarOracle,
+    SplitStarOracle,
+    SwitchingStarOracle,
+    TwoStarOracle,
+)
 
 
 def _perturbed_star(n: int, k: int, seed: int) -> Family:
@@ -444,6 +450,23 @@ def test_final_consolidation_digests():
         got[f"shrink/{name}"] = digest(lambda: _shrink_from_first_edge(TwoStarOracle(n, 3, a, b)))
         got[f"certify/{name}"] = digest(lambda: certify_star_k2(TwoStarOracle(n, 3, a, b)))
     assert got == CONSOLIDATION_GOLDEN
+
+
+# The k-2 final check's sampled degree test on an oracle (not an explicit
+# family) refutes on no GOLDEN input.  A star whose degree answers fall one
+# short on the (k-2)-sets of a band of top labels reaches it.
+SAMPLED_LOW_CODEGREE_GOLDEN: dict[str, str] = {
+    "certify/low-band-232-3": "26f9322ead9ab3f70fa9ae63fab13694925686e3a08325833d8b72d9fc984af5",
+    "certify/low-band-242-4": "444a637944cf670ea596853d6ab59bf614e4fa480522be586d205fffd5b573df",
+}
+
+
+def test_sampled_low_codegree_digests():
+    got = {
+        f"certify/low-band-{n}-{k}": digest(lambda: certify_star_k2(LowBandStarOracle(n, k, 1, range(n - 3, n + 1))))
+        for n, k in ((232, 3), (242, 4))
+    }
+    assert got == SAMPLED_LOW_CODEGREE_GOLDEN
 
 
 if __name__ == "__main__":

@@ -272,6 +272,37 @@ class TestAbsentStarEdgeReturned:
             certify_star_k1(oracle)
 
 
+class LowBandStarOracle(StarOracle):
+    """The complete star at ``center``, except that ``degree`` answers one
+    less for the (k-2)-sets inside ``band`` that avoid the center; the
+    other queries answer for the whole star."""
+
+    def __init__(self, n: int, k: int, center: int, band: range):
+        super().__init__(n, k, center)
+        self.band = mask_of(band)
+
+    def degree(self, s):
+        if popcount(s) == self.params.k - 2 and not s & (self._cbit | ~self.band):
+            return super().degree(s) - 1
+        return super().degree(s)
+
+
+class TestSampledLowCodegree:
+    # both windows only take links, never degrees, so the star passes them;
+    # the oracle's global check samples (k-2)-sets and asks their degrees,
+    # and a sampled one in the band falls one short of n-k+1
+    @pytest.mark.parametrize(
+        "n,k,band,witness", [(232, 3, range(229, 233), [230]), (242, 4, range(239, 243), [239, 242])]
+    )
+    def test_final_check_returns_the_sampled_set(self, n, k, band, witness):
+        oracle = LowBandStarOracle(n, k, 1, band)
+        cert = certify_star_k2(oracle)
+        assert "X0" in cert.trace.parameters  # set just before the final check
+        assert isinstance(cert.violation, LowCodegree)
+        assert cert.violation.query_set == mask_of(witness)
+        assert cert.violation.verify(oracle)
+
+
 class TestTwoStarUnion:
     def test_shrink_k2_refutes_with_disjoint_pair(self):
         # high codegree everywhere, yet not intersecting: phase 2 runs

@@ -45,3 +45,16 @@ def test_threshold_sweep_writes_one_row_per_cell(tmp_path):
     col = {name: header.index(name) for name in ("n", "k", "d")}
     assert [(int(r[col["n"]]), int(r[col["k"]]), int(r[col["d"]])) for r in rows] == cells
     assert f"wrote {len(cells)} rows to {out}" in done.stdout
+
+
+def test_line_trace_lists_unrun_lines_of_one_test():
+    # the sampled LowCodegree refutation of the k-2 final check runs; the
+    # k-1 level, which this test never enters, is listed as unrun
+    test = "tests/test_constructions_adversarial.py::TestSampledLowCodegree"
+    done = run_script("line_trace.py", test, "-q")
+    assert done.returncode == 0, done.stdout + done.stderr
+    unrun = [line.split(": ", 1)[1] for line in done.stdout.splitlines() if line.startswith("constructions.py:")]
+    assert "raise _Refuted(LowCodegree(w, deg, required))" not in unrun
+    assert "deg = co.degree(w)" not in unrun
+    assert "return sqrt_term(k) - 1" in unrun  # _K1.ell
+    assert done.stdout.splitlines()[-1].endswith("executable lines never ran")
