@@ -1,28 +1,30 @@
 #!/usr/bin/env python3
-"""Print the lines of ``src/ekrlab/constructions.py`` that a pytest run never executes.
+"""Print the lines of one ``src/ekrlab`` module that a pytest run never executes.
 
 Runs pytest in this process under ``sys.settrace``, records every line of
-``constructions.py`` that a frame executes, and prints the executable
-lines (those the compiled module maps bytecode to) that never ran, one
-per line as ``constructions.py:<line>: <source>``, then a summary line.
+the module (``constructions.py`` unless ``--file`` names another) that a
+frame executes, and prints the executable lines (those the compiled
+module maps bytecode to) that never ran, one per line as
+``<file>:<line>: <source>``, then a summary line.
 Tests that start their own interpreter (the ``python -O`` digest runs, CLI
 subprocess tests) are not traced, so a line only they run reads as unrun.
 
 Usage, from the repository root, with any pytest arguments:
 
     python scripts/line_trace.py tests/test_constructions_adversarial.py -q
+    python scripts/line_trace.py --file io.py tests/test_io.py -q
 
 The exit status is pytest's.  Tracing slows the traced code several-fold.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TARGET = ROOT / "src" / "ekrlab" / "constructions.py"
 sys.path.insert(0, str(ROOT / "src"))
 
 
@@ -38,7 +40,12 @@ def executable_lines(code: types.CodeType) -> set[int]:
 def main(argv: list[str]) -> int:
     import pytest
 
-    target = str(TARGET)
+    parser = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    parser.add_argument("--file", default="constructions.py")
+    args, argv = parser.parse_known_args(argv)
+    path = ROOT / "src" / "ekrlab" / args.file
+    target = str(path)
+    source = path.read_text()  # read first: a wrong name fails before the run
     ran: set[int] = set()
 
     def local(frame, event, arg):
@@ -58,12 +65,11 @@ def main(argv: list[str]) -> int:
     finally:
         sys.settrace(None)
 
-    source = TARGET.read_text()
     text = source.splitlines()
     lines = executable_lines(compile(source, target, "exec"))
     unrun = sorted(lines - ran)
     for line in unrun:
-        print(f"{TARGET.name}:{line}: {text[line - 1].strip()}")
+        print(f"{path.name}:{line}: {text[line - 1].strip()}")
     print(f"{len(unrun)} of {len(lines)} executable lines never ran")
     return int(status)
 

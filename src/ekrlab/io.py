@@ -5,9 +5,16 @@ Format: the first line that is not blank or a comment is the header
 either order, 1 <= k <= n), then one edge per line as k strictly
 ascending labels in 1..n separated by whitespace; ``#`` starts a comment
 and blank lines are skipped.  A label is any spelling ``int()`` accepts
-(``7``, ``07``, ``+7``); lines written in the canonical spelling
-``str(v)``, as ``family_text`` writes them, take a table lookup, any
-other line the general per-line check.
+(``7``, ``07``, ``+7``).
+
+A text in exactly the form ``family_text`` writes (the header on line 1,
+then lines of k canonical labels ``str(v)`` joined by single spaces, each
+ending in ``'\\n'``, all ASCII) is read in bulk: blocks of about
+``TEXT_BLOCK`` characters of whole lines are parsed with numpy, and the
+masks are built as uint64 when n <= 64 and by C-level ``map`` folds
+otherwise.  Any other text, or one with a duplicate edge, is read by the
+per-line loop, which gives every error, so both routes return the same
+family and the same error.
 
 Errors are ``FamilyParseError`` with a 1-based line number, and the first
 offending line in file order wins: a bad header, a non-integer label, a
@@ -24,13 +31,16 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-from itertools import islice
-from operator import eq
+from itertools import islice, repeat
+from operator import eq, lshift, or_
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 from .family import Family, FamilyParams
 from .masks import Mask, labels, mask_of
+
+
+TEXT_BLOCK = 1 << 16  # characters of family text per block of the bulk reader and of the writer
 
 
 class FamilyParseError(ValueError):
@@ -85,7 +95,8 @@ def _raise_first_repeat(lines: list[str], start: int, stop: int, params: FamilyP
             seen.add(m)
 
 
-def read_family_text(text: str) -> Family:
+def _read_lines(text: str) -> Family:
+    """Any family text, line by line: the general route and every error."""
     lines = text.splitlines()
     params = None
     for lineno, raw in enumerate(lines, 1):
@@ -135,27 +146,113 @@ def read_family_text(text: str) -> Family:
     return Family(params, tuple(masks))
 
 
+def _written_masks(block: str, n: int, k: int) -> Iterable[Mask] | None:
+    """The edge masks of ``block``, whole lines of k labels as
+    ``family_text`` writes them; None if any line is shaped otherwise.
+
+    Every byte is a digit, ``' '`` or ``'\\n'``; each run of k separators is
+    k-1 spaces and a newline; a label has at most ``len(str(n))`` digits
+    and no leading zero, is at most n and exceeds the label before it.
+    """
+    import numpy as np
+
+    b = np.frombuffer(block.encode("ascii"), np.uint8)
+    is_sep = (b == 32) | (b == 10)
+    if not (is_sep | ((b - 48) < 10)).all():
+        return None
+    ends = np.flatnonzero(is_sep)
+    seps = b[ends].reshape(-1, k) if len(ends) % k == 0 else None
+    if seps is None or not ((seps[:, -1] == 10).all() and (seps[:, :-1] == 32).all()):
+        return None
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    lengths = ends - starts
+    width = len(str(n))  # int64 holds the labels: a Family over n >= 10**18 cannot hold its ground set
+    if lengths.min() < 1 or lengths.max() > width or (b[starts] == 48).any():
+        return None
+    values = np.zeros(len(ends), np.int64)
+    for j in range(width, 0, -1):  # Horner over the last `width` bytes before each end
+        pos = ends - j
+        values = values * 10 + np.where(pos >= starts, b.take(pos, mode="clip"), 48) - 48
+    rows = values.reshape(-1, k)
+    if values.max() > n or not (rows[:, 1:] > rows[:, :-1]).all():
+        return None
+    if n <= 64:
+        bits = np.left_shift(np.uint64(1), (rows - 1).astype(np.uint64))
+        return np.bitwise_or.reduce(bits, axis=1).tolist()
+    cols = (rows - 1).T.tolist()  # folded at C level, with no n-bit row per edge
+    acc = map(lshift, repeat(1), cols[0])
+    for col in cols[1:]:
+        acc = map(or_, acc, map(lshift, repeat(1), col))
+    return acc
+
+
+def _read_written(text: str) -> tuple[FamilyParams, list[Mask]] | None:
+    """The header and unsorted edge masks of a text in exactly the form
+    ``family_text`` writes, read in blocks of whole lines; None otherwise."""
+    head = text.find("\n")
+    first = text[:head]
+    if head < 0 or not text.endswith("\n") or not text.isascii() or not first.isprintable() or not _strip(first):
+        return None
+    params = _header(_strip(first), 1)  # line 1 of splitlines() too: it holds no line break
+    masks: list[Mask] = []
+    start, end = head + 1, len(text)
+    while start < end:
+        # whole lines of at most TEXT_BLOCK characters, or one longer line
+        stop = text.rfind("\n", start, start + TEXT_BLOCK) + 1 or text.find("\n", start) + 1
+        block = _written_masks(text[start:stop], params.n, params.k)
+        if block is None:
+            return None
+        masks.extend(block)
+        start = stop
+    return params, masks
+
+
+def read_family_text(text: str) -> Family:
+    read = _read_written(text)
+    if read is None:
+        return _read_lines(text)
+    params, masks = read
+    masks.sort()
+    if any(map(eq, masks, islice(masks, 1, None))):
+        return _read_lines(text)  # names the first repeat in file order
+    return Family(params, tuple(masks))
+
+
 def read_family(path: str | Path) -> Family:
     return read_family_text(Path(path).read_text())
 
 
-def family_text(fam: Family) -> str:
+def _text_blocks(fam: Family) -> Iterator[str]:
+    """The family text of ``fam``: the header line, then blocks of whole
+    edge lines of about ``TEXT_BLOCK`` characters each."""
     n, k = fam.params.n, fam.params.k
     name = [""] + [str(v) for v in range(1, n + 1)]  # the label of bit v-1, by bit length v
-    lines = [f"n={n} k={k}"]
-    append = lines.append
-    for e in fam.edges:
-        parts = []
-        while e:
-            low = e & -e
-            parts.append(name[low.bit_length()])
-            e ^= low
-        append(" ".join(parts))
-    return "\n".join(lines) + "\n"
+    yield f"n={n} k={k}\n"
+    edges = fam.edges
+    per = max(1, TEXT_BLOCK // (k * (len(name[-1]) + 1)))  # lines per block
+    for start in range(0, len(edges), per):
+        lines = []
+        append = lines.append
+        for e in edges[start : start + per]:
+            parts = []
+            while e:
+                low = e & -e
+                parts.append(name[low.bit_length()])
+                e ^= low
+            append(" ".join(parts))
+        append("")
+        yield "\n".join(lines)
+
+
+def family_text(fam: Family) -> str:
+    return "".join(_text_blocks(fam))
 
 
 def write_family(path: str | Path, fam: Family) -> None:
-    Path(path).write_text(family_text(fam))
+    with Path(path).open("w") as f:
+        f.writelines(_text_blocks(fam))
 
 
 @functools.cache

@@ -7,13 +7,18 @@ the two routes can check each other.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations, permutations
 from math import comb
+from pathlib import Path
 from typing import Optional
 
 import pytest
 
+import ekrlab
 from ekrlab.family import Family, FamilyParams
 from ekrlab.masks import Mask, iter_ksubsets, mask_of
 
@@ -283,6 +288,17 @@ def ref_read_family_text(text: str) -> tuple[int, int, tuple[int, ...]]:
     if header is None:
         raise RefParseError("missing header line", 1)
     return n, k, tuple(sorted(seen))
+
+
+def probe_numpy(script: str) -> str:
+    """The stdout of ``script``, run in a fresh interpreter, followed by
+    whether numpy is then in ``sys.modules``: exactly "False" when the
+    script prints nothing and leaves numpy out."""
+    src = str(Path(ekrlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = f"import sys\n{script}\nprint('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60)
+    return done.stdout.strip()
 
 
 def random_family(rng: random.Random, n: int, k: int, m: int) -> Family:

@@ -314,6 +314,10 @@ class TestCertifyK1:
         with pytest.raises(ValueError, match="n >= 11"):
             certify_star_k1(StarOracle(10, 3, 1))
 
+    def test_k_below_level_minimum(self):
+        with pytest.raises(ValueError, match="k >= 2 required"):
+            certify_star_k1(StarOracle(9, 1, 1))
+
     def test_empty_family(self):
         fam = Family(FamilyParams(11, 3), ())
         with pytest.raises(ValueError, match="empty"):
@@ -348,6 +352,10 @@ class TestCertifyK2:
     def test_threshold_error(self):
         with pytest.raises(ValueError, match="n >= 232"):
             certify_star_k2(StarOracle(231, 3, 1))
+
+    def test_k_below_level_minimum(self):
+        with pytest.raises(ValueError, match="k >= 3 required"):
+            certify_star_k2(ExplicitOracle(complete_star(232, 2, 1)))
 
 
 class TestSampledChecks:

@@ -1,16 +1,12 @@
-import os
 import random
-import subprocess
-import sys
 from functools import reduce
 from itertools import combinations
 from operator import or_
-from pathlib import Path
 
 import pytest
 
-import ekrlab
 from conftest import (
+    probe_numpy,
     ref_find_pattern,
     ref_is_star_graph,
     ref_max_matching_upto,
@@ -84,28 +80,17 @@ class TestMatching:
             assert (m == 1) == (is_star_graph(g) is not None or is_triangle)
 
 
-def _probe_numpy(script: str) -> str:
-    """The stdout of ``script``, run in a fresh interpreter, followed by
-    whether numpy is then in ``sys.modules``: exactly "False" when the
-    script prints nothing and leaves numpy out."""
-    src = str(Path(ekrlab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = f"import sys\n{script}\nprint('numpy' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60)
-    return done.stdout.strip()
-
-
 def test_import_leaves_numpy_unloaded():
-    assert _probe_numpy("import ekrlab") == "False"
+    assert probe_numpy("import ekrlab") == "False"
 
 
 def test_structure_sweep_leaves_numpy_unloaded():
-    assert _probe_numpy("from ekrlab.graphs import structure_sweep\nassert not structure_sweep(7).violations") == "False"
+    assert probe_numpy("from ekrlab.graphs import structure_sweep\nassert not structure_sweep(7).violations") == "False"
 
 
 def test_canonical_check_leaves_numpy_unloaded():
     check = "from ekrlab.verify import check_theorem\nassert check_theorem(6, 3, 2, 'canonical').families_checked"
-    assert _probe_numpy(check) == "False"
+    assert probe_numpy(check) == "False"
 
 
 class TestStarGraph:

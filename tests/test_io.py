@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import random
 import tracemalloc
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ekrlab.io
-from conftest import RefParseError, random_family, ref_read_family_text
+from conftest import RefParseError, probe_numpy, random_family, ref_read_family_text
 from ekrlab.family import Family, FamilyParams
 from ekrlab.generators import complete_star, hilton_milner
 from ekrlab.io import FamilyParseError, family_text, read_family, read_family_text, write_family
@@ -289,3 +290,158 @@ class TestFastRoute:
             read_family_text(text)
         assert ei.value.line == 2301
         assert str(ei.value) == f"line 2301: duplicate edge {list(labels(edges[7]))}"
+
+
+def _sampled(n, k, m, seed):
+    """About ``m`` random k-subsets of [n], drawn without building all of them."""
+    rng = random.Random(seed)
+    return Family.from_labels(FamilyParams(n, k), (rng.sample(range(1, n + 1), k) for _ in range(m)))
+
+
+def _star_minus(n, k, center, step):
+    star = complete_star(n, k, center)
+    return Family(star.params, tuple(e for i, e in enumerate(star.edges) if i % step))
+
+
+# families whose family_text spans more than one TEXT_BLOCK block (k = 1
+# two, the others three or more); n = 64 and n = 65 sit on either side of
+# the uint64 mask route
+BULK_FAMILIES = {
+    "star(36,5)": lambda: complete_star(36, 5, 17),
+    "star(260,3)-edges": lambda: _star_minus(260, 3, 7, 97),
+    "n=64": lambda: _sampled(64, 4, 20000, 64),
+    "n=65": lambda: _sampled(65, 4, 20000, 65),
+    "n=1000": lambda: _sampled(1000, 3, 20000, 1000),
+    "k=1": lambda: Family(FamilyParams(13000, 1), tuple(1 << v for v in range(13000))),
+}
+
+
+@functools.cache
+def _bulk_text(name):
+    fam = BULK_FAMILIES[name]()
+    text = family_text(fam)
+    assert len(text) > (1 if fam.params.k == 1 else 3) * ekrlab.io.TEXT_BLOCK
+    return fam, text
+
+
+def _edge_spy(monkeypatch):
+    calls = []
+    real = ekrlab.io._edge
+
+    def spy(line, params, lineno):
+        calls.append(lineno)
+        return real(line, params, lineno)
+
+    monkeypatch.setattr(ekrlab.io, "_edge", spy)
+    return calls
+
+
+class TestBulkRoute:
+    @pytest.mark.parametrize("name", BULK_FAMILIES)
+    def test_written_text_skips_edge(self, monkeypatch, name):
+        fam, text = _bulk_text(name)
+        calls = _edge_spy(monkeypatch)
+        assert read_family_text(text) == fam
+        assert calls == []
+        assert (fam.params.n, fam.params.k, fam.edges) == ref_read_family_text(text)
+
+    def test_lines_longer_than_a_block(self, monkeypatch):
+        star = complete_star(26, 4, 2)
+        calls = _edge_spy(monkeypatch)
+        monkeypatch.setattr(ekrlab.io, "TEXT_BLOCK", 5)
+        assert read_family_text(family_text(star)) == star
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "n=5 k=1\n1 2\n",  # two labels on a k = 1 line
+            "n=5 k=2\n1 2 3\n4\n",  # k+1 labels, then k-1
+            "n=5 k=1\n0\n",
+            "n=150 k=2\n1 151\n",
+            "n=99 k=2\n1 100\n",
+            "n=10 k=2\n3 3\n",
+            "n=20 k=2\n1 2\n007 8\n",
+            "n=5 k=2\n 1 2\n",
+            "n=5 k=2\n1 2 \n",
+            "n=5 k=2\n1 2\n\n",
+            "n=5 k=2\n1 2",
+            "n=5\rk=2\n1 2\n",  # a line break inside the first line
+            "n=5 k=2\x0c\n1 2\n",
+            "\nn=5 k=2\n1 2\n",
+            "n=5 k=x\n1 2\n",
+        ],
+    )
+    def test_near_written_texts_match_reference(self, text):
+        got = _outcome(read_family_text, FamilyParseError, text)
+        if isinstance(got, Family):
+            got = got.params.n, got.params.k, got.edges
+        assert got == _outcome(ref_read_family_text, RefParseError, text)
+
+    def test_header_only_leaves_numpy_unloaded(self):
+        script = "from ekrlab.io import read_family_text\nassert not read_family_text('n=50000 k=1\\n').edges"
+        assert probe_numpy(script) == "False"
+
+    def test_body_loads_numpy(self):
+        assert probe_numpy("from ekrlab.io import read_family_text\nassert read_family_text('n=5 k=2\\n1 2\\n')") == "True"
+
+
+def _inject(defect, body, rng, n):
+    """Put one ``defect`` into the edge lines ``body`` at a seeded line;
+    the two duplicates copy a line of the first block into a later one."""
+    i = rng.randrange(1, len(body) // 2)
+    later = rng.randrange(len(body) // 2, len(body))
+    toks = body[i].split(" ")
+    if defect == "comment":
+        body.insert(i, "# note")
+    elif defect == "blank line":
+        body.insert(i, "")
+    elif defect == "crlf":
+        body[i] += "\r"
+    elif defect == "tab":
+        body[i] = "\t".join(toks)
+    elif defect == "double space":
+        body[i] = "  ".join(toks)
+    elif defect == "earlier-block duplicate":
+        body.insert(later, body[rng.randrange(100)])
+    elif defect == "duplicate before bad line":
+        body.insert(later, body[later] + " x")
+        body.insert(i, body[rng.randrange(100)])
+    else:
+        if defect == "07":
+            toks[0] = "0" + toks[0]
+        elif defect == "+7":
+            toks[-1] = "+" + toks[-1]
+        elif defect == "out of range":
+            toks[-1] = str(n + 1)
+        elif defect == "descending":
+            toks[0], toks[1] = toks[1], toks[0]
+        elif defect == "label count":
+            toks.pop()
+        body[i] = " ".join(toks)
+
+
+# defect -> None if the text still reads, else the start of its error;
+# defect i goes into the family BULK_FAMILIES lists i-th, cyclically
+DEFECTS = {
+    "comment": None, "blank line": None, "crlf": None, "tab": None, "double space": None, "07": None, "+7": None,
+    "out of range": "label outside", "descending": "labels must be strictly ascending", "label count": "edge has",
+    "earlier-block duplicate": "duplicate edge", "duplicate before bad line": "duplicate edge",
+}
+
+
+@pytest.mark.parametrize("seed,defect", enumerate(DEFECTS), ids=list(DEFECTS))
+def test_bulk_defect_against_reference(seed, defect):
+    names = list(BULK_FAMILIES)
+    fam, text = _bulk_text(names[seed % len(names)])
+    header, _, rest = text.partition("\n")
+    body = rest.split("\n")[:-1]
+    _inject(defect, body, random.Random(seed), fam.params.n)
+    bad = "\n".join([header, *body, ""])
+    want = _outcome(ref_read_family_text, RefParseError, bad)
+    got = _outcome(read_family_text, FamilyParseError, bad)
+    if isinstance(got, Family):
+        got = got.params.n, got.params.k, got.edges
+    assert got == want
+    error = DEFECTS[defect]
+    assert isinstance(want[0], int) if error is None else want[0].split(": ", 1)[1].startswith(error), want
