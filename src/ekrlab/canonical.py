@@ -28,16 +28,16 @@ uniform colouring gives a k-uniform family, so the root takes one round
 fewer.
 
 *Few orderings.*  The form is the minimum, over every ordering of the
-support that keeps some cells in colour order, of the sorted relabeled
-edge masks, whenever those cells leave at most ``ORDERING_CAP``
-orderings (the product of the cells' sizes' factorials).  The degree
-cells are tried first, with no incidence lists and no refinement; when
-they leave more orderings, the incidence lists are built and the root
-refined, and the refined cells are tried; when they too leave more, the
-search below starts from the root.  This stays canonical: degrees and
-refinement read no labels, the choice of route reads only cell sizes,
-which relabeling keeps, and every route returns a relabeling of the
-family, so equal forms still mean isomorphic families.  The minimum is
+support that keeps the degree cells in colour order, of the sorted
+relabeled edge masks, whenever those cells leave at most
+``ORDERING_CAP`` orderings (the product of the cells' sizes'
+factorials); this route builds no incidence lists and refines nothing.
+When they leave more orderings, the incidence lists are built, the root
+refined, and the search below starts from the root.  This stays
+canonical: degrees read no labels, the choice of route reads only the
+degree cells' sizes, which relabeling keeps, and both routes return a
+relabeling of the family, so equal forms still mean isomorphic
+families.  The minimum is
 built from per-cell shares of one packed vector, whose slot ``i`` holds
 edge ``i``'s relabeled mask: putting vertex ``v`` at position ``p`` adds
 ``packed[v] << p``, and the slots never carry, since an edge's mask is a
@@ -50,8 +50,8 @@ non-singleton cell, one integer addition each, and its form is its
 slots, read by one ``int.to_bytes`` (by shifts when s > 8), sorted.
 Most maximal families take the degree cells: 506 of the 512 anchored
 (6,3) families, 1,827 of 1,860 at (7,3) and 4,600 of 4,709 at (8,3).
-The rest have 720 or 5,040 degree-cell orderings, and their refined
-cells leave more than the cap too, so they search.  ``_refine`` runs
+The rest have 720 or 5,040 degree-cell orderings and search.
+``_refine`` runs
 60, 381 and 1,522 times per pass over those families, against 566,
 2,208 and 6,122 when every family with repeated degrees was refined
 first (3,630, 14,430 and 45,532 with the search alone).  The cap was
@@ -210,9 +210,6 @@ def canonical_form(
     shift = max(len(e) for e in edge_pos).bit_length()
     dshift = max(degrees).bit_length()
     root = _refine(root, edge_pos, incidence, shift, dshift)
-    cells = _cells(root)
-    if prod(factorial(len(cell)) for cell in cells) <= ORDERING_CAP:
-        return _direct_minimum(cells, packed, len(edge_pos), width)
 
     leaves: dict[tuple[Mask, ...], tuple[list[int], list[int]]] = {}
     automorphisms: list[list[int]] = []

@@ -84,12 +84,10 @@ def _emit_report(args: argparse.Namespace, report, header: list[str], rows: list
 
 
 def _load_oracle(args: argparse.Namespace) -> FamilyOracle:
-    if getattr(args, "infile", None):
+    if args.infile is not None:
         return ExplicitOracle(read_family(args.infile))
-    if getattr(args, "star", None):
-        n, k, v = _flag_ints("--star", args.star, "n,k,center", count=3)
-        return StarOracle(n, k, v)
-    raise SystemExit("one of --in or --star n,k,v is required")
+    n, k, v = _flag_ints("--star", args.star, "n,k,center", count=3)
+    return StarOracle(n, k, v)
 
 
 def _budget(args: argparse.Namespace) -> Budget:
@@ -187,7 +185,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     else:
         e = oracle.first_edge()
     if e is None:
-        raise SystemExit("the family is empty")
+        raise ValueError("the family is empty")
     shrink, vertex_bound = {
         "k1": (shrink_core_k1, bnd.shrink_vertex_bound_k1),
         "k2": (shrink_core_k2, bnd.shrink_vertex_bound_k2),
@@ -238,8 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
         cell.add_argument(flag, type=int, required=True)
     source = argparse.ArgumentParser(add_help=False)
     source.add_argument("level", choices=["k1", "k2"])
-    source.add_argument("--in", dest="infile")
-    source.add_argument("--star", help="implicit complete star as n,k,center")
+    given = source.add_mutually_exclusive_group(required=True)
+    given.add_argument("--in", dest="infile")
+    given.add_argument("--star", help="implicit complete star as n,k,center")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate families")

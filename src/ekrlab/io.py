@@ -12,9 +12,11 @@ then lines of k canonical labels ``str(v)`` joined by single spaces, each
 ending in ``'\\n'``, all ASCII) is read in bulk: blocks of about
 ``TEXT_BLOCK`` characters of whole lines are parsed with numpy, and the
 masks are built as uint64 when n <= 64 and by C-level ``map`` folds
-otherwise.  Any other text, or one with a duplicate edge, is read by the
-per-line loop, which gives every error, so both routes return the same
-family and the same error.
+otherwise.  Any other text, or one with a duplicate edge, is read by one
+plain loop over its lines in file order, which parses each line with
+``int()`` and stops at the first error, so both routes return the same
+family and the same error.  That loop is the general route, not a fast
+one: it holds the text's lines and a set of the masks read so far.
 
 Errors are ``FamilyParseError`` with a 1-based line number, and the first
 offending line in file order wins: a bad header, a non-integer label, a
@@ -82,68 +84,24 @@ def _edge(line: str, params: FamilyParams, lineno: int) -> Mask:
     return mask_of(verts)
 
 
-def _raise_first_repeat(lines: list[str], start: int, stop: int, params: FamilyParams) -> None:
-    """Raise the duplicate error of the first edge in ``lines[start:stop]``
-    that repeats an earlier one; the lines are known to parse."""
-    seen: set[Mask] = set()
-    for lineno, raw in enumerate(islice(lines, start, stop), start + 1):
-        line = _strip(raw)
-        if line:
-            m = _edge(line, params, lineno)
-            if m in seen:
-                raise FamilyParseError(f"duplicate edge {list(labels(m))}", lineno)
-            seen.add(m)
-
-
 def _read_lines(text: str) -> Family:
-    """Any family text, line by line: the general route and every error."""
-    lines = text.splitlines()
+    """Any family text, line by line in file order: the general route and every error."""
     params = None
-    for lineno, raw in enumerate(lines, 1):
+    seen: set[Mask] = set()
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = _strip(raw)
-        if line:
+        if not line:
+            continue
+        if params is None:
             params = _header(line, lineno)
-            break
+            continue
+        m = _edge(line, params, lineno)
+        if m in seen:
+            raise FamilyParseError(f"duplicate edge {list(labels(m))}", lineno)
+        seen.add(m)
     if params is None:
         raise FamilyParseError("missing header line", 1)
-    # A line of k canonical labels with rising bits is its mask by OR;
-    # blank, comment and any other lines go through _edge.  The table
-    # gets each token at first sight: its bit if it is str(v), v in 1..n.
-    start, k, n, width = lineno, params.k, params.n, len(str(params.n))
-    table: dict[str, int] = {}
-    masks: list[Mask] = []
-    append = masks.append
-    for lineno, raw in enumerate(islice(lines, start, None), start + 1):
-        toks = raw.split()
-        if len(toks) == k:
-            prev = m = 0
-            for tok in toks:
-                try:
-                    b = table[tok]
-                except KeyError:
-                    canonical = len(tok) <= width and tok.isascii() and tok.isdigit() and tok[0] != "0"
-                    b = table[tok] = 1 << (int(tok) - 1) if canonical and int(tok) <= n else 0
-                if b <= prev:
-                    break
-                m |= b
-                prev = b
-            else:
-                append(m)
-                continue
-        line = _strip(raw)
-        if line:
-            try:
-                append(_edge(line, params, lineno))
-            except FamilyParseError:
-                # a repeat on an earlier line comes first in file order
-                _raise_first_repeat(lines, start, lineno - 1, params)
-                raise
-    # One sort in place; equal neighbours are duplicates, named by a re-walk.
-    masks.sort()
-    if any(map(eq, masks, islice(masks, 1, None))):
-        _raise_first_repeat(lines, start, len(lines), params)
-    del lines  # not held while the edge tuple is built
-    return Family(params, tuple(masks))
+    return Family(params, tuple(sorted(seen)))
 
 
 def _written_masks(block: str, n: int, k: int) -> Iterable[Mask] | None:

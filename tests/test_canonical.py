@@ -88,8 +88,8 @@ SYMMETRIC = {
     "triangle+square": tuple(sorted(mask_of(e) for e in ((1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (6, 7), (4, 7)))),
     "heptagon": cyclic(7, (0, 1)),
     # the degree cells leave 2!^3 and 4!*2! orderings for the first two;
-    # for the rest they leave more than ORDERING_CAP, and refinement then
-    # leaves 3!*3!*2!, 4!*3! = ORDERING_CAP and 5!*2!; H has 8
+    # for the rest they leave more than ORDERING_CAP, so they search,
+    # though refinement leaves 3!*3!*2!, 4!*3! = ORDERING_CAP and 5!*2!; H has 8
     # automorphisms, so its 48 orderings give unequal forms, and so do
     # the 240 of pentagon+path (20 automorphisms)
     "triangle+tails": tuple(sorted(mask_of(e) for e in ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 5)))),
@@ -146,9 +146,10 @@ def test_star_search_is_pruned(refine_calls):
 
 
 def test_each_route_takes_its_refinement_count(refine_calls):
-    # degree cells within ORDERING_CAP: no refinement; refined cells within
-    # it: the root refinement alone; otherwise the search below the root
-    expected = {"triangle+tails": 0, "H": 0, "K2,3+pendants": 1, "K4+claw": 1, "pentagon+path": 10}
+    # degree cells within ORDERING_CAP: no refinement; otherwise the root
+    # refinement and the search below it, even where the refined cells
+    # alone would leave few orderings (K2,3+pendants, K4+claw)
+    expected = {"triangle+tails": 0, "H": 0, "K2,3+pendants": 10, "K4+claw": 21, "pentagon+path": 10}
     for name, count in expected.items():
         refine_calls.clear()
         canonical_form(8, SYMMETRIC[name])
@@ -162,6 +163,11 @@ def test_distinct_degrees_take_no_refinement(refine_calls):
     edges = tuple(sorted(map(mask_of, triples)))
     by_degree = (5, 2, 4, 1, 6, 3)  # degrees 1 to 6
     assert canonical_form(6, edges) == relabel(edges, [by_degree.index(v) + 1 for v in range(1, 7)])
+    assert refine_calls == []
+
+
+def test_empty_family_form_is_empty(refine_calls):
+    assert canonical_form(6, ()) == () == ref_canonical_form(())
     assert refine_calls == []
 
 

@@ -178,6 +178,22 @@ class TestCheckSearchBounds:
     def test_enumeration_guard_exit_1(self, capsys):
         assert main(["check", "--n", "30", "--k", "7", "--d", "2"]) == 1
 
+    @pytest.mark.parametrize("command", ["construct", "certify"])
+    def test_source_flag_required(self, command, capsys):
+        assert main([command, "k1"]) == 1
+        assert "one of the arguments --in --star is required" in capsys.readouterr().err
+
+    def test_source_flags_exclusive(self, capsys):
+        assert main(["certify", "k1", "--in", "star.fam", "--star", "11,3,1"]) == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["construct", "certify"])
+    def test_empty_family_exit_1(self, command, tmp_path, capsys):
+        path = tmp_path / "empty.fam"
+        path.write_text("n=11 k=3\n")
+        assert main([command, "k1", "--in", str(path)]) == 1
+        assert capsys.readouterr() == ("", "error: the family is empty\n")
+
     def test_edge_flag_names_the_first_edge(self, capsys):
         default = run(capsys, "construct", "k1", "--star", "11,3,1")
         assert run(capsys, "construct", "k1", "--star", "11,3,1", "--edge", "3,1,2") == default

@@ -144,6 +144,14 @@ class TestShrinkK1:
         assert r.violation.query_set == mask_of([2, 3])
         assert r.violation.verify(o)
 
+    def test_k2_stray_edge_is_disjoint(self):
+        # {1,2} has no partner through 1 or 2, and {3,4} misses it
+        fam = Family.from_labels(FamilyParams(6, 2), [(1, 2), (3, 4)])
+        r = shrink_core_k1(fam, mask_of([1, 2]))
+        assert not r.ok
+        assert r.violation == DisjointEdges(mask_of([1, 2]), mask_of([3, 4]))
+        assert r.violation.verify(ExplicitOracle(fam))
+
     def test_precondition_errors(self):
         with pytest.raises(ValueError, match="n >= 7"):
             shrink_core_k1(StarOracle(6, 3, 1), mask_of([1, 2, 3]))

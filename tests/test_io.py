@@ -79,6 +79,36 @@ class TestRead:
             read_family_text("n=5 k=2\n1 2\n4 3\n1 2\n")
         assert ei.value.line == 3
 
+    def test_late_duplicate_line_number(self):
+        edges = list(islice(iter_ksubsets(26, 3), 2512))
+        body = [" ".join(map(str, labels(e))) for e in edges]
+        body.insert(2299, body[7])  # the 2,300th edge line, file line 2,301
+        text = "n=26 k=3\n" + "\n".join(body) + "\n"
+        assert len(body) == 2513
+        with pytest.raises(FamilyParseError) as ei:
+            read_family_text(text)
+        assert ei.value.line == 2301
+        assert str(ei.value) == f"line 2301: duplicate edge {list(labels(edges[7]))}"
+
+    def test_noncanonical_tokens_take_the_line_check(self):
+        fam = read_family_text("n=4 k=2\n1 3\n2 \u0663\n")  # ARABIC-INDIC DIGIT THREE
+        assert fam.edges == (mask_of([1, 3]), mask_of([2, 3]))
+        for bad in ["\u00b2", "1" * 5000]:  # SUPERSCRIPT TWO passes isdigit(); 5000 digits exceed int()'s digit limit
+            with pytest.raises(FamilyParseError, match="line 2: non-integer label"):
+                read_family_text(f"n=4 k=1\n{bad}\n")
+
+    def test_memory_does_not_grow_with_n(self):
+        tracemalloc.start()
+        try:
+            read_family_text("n=50000 k=1\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # nothing is held per label of 1..n
+        fam = read_family_text("n=1000000 k=2\n7 1000000\n1 2\n")
+        assert fam.params == FamilyParams(1000000, 2)
+        assert fam.edges == (mask_of([1, 2]), mask_of([7, 1000000]))
+
 
 class TestRoundTrip:
     def test_file_roundtrip(self, tmp_path, rng):
@@ -234,62 +264,6 @@ def test_differential_against_reference():
     assert set(kinds) == {"ok", "duplicate", "edge", "label", "labels", "non-integer", "expected", "missing"}
     assert min(kinds.values()) >= 100, kinds
     assert min(orders["dup first"], orders["bad first"]) >= 1000, orders
-
-
-class TestFastRoute:
-    def test_canonical_lines_skip_edge(self, monkeypatch):
-        calls = []
-        real = ekrlab.io._edge
-
-        def spy(line, params, lineno):
-            calls.append(lineno)
-            return real(line, params, lineno)
-
-        monkeypatch.setattr(ekrlab.io, "_edge", spy)
-        star = complete_star(26, 4, 2)
-        assert read_family_text(family_text(star)) == star
-        assert calls == []
-        fam = read_family_text("n=5 k=3\n1 2 4\n01 2 3\n3 4 5\n")
-        assert fam.edges == (mask_of([1, 2, 3]), mask_of([1, 2, 4]), mask_of([3, 4, 5]))
-        assert calls == [3]
-
-    def test_label_table_grows_with_the_text(self):
-        tracemalloc.start()
-        try:
-            read_family_text("n=50000 k=1\n")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_000_000  # a table over all of 1..n takes about 170 MB
-        fam = read_family_text("n=1000000 k=2\n7 1000000\n1 2\n")
-        assert fam.params == FamilyParams(1000000, 2)
-        assert fam.edges == (mask_of([1, 2]), mask_of([7, 1000000]))
-
-    def test_noncanonical_tokens_take_the_line_check(self, monkeypatch):
-        calls = []
-        real = ekrlab.io._edge
-
-        def spy(line, params, lineno):
-            calls.append(lineno)
-            return real(line, params, lineno)
-
-        monkeypatch.setattr(ekrlab.io, "_edge", spy)
-        fam = read_family_text("n=4 k=2\n1 3\n2 \u0663\n")  # ARABIC-INDIC DIGIT THREE
-        assert fam.edges == (mask_of([1, 3]), mask_of([2, 3])) and calls == [3]
-        for bad in ["\u00b2", "1" * 5000]:  # SUPERSCRIPT TWO passes isdigit(); 5000 digits exceed int()'s digit limit
-            with pytest.raises(FamilyParseError, match="line 2: non-integer label"):
-                read_family_text(f"n=4 k=1\n{bad}\n")
-
-    def test_late_duplicate_line_number(self):
-        edges = list(islice(iter_ksubsets(26, 3), 2512))
-        body = [" ".join(map(str, labels(e))) for e in edges]
-        body.insert(2299, body[7])  # the 2,300th edge line, file line 2,301
-        text = "n=26 k=3\n" + "\n".join(body) + "\n"
-        assert len(body) == 2513
-        with pytest.raises(FamilyParseError) as ei:
-            read_family_text(text)
-        assert ei.value.line == 2301
-        assert str(ei.value) == f"line 2301: duplicate edge {list(labels(edges[7]))}"
 
 
 def _sampled(n, k, m, seed):

@@ -64,12 +64,12 @@ def test_line_trace_reads_another_file():
     # two small written texts take the bulk route, one on each mask route
     tests = [
         "tests/test_io.py::TestBulkRoute::test_lines_longer_than_a_block",  # n = 26
-        "tests/test_io.py::TestFastRoute::test_label_table_grows_with_the_text",  # n = 10^6
+        "tests/test_io.py::TestRead::test_memory_does_not_grow_with_n",  # n = 10^6
     ]
     done = run_script("line_trace.py", "--file", "io.py", *tests, "-q")
     assert done.returncode == 0, done.stdout + done.stderr
     unrun = [line.split(": ", 1)[1] for line in done.stdout.splitlines() if line.startswith("io.py:")]
     assert "return np.bitwise_or.reduce(bits, axis=1).tolist()" not in unrun
     assert "acc = map(or_, acc, map(lshift, repeat(1), col))" not in unrun
-    assert "append(_edge(line, params, lineno))" in unrun
+    assert "m = _edge(line, params, lineno)" in unrun
     assert not any(line.startswith("constructions.py:") for line in done.stdout.splitlines())
