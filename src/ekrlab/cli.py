@@ -292,6 +292,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        if args.format != "json" and args.func not in (cmd_check, cmd_bounds):
+            raise ValueError(f"--format {args.format} applies only to check and bounds, not {args.command}")
         return args.func(args)
     except (ValueError, OSError, ResourceLimitError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, ClassVar, Iterable, Iterator, Optional, Sequence
 
 from .bounds import (
@@ -162,19 +163,14 @@ class ConstructionTrace:
     queries_used: int = 0
     parameters: dict = field(default_factory=dict)
 
-    def record(self, phase: int, query_set: Mask, returned_edge: Optional[Mask],
-               core: Mask, vertex_set: Mask, k: int) -> None:
-        self.steps.append(
-            TraceStep(
-                phase=phase,
-                query_set=query_set,
-                returned_edge=returned_edge,
-                core=core,
-                core_size=popcount(core),
-                vertexset_size=popcount(vertex_set),
-                excess=popcount(vertex_set) - k,
-            )
-        )
+    def record(
+        self, phase: int, query_set: Mask, returned_edge: Optional[Mask], sub: TracedFamily
+    ) -> TracedFamily:
+        """Append the step that grew ``sub``, read off its core and vertex set; return ``sub``."""
+        core, size = sub.core, popcount(sub.vertex_set)
+        step = TraceStep(phase, query_set, returned_edge, core, popcount(core), size, size - sub.params.k)
+        self.steps.append(step)
+        return sub
 
     @property
     def excesses(self) -> list[int]:
@@ -195,7 +191,7 @@ class TracedFamily(Family):
         if union & ~self.vertex_set:
             raise ValueError("vertex set must contain every edge")
 
-    @property
+    @cached_property
     def core(self) -> Mask:
         return covers_size1(self)[0]
 
@@ -385,10 +381,10 @@ def _shrink(level: _K1 | _K2, source: FamilyOracle | Family, e: Mask) -> ShrinkR
     try:
         sub, cover_vertex = level.grow(co, e, trace)
     except _Refuted as refuted:
-        trace.queries_used = co.queries
         return ShrinkResult(None, refuted.violation, trace)
+    finally:
+        trace.queries_used = co.queries
     trace.final_vertex_set = sub.vertex_set
-    trace.queries_used = co.queries
     return ShrinkResult(sub, None, trace, cover_vertex)
 
 
@@ -423,21 +419,17 @@ def _grow_k1(co: CountingOracle, e: Mask, trace: ConstructionTrace) -> tuple[Tra
             if stray is not None:
                 raise _Refuted(DisjointEdges(e, stray))
             raise _Refuted(ZeroCodegree(smallest_subset(p.full & ~e, 1)))
-        trace.record(1, smallest_subset(e, 1), partner, e & partner, e | partner, k)
         trace.parameters["D"] = 1
-        return TracedFamily(p, tuple(sorted((e, partner))), e | partner), None
+        sub = TracedFamily(p, tuple(sorted((e, partner))), e | partner)
+        return trace.record(1, smallest_subset(e, 1), partner, sub), None
 
-    extra = smallest_subset(p.full & ~e, 1)
-    edges: list[Mask] = [e]
-    vertex_set = e | extra
-    core = e
-    trace.record(1, 0, None, core, vertex_set, k)
-
+    current = trace.record(1, 0, None, TracedFamily(p, (e,), e | smallest_subset(p.full & ~e, 1)))
     terminal_fired = False
     for _ in range(k + 2):
+        core = current.core
         if popcount(core) <= 1:
             break
-        outside = vertex_set & ~core
+        outside = current.vertex_set & ~core
         terminal = popcount(outside) >= k - 1
         if terminal:
             w = smallest_subset(outside, k - 1)
@@ -446,18 +438,14 @@ def _grow_k1(co: CountingOracle, e: Mask, trace: ConstructionTrace) -> tuple[Tra
         f = co.extension(w, 0)
         if f is None:
             raise _Refuted(ZeroCodegree(w))
-        prev_core, prev_excess = core, popcount(vertex_set) - k
-        if f not in edges:
-            edges.append(f)
-        core &= f
-        vertex_set |= f
-        trace.record(1, w, f, core, vertex_set, k)
-        assert popcount(core) <= popcount(prev_core) - prev_excess or terminal
-        assert trace.steps[-1].excess - prev_excess in (0, 1)
+        prev = trace.steps[-1]
+        current = trace.record(1, w, f, current.add([f]))
+        assert popcount(current.core) <= prev.core_size - prev.excess or terminal
+        assert trace.steps[-1].excess - prev.excess in (0, 1)
         if terminal:
             terminal_fired = True
             break
-    assert popcount(core) <= 1
+    assert popcount(current.core) <= 1
 
     # The stopping index of the underlying argument is the state just
     # before a terminal query (one that draws the whole query set from
@@ -468,10 +456,10 @@ def _grow_k1(co: CountingOracle, e: Mask, trace: ConstructionTrace) -> tuple[Tra
     assert sum(d_seq[:stop]) <= k
     assert big_d * (big_d + 1) <= 2 * k
     assert big_d <= floor_triangular_root(k)
-    assert popcount(vertex_set) <= k + big_d + 2 <= shrink_vertex_bound_k1(k)
+    assert popcount(current.vertex_set) <= k + big_d + 2 <= shrink_vertex_bound_k1(k)
 
     trace.parameters["D"] = big_d
-    return TracedFamily(p, tuple(sorted(edges)), vertex_set), None
+    return current, None
 
 
 # ---------------------------------------------------------------------------
@@ -613,14 +601,11 @@ def _grow_k2(co: CountingOracle, e: Mask, trace: ConstructionTrace) -> tuple[Tra
     trace.parameters["x"] = x
 
     # Phase 1: drive the core to at most one vertex.
-    window = smallest_subset(p.full & ~e, x)
-    base_vset = e | window  # k + x vertices
-    edges: list[Mask] = [e]
-    vertex_set = base_vset
-    core = e
-    trace.record(1, 0, None, core, vertex_set, k)
+    base_vset = e | smallest_subset(p.full & ~e, x)  # k + x vertices
+    current = trace.record(1, 0, None, TracedFamily(p, (e,), base_vset))
     steps_phase1 = 0
-    while popcount(core) >= 3:
+    while popcount(current.core) >= 3:
+        core = current.core
         if popcount(core) >= x + 2:
             carved = smallest_subset(core, x + 2)
         else:
@@ -628,59 +613,40 @@ def _grow_k2(co: CountingOracle, e: Mask, trace: ConstructionTrace) -> tuple[Tra
         w = base_vset & ~carved
         assert popcount(w) == k - 2
         f = w | _link_at_least(co, w).edges[0]
-        if f not in edges:
-            edges.append(f)
-        prev = vertex_set
-        core &= f
-        vertex_set |= f
+        prev = current.vertex_set
+        current = trace.record(1, w, f, current.add([f]))
         steps_phase1 += 1
-        trace.record(1, w, f, core, vertex_set, k)
-        assert popcount(vertex_set) - popcount(prev) <= 2
+        assert popcount(current.vertex_set) - popcount(prev) <= 2
         if steps_phase1 > (k + x - 1) // x + 1:
             raise InternalContradictionError("phase 1 exceeded its step budget")
     trace.parameters["ell"] = steps_phase1
 
+    core = current.core
     if popcount(core) == 2:
-        w = smallest_subset(vertex_set & ~core, k - 2)
+        w = smallest_subset(current.vertex_set & ~core, k - 2)
         lk = _link_at_least(co, w)
         matching = max_matching_upto(lk, 2)
         if len(matching) == 2:
-            f1, f2 = (w | matching[0], w | matching[1])
-            for f in (f1, f2):
-                if f not in edges:
-                    edges.append(f)
-            core &= f1 & f2
-            vertex_set |= f1 | f2
-            trace.record(1, w, f1, core, vertex_set, k)
+            current = trace.record(1, w, w | matching[0], current.add([w | t for t in matching]))
         else:
             center = is_star_graph(lk)
             assert center is not None  # >= 6 pairwise-meeting pairs share a vertex
             cbit = bit(center)
-            partner = None
-            for t in lk.edges:
-                if t & cbit and not (t & ~cbit) & core:
-                    partner = t
-                    break
+            partner = next((t for t in lk.edges if t & cbit and not (t & ~cbit) & core), None)
             assert partner is not None  # complete star link leaves partners outside the 2-core
-            f = w | partner
-            if f not in edges:
-                edges.append(f)
-            core &= f
-            vertex_set |= f
-            trace.record(1, w, f, core, vertex_set, k)
-    assert popcount(core) <= 1
+            current = trace.record(1, w, w | partner, current.add([w | partner]))
+    assert popcount(current.core) <= 1
 
     # Isolated-vertex padding: keeps every later (k-2)-selection inside the parts.
     part_size = (x + 3) // 4
-    pad_target = max(k + x, (k - 2) + 4 * part_size + 1, popcount(vertex_set))
-    vertex_set = fill_to_size(vertex_set, pad_target, p.full)
-    phase1_cap = k + x + 2 * ((k + x - 1) // x) + 4
-    assert popcount(vertex_set) <= phase1_cap
-    phase1_vset = vertex_set
+    pad_target = max(k + x, (k - 2) + 4 * part_size + 1, popcount(current.vertex_set))
+    current = TracedFamily(p, current.edges, fill_to_size(current.vertex_set, pad_target, p.full))
+    phase1_vset = current.vertex_set
+    assert popcount(phase1_vset) <= k + x + 2 * ((k + x - 1) // x) + 4
 
     # Phase 2: eliminate size-two covers missing the distinguished vertex.
-    v = lowest_vertex(core) if core else lowest_vertex(e)
-    others = vertex_set & ~bit(v)
+    v = lowest_vertex(current.core) if current.core else lowest_vertex(e)
+    others = phase1_vset & ~bit(v)
     other_labels = labels(others)
     parts = [
         sum(bit(u) for u in other_labels[i : i + part_size])
@@ -692,9 +658,6 @@ def _grow_k2(co: CountingOracle, e: Mask, trace: ConstructionTrace) -> tuple[Tra
     assert s <= (cap3 + x - 1) // x  # s <= ceil(4(k+x+2*ceil(k/x)+3)/x)
     assert s * x <= 4 * k + 7 * x
     assert 2 * s + k - 1 < required  # the cover-count contradiction has room
-
-    current = TracedFamily(p, tuple(sorted(edges)), vertex_set)
-    cover_vertex: Optional[int] = None
 
     def entry_links(i: int, j: int) -> list[tuple[Mask, Family, Optional[int]]]:
         area = parts[i] | parts[j]
@@ -713,9 +676,9 @@ def _grow_k2(co: CountingOracle, e: Mask, trace: ConstructionTrace) -> tuple[Tra
                 out.append((sel, lk, is_star_graph(lk)))
         return out
 
-    done = False
+    cover_vertex: Optional[int] = None
     for i in range(s):
-        if done:
+        if cover_vertex is not None:
             break
         for j in range(i + 1, s):
             area = parts[i] | parts[j]
@@ -726,80 +689,26 @@ def _grow_k2(co: CountingOracle, e: Mask, trace: ConstructionTrace) -> tuple[Tra
                 res = cherry_reduce(co, current, sel, area)
                 assert not res.is_star_link
                 assert res.reduced is not None
-                current = res.reduced
-                trace.record(2, sel, None, current.core, current.vertex_set, k)
+                current = trace.record(2, sel, None, res.reduced)
                 continue
             centers = [ent[2] for ent in entries]
             if len(set(centers)) > 1:
                 first = entries[0]
                 second = next(ent for ent in entries if ent[2] != first[2])
                 added = [f for sel, lk, w_center in (first, second) for f in _star_edges(sel, lk, w_center, phase1_vset)]
-                current = current.add(added)
-                trace.record(2, first[0], added[0], current.core, current.vertex_set, k)
+                current = trace.record(2, first[0], added[0], current.add(added))
                 cov = covers_size2(current, area)
                 allowed = bit(first[2]) | bit(second[2])
                 assert all(pr == allowed for pr in cov.edges)
                 continue
             # all links are stars at one common vertex: finish globally
             added = [f for sel, lk, w_center in entries for f in _star_edges(sel, lk, w_center, area)]
-            current = current.add(added)
-            trace.record(2, entries[0][0], added[0], current.core, current.vertex_set, k)
+            current = trace.record(2, entries[0][0], added[0], current.add(added))
             cover_vertex = centers[0]
-            done = True
             break
 
     if cover_vertex is None:
-        # Final consolidation: all part pairs reduced; one more query set
-        # either hands every remaining cover the vertex v or refutes the input.
-        cover_union = 0
-        for i in range(s):
-            for j in range(i + 1, s):
-                cov = covers_size2(current, parts[i] | parts[j])
-                assert is_subgraph_of_cherry(cov.edges)
-                for pr in cov.edges:
-                    cover_union |= pr
-        assert popcount(cover_union) <= 3 * s * s
-        current, sel = _select_outside(current, cover_union | bit(v))
-        lk = _link_at_least(co, sel)
-        center = is_star_graph(lk)
-        if center == v:
-            added = _star_edges(sel, lk, v, current.vertex_set)
-            current = current.add(added)
-            trace.record(2, sel, added[0], current.core, current.vertex_set, k)
-            cover_vertex = v
-        elif center is not None:
-            # A star away from v caps the cover count below the degree floor.
-            ctx = current.add(_star_edges(sel, lk, center, current.vertex_set))
-            raise _Refuted(_refute_by_outside_query(co, ctx.edges, ctx.vertex_set))
-        else:
-            res = cherry_reduce(co, current, sel, cover_union)
-            assert res.reduced is not None
-            current = res.reduced
-            trace.record(2, sel, None, current.core, current.vertex_set, k)
-            aux_union = 0
-            if cover_union:
-                for pr in covers_size2(current, cover_union).edges:
-                    aux_union |= pr
-            current, sel2 = _select_outside(current, aux_union | bit(v))
-            lk2 = _link_at_least(co, sel2)
-            off = next((t for t in lk2.edges if not t & bit(v)), None)
-            if off is not None:
-                # An edge through sel2 avoiding v caps the covers at k + 2.
-                ctx = current.add([sel2 | off])
-                raise _Refuted(_refute_by_outside_query(co, ctx.edges, ctx.vertex_set))
-            if popcount(current.vertex_set & ~(sel2 | bit(v))) <= 3:
-                raise InternalContradictionError(
-                    "no room to extend past the consolidated query set"
-                )
-            vbit = bit(v)
-            zbit = next(
-                (zb for zb in iter_bits(p.full & ~(sel2 | vbit | aux_union)) if (vbit | zb) in lk2),
-                None,
-            )
-            assert zbit is not None
-            current = current.add([sel2 | vbit | zbit])
-            trace.record(2, sel2, sel2 | vbit | zbit, current.core, current.vertex_set, k)
-            cover_vertex = v
+        current, cover_vertex = _consolidate_k2(co, current, parts, v, trace)
 
     # Lemma postconditions, re-verified exhaustively.
     assert popcount(current.vertex_set) <= shrink_vertex_bound_k2(k)
@@ -815,6 +724,56 @@ def _grow_k2(co: CountingOracle, e: Mask, trace: ConstructionTrace) -> tuple[Tra
     if not e & cvbit:
         raise _Refuted(_refute_by_outside_query(co, current.edges, current.vertex_set))
     return current, cover_vertex
+
+
+def _consolidate_k2(
+    co: FamilyOracle, current: TracedFamily, parts: Sequence[Mask], v: int, trace: ConstructionTrace
+) -> tuple[TracedFamily, int]:
+    """The k-2 shrink's final consolidation, once every part pair is reduced.
+
+    One more query set outside the remaining covers either hands every
+    cover the vertex ``v`` (returned as the cover vertex with the grown
+    subfamily) or refutes the input.
+    """
+    vbit = bit(v)
+    cover_union = 0
+    for i, first in enumerate(parts):
+        for second in parts[i + 1 :]:
+            cov = covers_size2(current, first | second)
+            assert is_subgraph_of_cherry(cov.edges)
+            for pr in cov.edges:
+                cover_union |= pr
+    assert popcount(cover_union) <= 3 * len(parts) ** 2
+    current, sel = _select_outside(current, cover_union | vbit)
+    lk = _link_at_least(co, sel)
+    center = is_star_graph(lk)
+    if center == v:
+        added = _star_edges(sel, lk, v, current.vertex_set)
+        return trace.record(2, sel, added[0], current.add(added)), v
+    if center is not None:
+        # A star away from v caps the cover count below the degree floor.
+        ctx = current.add(_star_edges(sel, lk, center, current.vertex_set))
+        raise _Refuted(_refute_by_outside_query(co, ctx.edges, ctx.vertex_set))
+    res = cherry_reduce(co, current, sel, cover_union)
+    assert res.reduced is not None
+    current = trace.record(2, sel, None, res.reduced)
+    aux_union = 0
+    if cover_union:
+        for pr in covers_size2(current, cover_union).edges:
+            aux_union |= pr
+    current, sel2 = _select_outside(current, aux_union | vbit)
+    lk2 = _link_at_least(co, sel2)
+    off = next((t for t in lk2.edges if not t & vbit), None)
+    if off is not None:
+        # An edge through sel2 avoiding v caps the covers at k + 2.
+        ctx = current.add([sel2 | off])
+        raise _Refuted(_refute_by_outside_query(co, ctx.edges, ctx.vertex_set))
+    if popcount(current.vertex_set & ~(sel2 | vbit)) <= 3:
+        raise InternalContradictionError("no room to extend past the consolidated query set")
+    free = co.params.full & ~(sel2 | vbit | aux_union)
+    zbit = next((zb for zb in iter_bits(free) if (vbit | zb) in lk2), None)
+    assert zbit is not None
+    return trace.record(2, sel2, sel2 | vbit | zbit, current.add([sel2 | vbit | zbit])), v
 
 
 # ---------------------------------------------------------------------------
@@ -1181,10 +1140,10 @@ def _certify(
 
         level.final_check(co, ctx_x, window_x, window_y, v, rng, samples)
     except _Refuted as refuted:
-        trace.queries_used = co.queries
         return Certificate(None, refuted.violation, trace)
+    finally:
+        trace.queries_used = co.queries
     trace.final_vertex_set = p.full
-    trace.queries_used = co.queries
     return Certificate(v, None, trace)
 
 

@@ -32,11 +32,22 @@ from pathlib import Path
 
 import ekrlab
 from ekrlab.bounds import certify_threshold_k1, certify_threshold_k2
-from ekrlab.constructions import certify_star_k1, certify_star_k2, shrink_core_k1, shrink_core_k2
-from ekrlab.family import Family
+from ekrlab.constructions import (
+    ConstructionTrace,
+    CountingOracle,
+    ShrinkResult,
+    TracedFamily,
+    _consolidate_k2,
+    _Refuted,
+    certify_star_k1,
+    certify_star_k2,
+    shrink_core_k1,
+    shrink_core_k2,
+)
+from ekrlab.family import Family, FamilyParams
 from ekrlab.generators import complete_star, hilton_milner
 from ekrlab.io import to_json
-from ekrlab.masks import bit, iter_ksubsets, mask_of
+from ekrlab.masks import bit, full_mask, iter_ksubsets, mask_of
 from ekrlab.oracles import ExplicitOracle, StarOracle, as_oracle
 from test_constructions_adversarial import (
     LowBandStarOracle,
@@ -450,6 +461,80 @@ def test_final_consolidation_digests():
         got[f"shrink/{name}"] = digest(lambda: _shrink_from_first_edge(TwoStarOracle(n, 3, a, b)))
         got[f"certify/{name}"] = digest(lambda: certify_star_k2(TwoStarOracle(n, 3, a, b)))
     assert got == CONSOLIDATION_GOLDEN
+
+
+# Direct calls of the final consolidation (``_consolidate_k2``) reach each
+# of its outcomes.  Every call starts from one context on {1..12} with the
+# parts below and v = 1: four edges through 1 whose only size-two cover
+# avoiding 1 is {2,3}, so the consolidation queries {4}.  Each oracle
+# contains the context: the star at 1 (the link of {4} is a star at v), or
+# the star at 1 with the edges through 4 replaced.  With a link of {4}
+# that is a star at 3 the input is refuted.  A non-star link {1,2}, {1,3},
+# {3,z} (z >= 5) keeps {2,3} a cover after the pattern reduction, so the
+# second query set is {4} again and the input is refuted; adding {1,5}
+# breaks the cover, and the second query set {2} extends through v.
+CONSOLIDATION_PARTS = tuple(mask_of(part) for part in ([2, 3, 4], [5, 6, 7], [8, 9, 10], [11, 12]))
+CONSOLIDATION_CONTEXT = TracedFamily(
+    FamilyParams(230, 3), tuple(mask_of(e) for e in ([1, 2, 5], [1, 2, 6], [1, 3, 7], [1, 3, 8])), full_mask(12)
+)
+
+
+def _star_rewired_at_4(through_4) -> ExplicitOracle:
+    """The star at 1 on (230,3) whose edges through 4 are ``through_4``."""
+    star = complete_star(230, 3, 1)
+    kept = [e for e in star.edges if not e & bit(4)]
+    return ExplicitOracle(Family.from_masks(star.params, kept + [mask_of(e) for e in through_4]))
+
+
+def consolidation_oracles() -> dict:
+    beyond = [[3, 4, z] for z in range(5, 231)]
+    return {
+        "link-star-at-v": StarOracle(230, 3, 1),
+        "link-star-away-from-v": _star_rewired_at_4([[1, 3, 4], [2, 3, 4]] + beyond),
+        "cover-kept": _star_rewired_at_4([[1, 2, 4], [1, 3, 4]] + beyond),
+        "cover-broken": _star_rewired_at_4([[1, 2, 4], [1, 3, 4], [1, 4, 5]] + beyond),
+    }
+
+
+def consolidate(oracle) -> ShrinkResult:
+    co = CountingOracle(oracle)
+    trace = ConstructionTrace()
+    try:
+        sub, cover_vertex = _consolidate_k2(co, CONSOLIDATION_CONTEXT, CONSOLIDATION_PARTS, 1, trace)
+    except _Refuted as refuted:
+        return ShrinkResult(None, refuted.violation, trace)
+    finally:
+        trace.queries_used = co.queries
+    return ShrinkResult(sub, None, trace, cover_vertex)
+
+
+DIRECT_CONSOLIDATION_GOLDEN: dict[str, str] = {
+    "link-star-at-v": "3ec7d4318ad37710f142adfdc13038e6126247a4d814a7df85759b5b52f95423",
+    "link-star-away-from-v": "20a48c05c088e5934eac3c139bd85315a948024ba5f5e5cc06cfade41c37e2a0",
+    "cover-kept": "c2119c38489f369b1cf61f998ea079c1cf2f46485283c40a73eb809a6067c40c",
+    "cover-broken": "47e49c5484a5082df6a3dd50287009f9f6c7a861b6ed74c14b192ea145ba4f8e",
+}
+
+
+def test_direct_consolidation_outcomes():
+    got, shapes = {}, {}
+    for name, oracle in consolidation_oracles().items():
+        result = consolidate(oracle)
+        if result.ok:
+            head = (result.cover_vertex, len(result.subfamily.edges))
+        else:
+            assert result.violation.verify(oracle), name
+            head = (result.violation.to_dict(),)
+        # (cover vertex and edge count, or witness), trace steps, queries
+        shapes[name] = (*head, len(result.trace.steps), result.trace.queries_used)
+        got[name] = sha256(outcome(result))
+    assert shapes == {
+        "link-star-at-v": (1, 14, 1, 1),
+        "link-star-away-from-v": ({"kind": "disjoint-edges", "first": [1, 2, 13], "second": [3, 4, 5]}, 0, 2),
+        "cover-kept": ({"kind": "disjoint-edges", "first": [1, 2, 13], "second": [3, 4, 5]}, 1, 4),
+        "cover-broken": (1, 8, 2, 3),
+    }
+    assert got == DIRECT_CONSOLIDATION_GOLDEN
 
 
 # The k-2 final check's sampled degree test on an oracle (not an explicit

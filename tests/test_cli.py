@@ -121,6 +121,13 @@ class TestCheckSearchBounds:
         payload = json.loads(captured.out)
         assert (payload["verdict"], payload["families_checked"], payload["nodes"]) == ("inconclusive", 0, 4)
 
+    def test_check_time_budget_stop_exit_0(self, capsys):
+        code = main(["check", "--n", "8", "--k", "3", "--d", "2", "--budget-ms", "0"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        payload = json.loads(captured.out)
+        assert (payload["verdict"], payload["families_checked"], payload["nodes"]) == ("inconclusive", 90, 256)
+
     def test_check_csv_header(self, capsys):
         code, out = run(capsys, "--format", "csv", "check", "--n", "6", "--k", "2", "--d", "1")
         lines = out.strip().splitlines()
@@ -168,6 +175,26 @@ class TestCheckSearchBounds:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "bd3e33d6dea305929958adf91c9e45376510e898329927958a299fb9fd2bdfe6"
         )
+
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--n", "6", "--k", "3", "--d", "2", "--target", "2"],
+            ["gen", "star", "--n", "5", "--k", "2", "--center", "1"],
+            ["stats", "--in", "star.fam"],
+            ["construct", "k1", "--star", "11,3,1"],
+            ["certify", "k1", "--star", "11,3,1"],
+        ],
+        ids=["search", "gen", "stats", "construct", "certify"],
+    )
+    @pytest.mark.parametrize("where", ["before", "after"])
+    def test_format_a_subcommand_ignores_is_a_usage_error(self, where, argv, fmt, capsys):
+        flag = ["--format", fmt]
+        assert main(flag + argv if where == "before" else argv + flag) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --format {fmt} applies only to check and bounds, not {argv[0]}\n"
 
     def test_usage_error_exit_1(self, capsys):
         assert main(["check", "--n", "7", "--k", "3"]) == 1  # missing --d

@@ -8,18 +8,21 @@ from pathlib import Path
 import pytest
 
 import ekrlab
+import ekrlab.oracles as oracles
 from conftest import random_family, ref_degree, ref_min_degree
 from ekrlab.family import Family, FamilyParams
 from ekrlab.generators import complete_star, enumerate_maximal_intersecting, hilton_milner
 from ekrlab.masks import iter_ksubsets, labels, mask_of
 from ekrlab.oracles import (
     ExplicitOracle,
+    FamilyOracle,
     StarOracle,
     _min_degree_counting,
     _min_degree_walk,
     min_degree,
     min_degree_scan,
 )
+from test_constructions_adversarial import TwoStarOracle
 
 
 class TestStarOracleClosedForms:
@@ -59,6 +62,52 @@ class TestStarOracleClosedForms:
                 assert sorted(star.enumerate_extensions(base)) == sorted(
                     exp.enumerate_extensions(base)
                 )
+
+
+class OpaqueOracle(FamilyOracle):
+    """Answers every query through ``inner`` and exposes no explicit family."""
+
+    def __init__(self, inner: FamilyOracle):
+        self.inner = inner
+
+    @property
+    def params(self):
+        return self.inner.params
+
+    def contains(self, e):
+        return self.inner.contains(e)
+
+    def degree(self, s):
+        return self.inner.degree(s)
+
+    def extension(self, base, forbidden=0):
+        return self.inner.extension(base, forbidden)
+
+    def enumerate_extensions(self, base):
+        return self.inner.enumerate_extensions(base)
+
+
+class TestMinDegreeGeneralOracle:
+    """An oracle that is neither explicit nor a StarOracle takes ``min_degree_scan``."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("kind", ["two-star", "hidden-explicit"])
+    def test_scan_route_matches_reference(self, kind, d, monkeypatch):
+        union = Family.from_masks(FamilyParams(7, 3), complete_star(7, 3, 1).edges + complete_star(7, 3, 2).edges)
+        if kind == "two-star":
+            oracle = TwoStarOracle(7, 3, 1, 2)
+        else:
+            oracle = OpaqueOracle(ExplicitOracle(union))
+        assert oracle.family is None
+        scans = []
+
+        def spy(o, dd):
+            scans.append(dd)
+            return min_degree_scan(o, dd)
+
+        monkeypatch.setattr(oracles, "min_degree_scan", spy)
+        assert min_degree(oracle, d) == ref_min_degree(union, d)
+        assert scans == [d]
 
 
 class TestMinDegree:

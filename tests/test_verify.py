@@ -58,6 +58,11 @@ class TestCheckTheorem:
         full = check_theorem(7, 3, 2)
         assert full.nodes is None and "nodes" not in json.loads(to_json(full))
 
+    def test_time_budget_stops_at_the_first_clock_check(self):
+        # the clock is read every 256 nodes; a 0 ms budget is spent by then
+        rep = check_theorem(8, 3, 2, budget=Budget(max_ms=0))
+        assert (rep.verdict, rep.families_checked, rep.nodes) == ("inconclusive", 90, 256)
+
     def test_achiever_cross_check_raises_on_disagreement(self, monkeypatch):
         monkeypatch.setattr(verify, "min_degree", lambda fam, d: (-1, 0))
         with pytest.raises(AssertionError, match="disagree"):
@@ -105,6 +110,10 @@ class TestSearch:
         rep = search_counterexample(7, 3, 2, 2, budget=Budget(max_nodes=3))
         assert rep.outcome == "inconclusive"
         assert rep.nodes >= 3
+
+    def test_time_budget_stops_at_the_first_clock_check(self):
+        rep = search_counterexample(8, 4, 3, 2, budget=Budget(max_ms=0))
+        assert (rep.outcome, rep.families_checked, rep.nodes) == ("inconclusive", 112, 256)
 
     def test_target_guard(self):
         with pytest.raises(ValueError, match="not above the bound"):
