@@ -45,10 +45,11 @@ from .masks import (
     labels,
     lowest_vertex,
     popcount,
+    row_masks,
     smallest_subset,
     fill_to_size,
 )
-from .oracles import FamilyOracle, as_oracle, link, min_degree
+from .oracles import BatchFailure, FamilyOracle, as_oracle, link, min_degree
 
 SAMPLE_BUDGET = 10_000  # seeded final-claim samples on non-explicit oracles
 SPOT_BUDGET = 256  # per-window spot checks on non-explicit oracles
@@ -297,6 +298,19 @@ class CountingOracle(FamilyOracle):
                 )
             yield e
 
+    def first_failure(self, edges, sets=None, required: int = 0) -> Optional[BatchFailure]:
+        """The inner oracle's answer, counted as the per-sample loop asks:
+        one or two queries per passing row, then the failing row's."""
+        failure = self.inner.first_failure(edges, sets, required)
+        per_row = 1 if sets is None else 2
+        if failure is None:
+            self.queries += per_row * len(edges)
+            return None
+        self.queries += per_row * failure.index + (1 if failure.kind == "degree" else per_row)
+        if failure.degree is not None and failure.degree < 0:
+            raise InternalContradictionError("oracle returned a negative degree")
+        return failure
+
 
 def _random_floats(rng: random.Random, m: int):
     """The next ``m`` values of ``rng.random()`` as a float64 array, from one
@@ -313,8 +327,8 @@ def _random_floats(rng: random.Random, m: int):
     return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) / 9007199254740992.0
 
 
-def _sample_subsets(rng: random.Random, pool: Mask, r: int, count: int) -> Iterator[Mask]:
-    """``count`` uniform r-subsets of the pool, as masks.
+def _sample_subsets(rng: random.Random, pool: Mask, r: int, count: int) -> Iterator:
+    """``count`` uniform r-subsets of the pool, a batch at a time.
 
     Each sample is a partial Fisher-Yates shuffle of the pool's bits in
     ascending order: step i swaps positions i and
@@ -322,12 +336,15 @@ def _sample_subsets(rng: random.Random, pool: Mask, r: int, count: int) -> Itera
     SAMPLE_BATCH at a time: the batch's floats, in sample order, come
     from one ``getrandbits`` call read as word pairs (``_random_floats``,
     equal to ``rng.random()`` float for float), then its swaps run as
-    numpy column operations across the batch.  The masks and the final
-    ``rng`` state therefore equal ``count`` one-at-a-time draws, which
-    ``TestSampleSubsets`` checks against a plain ``rng.random()``
-    reference.  Batches are drawn one at a time, so a caller that draws
-    from ``rng`` between yields sees the stream split at the batch
-    boundaries.  The sampler only feeds spot checks, never proofs.
+    numpy column operations across the batch.  Each batch is yielded as
+    its b × W 0/1 uint8 matrix, W the pool's bit length rounded up to a
+    byte; column c set means vertex c + 1 is a member.  The rows' masks
+    (``row_masks``) and the final ``rng`` state equal ``count``
+    one-at-a-time draws, which ``TestSampleSubsets`` checks against a
+    plain ``rng.random()`` reference.  Batches are drawn one at a time,
+    so a caller that draws from ``rng`` between yields sees the stream
+    split at the batch boundaries.  The sampler only feeds spot checks,
+    never proofs.
     """
     import numpy as np
 
@@ -355,9 +372,21 @@ def _sample_subsets(rng: random.Random, pool: Mask, r: int, count: int) -> Itera
             flat[t] = head
         chosen = np.zeros((b, nbytes * 8), np.uint8)
         chosen[cols, shuffled[:r]] = 1
-        data = np.packbits(chosen, axis=1, bitorder="little").tobytes()
-        for o in range(0, len(data), nbytes):
-            yield int.from_bytes(data[o : o + nbytes], "little")
+        yield chosen
+
+
+def _edge_rows(rows, v: int, zcols=None):
+    """The sampled rows with the column of ``v`` set, and with column
+    ``zcols[i]`` set in row i when given; widened when v lies past the rows."""
+    import numpy as np
+
+    b, width = rows.shape
+    edges = np.zeros((b, max(width, v)), np.uint8)
+    edges[:, :width] = rows
+    edges[:, v - 1] = 1
+    if zcols is not None:
+        edges[np.arange(b), zcols] = 1
+    return edges
 
 
 # ---------------------------------------------------------------------------
@@ -885,9 +914,11 @@ def _star_check(
         if sv is not None:
             raise _Refuted(offending(sv.edge) if sv.kind == "offending" else missing(sv.edge))
         return
-    for w in _sample_subsets(rng, window & ~vb, co.params.k - 1, count):
-        if not co.contains(w | vb):
-            raise _Refuted(missing(w | vb))
+    for rows in _sample_subsets(rng, window & ~vb, co.params.k - 1, count):
+        edges = _edge_rows(rows, v)
+        failure = co.first_failure(edges)
+        if failure is not None:
+            raise _Refuted(missing(row_masks(edges[failure.index : failure.index + 1])[0]))
 
 
 class _K1:
@@ -1044,16 +1075,24 @@ class _K2:
             return
         required = p.n - p.k + 1
         pool = p.full & ~vb
-        zchoices = list(iter_bits(pool))
-        for w in _sample_subsets(rng, pool, p.k - 2, samples):
-            deg = co.degree(w)
-            if deg < required:
-                raise _Refuted(LowCodegree(w, deg, required))
-            zb = rng.choice(zchoices)
-            while zb & w:
-                zb = rng.choice(zchoices)
-            if not co.contains(w | vb | zb):
-                raise _Refuted(_missing_edge_probe_k2(co, ctx, w | vb | zb, v))
+        zchoices = [zb.bit_length() - 1 for zb in iter_bits(pool)]  # columns
+        for rows in _sample_subsets(rng, pool, p.k - 2, samples):
+            # each sample's z, drawn in sample order until it avoids the sample
+            width, taken = rows.shape[1], rows.tobytes()
+            zcols = []
+            for o in range(0, len(taken), width):
+                z = rng.choice(zchoices)
+                while taken[o + z]:
+                    z = rng.choice(zchoices)
+                zcols.append(z)
+            edges = _edge_rows(rows, v, zcols)
+            failure = co.first_failure(edges, rows, required)
+            if failure is None:
+                continue
+            i = failure.index
+            if failure.kind == "degree":
+                raise _Refuted(LowCodegree(row_masks(rows[i : i + 1])[0], failure.degree, required))
+            raise _Refuted(_missing_edge_probe_k2(co, ctx, row_masks(edges[i : i + 1])[0], v))
 
 
 def _certify(

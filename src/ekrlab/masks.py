@@ -36,6 +36,15 @@ def labels(m: Mask) -> tuple[int, ...]:
     return tuple(out)
 
 
+def row_masks(rows) -> list[Mask]:
+    """The masks of the rows of a b × W 0/1 numpy matrix: column c set means vertex c + 1 is a member."""
+    import numpy as np
+
+    nbytes = (rows.shape[1] + 7) // 8
+    data = np.packbits(rows, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(data[o : o + nbytes], "little") for o in range(0, len(data), nbytes)]
+
+
 def full_mask(n: int) -> Mask:
     return (1 << n) - 1
 

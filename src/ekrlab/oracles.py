@@ -5,15 +5,21 @@ explicit realization wraps a materialized :class:`Family` and exposes it
 as ``family``, which is None on an oracle that answers for no explicit
 family; the star realization answers for the complete star centered at a
 vertex without materializing its C(n-1, k-1) edges.
+
+The sampled star checks ask their queries a batch at a time through
+:meth:`FamilyOracle.first_failure`.  Its default asks them one by one;
+the star answers a batch in closed form, by column tests, as long as its
+``contains`` and ``degree`` are its own.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import Counter
+from functools import cached_property
 from itertools import chain, combinations
 from math import comb
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .family import Family, FamilyParams
 from .masks import (
@@ -24,8 +30,18 @@ from .masks import (
     labels,
     mask_of,
     popcount,
+    row_masks,
     smallest_subset,
 )
+
+
+class BatchFailure(NamedTuple):
+    """The first sample of a batch whose query fails: its row, the query kind
+    ("degree" or "contains") and the degree observed on that row, if one was asked."""
+
+    index: int
+    kind: str
+    degree: Optional[int]
 
 
 class FamilyOracle(ABC):
@@ -52,6 +68,26 @@ class FamilyOracle(ABC):
 
     def first_edge(self) -> Optional[Mask]:
         return self.extension(0, 0)
+
+    def first_failure(self, edges, sets=None, required: int = 0) -> Optional[BatchFailure]:
+        """Ask a batch of samples in order and stop at the first failure.
+
+        ``edges`` and ``sets`` are b × W 0/1 numpy matrices, one sample per
+        row.  Sample i asks ``degree(sets[i])`` when ``sets`` is given, and
+        fails if it is below ``required``; then it asks ``contains(edges[i])``
+        and fails if that is False.  This default asks exactly those
+        queries, one at a time; None means every sample passed.
+        """
+        queried = row_masks(sets) if sets is not None else None
+        for i, e in enumerate(row_masks(edges)):
+            deg = None
+            if queried is not None:
+                deg = self.degree(queried[i])
+                if deg < required:
+                    return BatchFailure(i, "degree", deg)
+            if not self.contains(e):
+                return BatchFailure(i, "contains", deg)
+        return None
 
     def _check_degree_arg(self, s: Mask) -> None:
         if popcount(s) > self.params.k:
@@ -109,10 +145,15 @@ class StarOracle(FamilyOracle):
 
     def degree(self, s: Mask) -> int:
         self._check_degree_arg(s)
-        p, d = self._params, popcount(s)
-        if s & self._cbit:
-            return comb(p.n - d, p.k - d)
-        return comb(p.n - d - 1, p.k - d - 1) if p.k - d - 1 >= 0 else 0
+        through, avoiding = self._degrees
+        return (through if s & self._cbit else avoiding)[popcount(s)]
+
+    @cached_property
+    def _degrees(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Degree of a d-set, d = 0..k: one table for sets through the center, one for sets avoiding it."""
+        n, k = self._params.n, self._params.k
+        through = tuple(comb(n - d, k - d) for d in range(k + 1))
+        return through, tuple(comb(n - d - 1, k - d - 1) if d < k else 0 for d in range(k + 1))
 
     def extension(self, base: Mask, forbidden: Mask = 0) -> Optional[Mask]:
         p = self._params
@@ -137,6 +178,63 @@ class StarOracle(FamilyOracle):
             return
         for rest in iter_subsets_within(p.full & ~core, need):
             yield core | rest
+
+    def first_failure(self, edges, sets=None, required: int = 0) -> Optional[BatchFailure]:
+        """The default's answer, by column tests over the whole batch.
+
+        A row is a star edge when it has k nonzero columns, none at index n
+        or above, and the center's.  A set's degree is read off the
+        ``_degrees`` tables by its size and its center column; a set with
+        more than k members or one past n raises as :meth:`degree` does.
+        A subclass that overrides ``contains`` or ``degree`` gets the
+        default, which asks its own answers.
+        """
+        if not _star_closed_form(self):
+            return super().first_failure(edges, sets, required)
+        import numpy as np
+
+        k = self._params.k
+        size, through, past = self._columns(edges)
+        stop = (size != k) | past | ~through
+        if sets is None:
+            hits = np.flatnonzero(stop)
+            return BatchFailure(int(hits[0]), "contains", None) if len(hits) else None
+        tables = self._degrees
+        low_through, low_avoiding = (np.array([d < required for d in table]) for table in tables)
+        size, through, past = self._columns(sets)
+        bounded = np.minimum(size, k)
+        invalid = (size > k) | past
+        low = invalid | np.where(through, low_through[bounded], low_avoiding[bounded])
+        hits = np.flatnonzero(stop | low)
+        if not len(hits):
+            return None
+        i = int(hits[0])
+        if invalid[i]:
+            self._check_degree_arg(row_masks(sets[i : i + 1])[0])
+        deg = tables[0 if through[i] else 1][int(size[i])]
+        return BatchFailure(i, "degree" if low[i] else "contains", deg)
+
+    def _columns(self, rows):
+        """Per row of a 0/1 matrix: its member count, whether it holds the
+        center, and whether it has a member past n."""
+        import numpy as np
+
+        b, width = rows.shape
+        col, n = self.center - 1, self._params.n
+        through = rows[:, col] != 0 if col < width else np.zeros(b, bool)
+        past = rows[:, n:].any(axis=1) if width > n else np.zeros(b, bool)
+        return rows.sum(axis=1, dtype=np.uint32), through, past
+
+
+_STAR_CONTAINS, _STAR_DEGREE = StarOracle.contains, StarOracle.degree
+
+
+def _star_closed_form(oracle: FamilyOracle) -> bool:
+    """True when ``oracle`` is a StarOracle whose ``contains`` and ``degree``
+    are the ones defined here.  A subclass that overrides either one, or a
+    wrapper patched onto the class, is asked query by query instead."""
+    cls = type(oracle)
+    return isinstance(oracle, StarOracle) and cls.contains is _STAR_CONTAINS and cls.degree is _STAR_DEGREE
 
 
 def as_oracle(source: FamilyOracle | Family) -> FamilyOracle:
@@ -244,8 +342,6 @@ def min_degree(oracle: FamilyOracle | Family, d: int) -> tuple[int, Mask]:
     fam = oracle if isinstance(oracle, Family) else oracle.family
     if fam is not None:
         return _min_degree_explicit(fam, d) if fam.edges else (0, smallest_subset(p.full, d))
-    if isinstance(oracle, StarOracle):
-        value = comb(p.n - d - 1, p.k - d - 1) if p.k - d - 1 >= 0 else 0
-        avoid = p.full & ~bit(oracle.center)
-        return value, smallest_subset(avoid, d)
+    if _star_closed_form(oracle):
+        return oracle._degrees[1][d], smallest_subset(p.full & ~bit(oracle.center), d)
     return min_degree_scan(oracle, d)

@@ -15,6 +15,7 @@ import pytest
 
 import ekrlab
 from ekrlab.constructions import (
+    CountingOracle,
     DisjointEdges,
     InternalContradictionError,
     LowCodegree,
@@ -22,12 +23,24 @@ from ekrlab.constructions import (
     certify_star_k1,
     certify_star_k2,
     shrink_core_k2,
+    _edge_rows,
+    _sample_subsets,
 )
 from ekrlab.bounds import certify_threshold_k1
 from ekrlab.family import Family, FamilyParams
 from ekrlab.generators import complete_star
-from ekrlab.masks import bit, iter_bits, iter_subsets_within, labels, mask_of, popcount, smallest_subset
-from ekrlab.oracles import ExplicitOracle, FamilyOracle, StarOracle
+from ekrlab.masks import (
+    bit,
+    full_mask,
+    iter_bits,
+    iter_subsets_within,
+    labels,
+    mask_of,
+    popcount,
+    row_masks,
+    smallest_subset,
+)
+from ekrlab.oracles import ExplicitOracle, FamilyOracle, StarOracle, min_degree, min_degree_scan
 
 
 def without_edge(star: Family, edge_labels) -> Family:
@@ -273,17 +286,17 @@ class TestAbsentStarEdgeReturned:
 
 
 class LowBandStarOracle(StarOracle):
-    """The complete star at ``center``, except that ``degree`` answers one
-    less for the (k-2)-sets inside ``band`` that avoid the center; the
-    other queries answer for the whole star."""
+    """The complete star at ``center``, except that ``degree`` answers
+    ``drop`` less (one by default) for the (k-2)-sets inside ``band`` that
+    avoid the center; the other queries answer for the whole star."""
 
-    def __init__(self, n: int, k: int, center: int, band: range):
+    def __init__(self, n: int, k: int, center: int, band: range, drop: int = 1):
         super().__init__(n, k, center)
-        self.band = mask_of(band)
+        self.band, self.drop = mask_of(band), drop
 
     def degree(self, s):
         if popcount(s) == self.params.k - 2 and not s & (self._cbit | ~self.band):
-            return super().degree(s) - 1
+            return super().degree(s) - self.drop
         return super().degree(s)
 
 
@@ -301,6 +314,18 @@ class TestSampledLowCodegree:
         assert isinstance(cert.violation, LowCodegree)
         assert cert.violation.query_set == mask_of(witness)
         assert cert.violation.verify(oracle)
+
+    def test_negative_degree_raises_on_the_batch_path(self, monkeypatch):
+        # the band's degrees come back as -1; the final check asks them
+        # through CountingOracle.first_failure, never CountingOracle.degree
+        asked = []
+        degree = CountingOracle.degree
+        monkeypatch.setattr(CountingOracle, "degree", lambda co, s: asked.append(s) or degree(co, s))
+        oracle = LowBandStarOracle(232, 3, 1, range(229, 233), drop=231)
+        assert oracle.degree(mask_of([230])) == -1
+        with pytest.raises(InternalContradictionError, match="oracle returned a negative degree"):
+            certify_star_k2(oracle)
+        assert asked == []
 
 
 class TestTwoStarUnion:
@@ -397,3 +422,189 @@ class TestPatchworkCases:
 
         cov = covers_size2(r.subfamily, r.subfamily.vertex_set)
         assert all(pr & bit(r.cover_vertex) for pr in cov.edges)
+
+
+# ---------------------------------------------------------------------------
+# batch answers of the sampled checks
+
+
+def label_rows(rows, width=16):
+    """A 0/1 uint8 matrix whose row i holds the labels ``rows[i]``."""
+    import numpy as np
+
+    out = np.zeros((len(rows), width), np.uint8)
+    for i, row in enumerate(rows):
+        out[i, [v - 1 for v in row]] = 1
+    return out
+
+
+def loop_failure(oracle, edges, sets=None, required=0):
+    """The per-sample loop the batch call replaces, through a CountingOracle:
+    ((index, kind, degree) of the first failure or None, queries asked)."""
+    co = CountingOracle(oracle)
+    queried = row_masks(sets) if sets is not None else None
+    for i, e in enumerate(row_masks(edges)):
+        deg = None
+        if queried is not None:
+            deg = co.degree(queried[i])
+            if deg < required:
+                return (i, "degree", deg), co.queries
+        if not co.contains(e):
+            return (i, "contains", deg), co.queries
+    return None, co.queries
+
+
+def batch_failure(oracle, edges, sets=None, required=0):
+    """The batch call through a CountingOracle, in ``loop_failure``'s shape."""
+    co = CountingOracle(oracle)
+    failure = co.first_failure(edges, sets, required)
+    return (tuple(failure) if failure is not None else None), co.queries
+
+
+def swap(rows, i, row):
+    return rows[:i] + [row] + rows[i + 1 :]
+
+
+# the star at 2 on [12]; rows are 16 columns wide, so labels 13-16 lie past n
+STAR = StarOracle(12, 3, 2)
+EDGES = [[2, 1, 3], [2, 4, 5], [2, 6, 7], [2, 8, 9], [2, 10, 11], [2, 12, 1]]
+SETS = [[1], [4], [6], [2], [10], [12]]  # degree 10 = n-k+1 each, 55 through the center
+K1_CASES = {
+    "nowhere": (EDGES, None),
+    "row0-no-center": (swap(EDGES, 0, [1, 3, 4]), 0),
+    "middle-too-big": (swap(EDGES, 3, [2, 8, 9, 10]), 3),
+    "middle-too-small": (swap(EDGES, 2, [2, 5]), 2),
+    "last-past-n": (swap(EDGES, 5, [2, 13, 1]), 5),
+    "first-of-two": (swap(swap(EDGES, 1, [2, 14, 3]), 4, [5, 6, 7]), 1),
+}
+
+
+K2_CASES = {
+    "nowhere": (EDGES, SETS, None),
+    "degree-row0": (EDGES, swap(SETS, 0, [4, 5]), (0, "degree", 1)),
+    "degree-before-contains": (swap(EDGES, 4, [3, 4, 5]), swap(SETS, 1, [4, 5]), (1, "degree", 1)),
+    "degree-at-contains": (swap(EDGES, 2, [3, 4, 5]), swap(SETS, 2, [4, 5, 6]), (2, "degree", 0)),
+    "degree-after-contains": (swap(EDGES, 1, [2, 4]), swap(SETS, 3, [4, 5]), (1, "contains", 10)),
+    "contains-last-through-center": (swap(EDGES, 5, [1, 12, 3]), SETS, (5, "contains", 10)),
+    "pair-through-center-passes": (EDGES, swap(SETS, 5, [2, 4]), None),  # degree 10 = required
+}
+
+
+class TestBatchAnswers:
+    """StarOracle's closed-form batch answer against the per-sample loop."""
+
+    @pytest.mark.parametrize("case", K1_CASES)
+    def test_contains_only(self, case):
+        rows, index = K1_CASES[case]
+        edges = label_rows(rows)
+        want = loop_failure(STAR, edges)
+        assert batch_failure(STAR, edges) == want
+        assert STAR.first_failure(edges) == FamilyOracle.first_failure(STAR, edges)
+        assert want[0] == (None if index is None else (index, "contains", None))
+        assert want[1] == (len(rows) if index is None else index + 1)
+
+    @pytest.mark.parametrize("case", K2_CASES)
+    def test_degree_then_contains(self, case):
+        rows, sets, expected = K2_CASES[case]
+        edges, queried = label_rows(rows), label_rows(sets)
+        want = loop_failure(STAR, edges, queried, 10)
+        assert batch_failure(STAR, edges, queried, 10) == want
+        assert STAR.first_failure(edges, queried, 10) == FamilyOracle.first_failure(STAR, edges, queried, 10)
+        assert want[0] == expected
+        per_row = 2 * len(rows) if expected is None else 2 * expected[0] + (1 if expected[1] == "degree" else 2)
+        assert want[1] == per_row
+
+    @pytest.mark.parametrize("bad", [[1, 3, 4, 5], [3, 13]], ids=["larger-than-k", "past-n"])
+    def test_invalid_degree_set_raises_as_degree_does(self, bad):
+        edges, queried = label_rows(EDGES), label_rows(swap(SETS, 3, bad))
+        with pytest.raises(ValueError) as loop_error:
+            loop_failure(STAR, edges, queried, 10)
+        with pytest.raises(ValueError) as batch_error:
+            batch_failure(STAR, edges, queried, 10)
+        assert str(batch_error.value) == str(loop_error.value)
+        # a failure in an earlier row stops the batch before the bad set
+        early = label_rows(swap(EDGES, 1, [3, 4, 5]))
+        assert batch_failure(STAR, early, queried, 10) == loop_failure(STAR, early, queried, 10)
+
+    def test_random_batches(self):
+        # rows as wide as, narrower than and wider than [n]; a batch that
+        # raises must raise the same error both ways
+        import numpy as np
+
+        def outcome(call, *args):
+            try:
+                return call(*args)
+            except ValueError as exc:
+                return str(exc)
+
+        rng = np.random.default_rng(26)
+        for center, width in ((1, 8), (12, 8), (12, 16), (5, 24)):
+            star = StarOracle(12, 3, center)
+            others = [c for c in range(min(width, 12)) if c != center - 1]
+            for _ in range(60):
+                edges = (rng.random((9, width)) < 0.2).astype(np.uint8)
+                for i in np.flatnonzero(rng.random(9) < 0.7):  # mostly star edges
+                    edges[i] = 0
+                    edges[i, rng.choice(others, 2, replace=False)] = 1
+                    edges[i, min(center - 1, width - 1)] = 1
+                sets = (rng.random((9, width)) < 0.1).astype(np.uint8)
+                for args in ((edges,), (edges, sets, 10)):
+                    assert outcome(batch_failure, star, *args) == outcome(loop_failure, star, *args)
+
+    def test_a_sampled_batch_passes_whole(self):
+        import random
+
+        n, k, v = 232, 3, 7
+        rows = next(_sample_subsets(random.Random(5), full_mask(n) & ~bit(v), k - 1, 256))
+        edges = _edge_rows(rows, v)
+        assert batch_failure(StarOracle(n, k, v), edges) == (None, 256) == loop_failure(StarOracle(n, k, v), edges)
+        assert batch_failure(StarOracle(n, k, v + 1), edges) == loop_failure(StarOracle(n, k, v + 1), edges)
+
+
+class TestBatchDeferral:
+    """A StarOracle subclass that overrides contains or degree answers its
+    batches with its own queries, one per sample."""
+
+    def test_contains_override_is_asked(self):
+        import random
+
+        n, k = 11, 3
+        oracle = WindowedStarOracle(n, k, 1, (mask_of(range(1, 9)),))
+        asked = []
+        # spy on the instance; the class keeps its contains override
+        oracle.contains = lambda e: asked.append(e) or WindowedStarOracle.contains(oracle, e)
+        rows = next(_sample_subsets(random.Random(3), full_mask(n) & ~bit(1), k - 1, 64))
+        edges = _edge_rows(rows, 1)
+        got = batch_failure(oracle, edges)
+        assert got == loop_failure(WindowedStarOracle(n, k, 1, (mask_of(range(1, 9)),)), edges)
+        index = got[0][0]
+        assert asked == row_masks(edges)[: index + 1]
+        assert not WindowedStarOracle.contains(oracle, asked[-1])
+
+    def test_degree_override_is_asked(self):
+        n, k = 12, 3
+        oracle = LowBandStarOracle(n, k, 1, range(9, 13))
+        asked = []
+        oracle.degree = lambda s: asked.append(s) or LowBandStarOracle.degree(oracle, s)
+        sets = label_rows([[a] for a in range(2, 13)])
+        edges = label_rows([[1, a, 2 if a > 2 else 3] for a in range(2, 13)])
+        got = batch_failure(oracle, edges, sets, n - k + 1)
+        assert got == ((7, "degree", 9), 15)
+        assert got == loop_failure(LowBandStarOracle(n, k, 1, range(9, 13)), edges, sets, n - k + 1)
+        assert asked == row_masks(sets)[:8]
+
+
+class TestMinDegreeOnStarSubclasses:
+    # the StarOracle closed form holds only for StarOracle's own degree
+    def test_low_band_example(self):
+        oracle = LowBandStarOracle(12, 3, 1, range(9, 13))
+        assert min_degree(oracle, 1) == min_degree_scan(oracle, 1) == (9, mask_of([9]))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "oracle",
+        [LowBandStarOracle(12, 3, 1, range(9, 13)), LowBandStarOracle(12, 4, 3, range(5, 13)), WindowedStarOracle(12, 3, 1, (mask_of(range(1, 9)),))],
+        ids=["low-band-k3", "low-band-k4", "windowed"],
+    )
+    def test_matches_scan(self, oracle, d):
+        assert min_degree(oracle, d) == min_degree_scan(oracle, d)

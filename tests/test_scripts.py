@@ -54,8 +54,14 @@ def test_line_trace_lists_unrun_lines_of_one_test():
     done = run_script("line_trace.py", test, "-q")
     assert done.returncode == 0, done.stdout + done.stderr
     unrun = [line.split(": ", 1)[1] for line in done.stdout.splitlines() if line.startswith("constructions.py:")]
-    assert "raise _Refuted(LowCodegree(w, deg, required))" not in unrun
-    assert "deg = co.degree(w)" not in unrun
+    source = {line.strip() for line in (SCRIPTS.parent / "src" / "ekrlab" / "constructions.py").read_text().splitlines()}
+    ran = [
+        "failure = co.first_failure(edges, rows, required)",  # the batch's degree queries
+        "raise _Refuted(LowCodegree(row_masks(rows[i : i + 1])[0], failure.degree, required))",
+    ]
+    for line in ran:
+        assert line in source  # a line that moved would pass the next check vacuously
+        assert line not in unrun
     assert "return sqrt_term(k) - 1" in unrun  # _K1.ell
     assert done.stdout.splitlines()[-1].endswith("executable lines never ran")
 

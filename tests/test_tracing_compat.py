@@ -76,3 +76,25 @@ def test_traced_canonical_check_counts_every_anchored_family():
     assert counts["canonical.forms"] == 512
     # canonical_form reaches _refine through the module attribute
     assert counts["canonical.refine_calls"] > 0
+
+
+def test_traced_star_certificates_count_every_query_by_kind():
+    # the tracer wraps StarOracle's queries on the class, so the sampled
+    # checks ask them one by one and every query is counted by its kind
+    from ekrlab.constructions import certify_star_k1, certify_star_k2
+    from ekrlab.io import to_json
+
+    runs = [(certify_star_k1, oracles.StarOracle(11, 3, 4)), (certify_star_k2, oracles.StarOracle(232, 3, 9))]
+    untraced = [to_json(certify(oracle, samples=600, seed=3)) for certify, oracle in runs]
+    instrumentation = _tracing_module().Instrumentation()
+    instrumentation.install()
+    try:
+        for (certify, oracle), want in zip(runs, untraced):
+            before = sum(n for name, n in instrumentation.tracer.counts.items() if name.startswith("oracles.queries."))
+            cert = certify(oracle, samples=600, seed=3)
+            after = sum(n for name, n in instrumentation.tracer.counts.items() if name.startswith("oracles.queries."))
+            assert to_json(cert) == want
+            assert after - before == cert.trace.queries_used > 600
+    finally:
+        instrumentation.uninstall()
+    assert oracles.StarOracle.contains is oracles._STAR_CONTAINS
