@@ -14,7 +14,12 @@ Usage, from the repository root, with any pytest arguments:
     python scripts/line_trace.py tests/test_constructions_adversarial.py -q
     python scripts/line_trace.py --file io.py tests/test_io.py -q
 
-The exit status is pytest's.  Tracing slows the traced code several-fold.
+The exit status is pytest's.  Tracing slows the traced code several-fold,
+and ``tests/test_acceptance.py::test_criterion_01_star_closed_form``
+times itself against a 5 s cap that a traced run can overrun, so a
+whole-suite trace that should exit 0 on working code deselects it:
+
+    python scripts/line_trace.py tests -q --deselect tests/test_acceptance.py::test_criterion_01_star_closed_form
 """
 
 from __future__ import annotations

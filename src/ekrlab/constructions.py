@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 from typing import Callable, ClassVar, Iterable, Iterator, Optional, Sequence
 
 from .bounds import (
@@ -398,8 +399,6 @@ def _shrink(level: _K1 | _K2, source: FamilyOracle | Family, e: Mask) -> ShrinkR
     oracle = as_oracle(source)
     p = oracle.params
     n, k = p.n, p.k
-    if k < level.min_k:
-        raise ValueError(f"k >= {level.min_k} required")
     need = level.shrink_threshold(k)
     if n < need:
         raise ValueError(f"n >= {need} required for k={k}, got n={n}")
@@ -624,118 +623,27 @@ def shrink_core_k2(source: FamilyOracle | Family, e: Mask) -> ShrinkResult:
 def _grow_k2(co: CountingOracle, e: Mask, trace: ConstructionTrace) -> tuple[TracedFamily, int]:
     p = co.params
     k = p.k
-    required = p.n - k + 1
     x = x_param(k)
     assert x >= 10 and 4 * ((k + x - 1) // x) + 6 <= x
     trace.parameters["x"] = x
-
-    # Phase 1: drive the core to at most one vertex.
-    base_vset = e | smallest_subset(p.full & ~e, x)  # k + x vertices
-    current = trace.record(1, 0, None, TracedFamily(p, (e,), base_vset))
-    steps_phase1 = 0
-    while popcount(current.core) >= 3:
-        core = current.core
-        if popcount(core) >= x + 2:
-            carved = smallest_subset(core, x + 2)
-        else:
-            carved = core | smallest_subset(base_vset & ~core, x + 2 - popcount(core))
-        w = base_vset & ~carved
-        assert popcount(w) == k - 2
-        f = w | _link_at_least(co, w).edges[0]
-        prev = current.vertex_set
-        current = trace.record(1, w, f, current.add([f]))
-        steps_phase1 += 1
-        assert popcount(current.vertex_set) - popcount(prev) <= 2
-        if steps_phase1 > (k + x - 1) // x + 1:
-            raise InternalContradictionError("phase 1 exceeded its step budget")
-    trace.parameters["ell"] = steps_phase1
-
-    core = current.core
-    if popcount(core) == 2:
-        w = smallest_subset(current.vertex_set & ~core, k - 2)
-        lk = _link_at_least(co, w)
-        matching = max_matching_upto(lk, 2)
-        if len(matching) == 2:
-            current = trace.record(1, w, w | matching[0], current.add([w | t for t in matching]))
-        else:
-            center = is_star_graph(lk)
-            assert center is not None  # >= 6 pairwise-meeting pairs share a vertex
-            cbit = bit(center)
-            partner = next((t for t in lk.edges if t & cbit and not (t & ~cbit) & core), None)
-            assert partner is not None  # complete star link leaves partners outside the 2-core
-            current = trace.record(1, w, w | partner, current.add([w | partner]))
-    assert popcount(current.core) <= 1
+    current = _core_k2(co, e, x, trace)
 
     # Isolated-vertex padding: keeps every later (k-2)-selection inside the parts.
     part_size = (x + 3) // 4
     pad_target = max(k + x, (k - 2) + 4 * part_size + 1, popcount(current.vertex_set))
     current = TracedFamily(p, current.edges, fill_to_size(current.vertex_set, pad_target, p.full))
-    phase1_vset = current.vertex_set
-    assert popcount(phase1_vset) <= k + x + 2 * ((k + x - 1) // x) + 4
+    assert popcount(current.vertex_set) <= k + x + 2 * ((k + x - 1) // x) + 4
 
     # Phase 2: eliminate size-two covers missing the distinguished vertex.
     v = lowest_vertex(current.core) if current.core else lowest_vertex(e)
-    others = phase1_vset & ~bit(v)
-    other_labels = labels(others)
-    parts = [
-        sum(bit(u) for u in other_labels[i : i + part_size])
-        for i in range(0, len(other_labels), part_size)
-    ]
+    other_labels = labels(current.vertex_set & ~bit(v))
+    parts = [sum(map(bit, other_labels[i : i + part_size])) for i in range(0, len(other_labels), part_size)]
     s = len(parts)
     trace.parameters["s"] = s
-    cap3 = 4 * (k + x + 2 * ((k + x - 1) // x) + 3)
-    assert s <= (cap3 + x - 1) // x  # s <= ceil(4(k+x+2*ceil(k/x)+3)/x)
+    assert s <= (4 * (k + x + 2 * ((k + x - 1) // x) + 3) + x - 1) // x  # ceil(4(k+x+2*ceil(k/x)+3)/x)
     assert s * x <= 4 * k + 7 * x
-    assert 2 * s + k - 1 < required  # the cover-count contradiction has room
-
-    def entry_links(i: int, j: int) -> list[tuple[Mask, Family, Optional[int]]]:
-        area = parts[i] | parts[j]
-        out = []
-        for r in range(s):
-            if r in (i, j):
-                continue
-            for r2 in range(r + 1, s):
-                if r2 in (i, j):
-                    continue
-                pool = others & ~(area | parts[r] | parts[r2])
-                if popcount(pool) < k - 2:
-                    raise InternalContradictionError("padding left no room for a base set")
-                sel = smallest_subset(pool, k - 2)
-                lk = _link_at_least(co, sel)
-                out.append((sel, lk, is_star_graph(lk)))
-        return out
-
-    cover_vertex: Optional[int] = None
-    for i in range(s):
-        if cover_vertex is not None:
-            break
-        for j in range(i + 1, s):
-            area = parts[i] | parts[j]
-            entries = entry_links(i, j)
-            nonstar = [ent for ent in entries if ent[2] is None]
-            if nonstar:
-                sel, _, _ = nonstar[0]
-                res = cherry_reduce(co, current, sel, area)
-                assert not res.is_star_link
-                assert res.reduced is not None
-                current = trace.record(2, sel, None, res.reduced)
-                continue
-            centers = [ent[2] for ent in entries]
-            if len(set(centers)) > 1:
-                first = entries[0]
-                second = next(ent for ent in entries if ent[2] != first[2])
-                added = [f for sel, lk, w_center in (first, second) for f in _star_edges(sel, lk, w_center, phase1_vset)]
-                current = trace.record(2, first[0], added[0], current.add(added))
-                cov = covers_size2(current, area)
-                allowed = bit(first[2]) | bit(second[2])
-                assert all(pr == allowed for pr in cov.edges)
-                continue
-            # all links are stars at one common vertex: finish globally
-            added = [f for sel, lk, w_center in entries for f in _star_edges(sel, lk, w_center, area)]
-            current = trace.record(2, entries[0][0], added[0], current.add(added))
-            cover_vertex = centers[0]
-            break
-
+    assert 2 * s + k - 1 < p.n - k + 1  # the cover-count contradiction has room
+    current, cover_vertex = _part_pairs_k2(co, current, parts, v, trace)
     if cover_vertex is None:
         current, cover_vertex = _consolidate_k2(co, current, parts, v, trace)
 
@@ -755,6 +663,90 @@ def _grow_k2(co: CountingOracle, e: Mask, trace: ConstructionTrace) -> tuple[Tra
     return current, cover_vertex
 
 
+def _core_k2(co: FamilyOracle, e: Mask, x: int, trace: ConstructionTrace) -> TracedFamily:
+    """Phase 1 of the k-2 shrink: a subfamily around ``e`` whose core has at most one vertex.
+
+    Each carve step extends the (k-2)-set that x+2 carved vertices (core
+    first) leave of the k+x base vertices; ``ell`` counts the steps.  A
+    2-core takes one more query.
+    """
+    p = co.params
+    base_vset = e | smallest_subset(p.full & ~e, x)  # k + x vertices
+    current = trace.record(1, 0, None, TracedFamily(p, (e,), base_vset))
+    ell = 0
+    while popcount(current.core) >= 3:
+        core = current.core
+        if popcount(core) >= x + 2:
+            carved = smallest_subset(core, x + 2)
+        else:
+            carved = core | smallest_subset(base_vset & ~core, x + 2 - popcount(core))
+        w = base_vset & ~carved
+        assert popcount(w) == p.k - 2
+        f = w | _link_at_least(co, w).edges[0]
+        prev = current.vertex_set
+        current = trace.record(1, w, f, current.add([f]))
+        ell += 1
+        assert popcount(current.vertex_set) - popcount(prev) <= 2
+    trace.parameters["ell"] = ell
+
+    core = current.core
+    if popcount(core) == 2:
+        w = smallest_subset(current.vertex_set & ~core, p.k - 2)
+        lk = _link_at_least(co, w)
+        matching = max_matching_upto(lk, 2)
+        if len(matching) == 2:
+            current = trace.record(1, w, w | matching[0], current.add([w | t for t in matching]))
+        else:
+            center = is_star_graph(lk)
+            assert center is not None  # >= 6 pairwise-meeting pairs share a vertex
+            cbit = bit(center)
+            partner = next((t for t in lk.edges if t & cbit and not (t & ~cbit) & core), None)
+            assert partner is not None  # complete star link leaves partners outside the 2-core
+            current = trace.record(1, w, w | partner, current.add([w | partner]))
+    assert popcount(current.core) <= 1
+    return current
+
+
+def _part_pairs_k2(
+    co: FamilyOracle, current: TracedFamily, parts: Sequence[Mask], v: int, trace: ConstructionTrace
+) -> tuple[TracedFamily, Optional[int]]:
+    """Phase 2 of the k-2 shrink: reduce the size-two covers inside each pair of parts.
+
+    ``parts`` and ``v`` partition the padded phase-1 vertex set of
+    ``current``.  Per part pair, the (k-2)-sets outside it and two other
+    parts are linked: a non-star link is cherry-reduced, stars at two
+    centers confine the pair's covers to them, and stars at one common
+    center end the shrink at that center (returned, else None).
+    """
+    vset = current.vertex_set
+    others = vset & ~bit(v)
+    for i, j in combinations(range(len(parts)), 2):
+        area = parts[i] | parts[j]
+        rest = [r for r in range(len(parts)) if r not in (i, j)]
+        entries = []
+        for r, r2 in combinations(rest, 2):
+            sel = smallest_subset(others & ~(area | parts[r] | parts[r2]), co.params.k - 2)
+            lk = _link_at_least(co, sel)
+            entries.append((sel, lk, is_star_graph(lk)))
+        nonstar = next((sel for sel, _, center in entries if center is None), None)
+        if nonstar is not None:
+            res = cherry_reduce(co, current, nonstar, area)
+            assert not res.is_star_link and res.reduced is not None
+            current = trace.record(2, nonstar, None, res.reduced)
+            continue
+        first = entries[0]
+        second = next((ent for ent in entries if ent[2] != first[2]), None)
+        if second is None:
+            # all links are stars at one common vertex: finish globally
+            added = [f for sel, lk, center in entries for f in _star_edges(sel, lk, center, area)]
+            return trace.record(2, first[0], added[0], current.add(added)), first[2]
+        added = [f for sel, lk, center in (first, second) for f in _star_edges(sel, lk, center, vset)]
+        current = trace.record(2, first[0], added[0], current.add(added))
+        allowed = bit(first[2]) | bit(second[2])
+        assert all(pr == allowed for pr in covers_size2(current, area).edges)
+    return current, None
+
+
 def _consolidate_k2(
     co: FamilyOracle, current: TracedFamily, parts: Sequence[Mask], v: int, trace: ConstructionTrace
 ) -> tuple[TracedFamily, int]:
@@ -766,12 +758,11 @@ def _consolidate_k2(
     """
     vbit = bit(v)
     cover_union = 0
-    for i, first in enumerate(parts):
-        for second in parts[i + 1 :]:
-            cov = covers_size2(current, first | second)
-            assert is_subgraph_of_cherry(cov.edges)
-            for pr in cov.edges:
-                cover_union |= pr
+    for first, second in combinations(parts, 2):
+        cov = covers_size2(current, first | second)
+        assert is_subgraph_of_cherry(cov.edges)
+        for pr in cov.edges:
+            cover_union |= pr
     assert popcount(cover_union) <= 3 * len(parts) ** 2
     current, sel = _select_outside(current, cover_union | vbit)
     lk = _link_at_least(co, sel)
@@ -797,8 +788,6 @@ def _consolidate_k2(
         # An edge through sel2 avoiding v caps the covers at k + 2.
         ctx = current.add([sel2 | off])
         raise _Refuted(_refute_by_outside_query(co, ctx.edges, ctx.vertex_set))
-    if popcount(current.vertex_set & ~(sel2 | vbit)) <= 3:
-        raise InternalContradictionError("no room to extend past the consolidated query set")
     free = co.params.full & ~(sel2 | vbit | aux_union)
     zbit = next((zb for zb in iter_bits(free) if (vbit | zb) in lk2), None)
     assert zbit is not None
@@ -821,8 +810,6 @@ def _gap_probe_k1(
     """
     p = co.params
     avail = p.full & ~(window | ctx_vset)
-    if popcount(avail) < p.k - 1:
-        raise InternalContradictionError("no room outside the window for a gap probe")
     w = smallest_subset(avail, p.k - 1)
     f = co.extension(w, 0)
     if f is None:
@@ -924,7 +911,7 @@ def _star_check(
 class _K1:
     """Codegree level k-1: the steps of the two-window argument that differ from k-2."""
 
-    name, min_k, ell_key, copied = "k-1", 2, "ell", ()
+    name, ell_key, copied = "k-1", "ell", ()
     certify_threshold = staticmethod(certify_threshold_k1)
     shrink_threshold = staticmethod(shrink_threshold_k1)
     grow = staticmethod(_grow_k1)
@@ -1009,7 +996,7 @@ class _K1:
 class _K2:
     """Codegree level k-2: the steps of the two-window argument that differ from k-1."""
 
-    name, min_k, ell_key, copied = "k-2", 3, "ell_cert", ("x", "s", "ell")
+    name, ell_key, copied = "k-2", "ell_cert", ("x", "s", "ell")
     certify_threshold = staticmethod(certify_threshold_k2)
     shrink_threshold = staticmethod(shrink_threshold_k2)
     grow = staticmethod(_grow_k2)
@@ -1108,11 +1095,9 @@ def _certify(
     oracle = as_oracle(source)
     p = oracle.params
     n, k = p.n, p.k
-    if k < level.min_k:
-        raise ValueError(f"k >= {level.min_k} required")
+    need = level.certify_threshold(k)  # raises first for k below the level's minimum
     if samples < 0 or spot < 0:
         raise ValueError(f"samples and spot must be >= 0, got samples={samples} spot={spot}")
-    need = level.certify_threshold(k)
     if n < need:
         raise ValueError(f"certification at codegree {level.name} requires n >= {need}, got n={n}")
     co = CountingOracle(oracle)

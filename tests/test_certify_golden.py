@@ -10,7 +10,8 @@ procedure that raises is pinned by its error type and message.
 
 The shrinks are pinned on the same inputs: each input's first
 SHRINK_EDGES edges from ``enumerate_extensions(0)`` are shrunk at its
-level, and the outcomes are joined into one digest.  Every certificate
+level, and the outcomes are joined into one digest; a few shrink-only
+inputs are shrunk from their first edge alone.  Every certificate
 and shrink witness from a source that answers as one family must also
 re-verify against a fresh copy of that source.
 
@@ -196,13 +197,24 @@ def certify_results() -> dict:
     return {name: attempt(run) for name, run in golden_cases().items()}
 
 
+def shrink_only_inputs() -> dict:
+    """Input name -> (level, source) shrunk from its first edge only, with no certificate pinned.
+
+    At (806,140), the k-2 shrink threshold, x is 135 and the first core
+    of 140 vertices is carved by x+2 of its own vertices in phase 1."""
+    return {"k2/star-oracle-806-140-first-edge": ("k2", StarOracle(806, 140, 1))}
+
+
 @functools.cache
 def shrink_results() -> dict:
     """Input name -> the shrinks (or errors) from the source's first
-    SHRINK_EDGES edges; computed once per process."""
+    SHRINK_EDGES edges, or its first edge for a shrink-only input;
+    computed once per process."""
     out = {}
-    for name, (level, source, _) in golden_inputs().items():
-        edges = list(islice(as_oracle(source).enumerate_extensions(0), SHRINK_EDGES))
+    inputs = [(name, level, source, SHRINK_EDGES) for name, (level, source, _) in golden_inputs().items()]
+    inputs += [(name, level, source, 1) for name, (level, source) in shrink_only_inputs().items()]
+    for name, level, source, count in inputs:
+        edges = list(islice(as_oracle(source).enumerate_extensions(0), count))
         out[name] = [attempt(lambda e=e: SHRINK[level](source, e)) for e in edges]
     return out
 
@@ -393,6 +405,7 @@ SHRINK_GOLDEN: dict[str, str] = {
     "k2/split-one-vertex-232-3": "67453472d9dd08160d730522ea7cdd274b926cbdfd1b2783d8aec85171bea960",
     "k2/switch-232-3": "1d89e43ceee2f02ec2e8220023a9c64e00dd75c716d9762837c0b36bcc5bd305",
     "k2/switch-242-4": "06f6fccf3e6b0e6dbe0b57d33c367061d92306d3c0fd0dece88c84f8e0cf33d9",
+    "k2/star-oracle-806-140-first-edge": "66e0875fe49ad79b8a925af9bd5439fffa91ca021bc32d08ee8574d8a15fbfdb",
 }
 
 

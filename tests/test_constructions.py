@@ -493,6 +493,20 @@ class TestOffendingProbeK2:
         fam = Family.from_masks(self.P, [f, *through5])
         assert self.probe(fam, TracedFamily(self.P, (f,), f), f, 4) == NotStar(missing=None, offending=f)
 
+    @pytest.mark.parametrize(
+        "missing, offending",
+        [([1, 2, 4], None), (None, [2, 3, 4]), ([1, 2, 3], [2, 3, 4]), (None, None)],
+        ids=["missing-present", "offending-absent", "offending-absent-after-missing", "empty"],
+    )
+    def test_not_star_refused_when_its_edges_answer_otherwise(self, missing, offending):
+        # the star at 1 on [8] without {1,2,3}: {1,2,4} is present and no
+        # off-center edge is, so only {1,2,3} may be named missing
+        star = complete_star(8, 3, 1)
+        fam = Family(star.params, tuple(e for e in star.edges if e != mask_of([1, 2, 3])))
+        witness = NotStar(*(None if edge is None else mask_of(edge) for edge in (missing, offending)))
+        assert not witness.verify(ExplicitOracle(fam))
+        assert NotStar(mask_of([1, 2, 3]), None).verify(ExplicitOracle(fam))
+
 
 class TestFinalCheckK1Explicit:
     # both windows are {1,2,3,4}: no star edge through 1 avoids {2,3,4}

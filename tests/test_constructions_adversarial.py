@@ -22,6 +22,7 @@ from ekrlab.constructions import (
     ZeroCodegree,
     certify_star_k1,
     certify_star_k2,
+    shrink_core_k1,
     shrink_core_k2,
     _edge_rows,
     _sample_subsets,
@@ -608,3 +609,48 @@ class TestMinDegreeOnStarSubclasses:
     )
     def test_matches_scan(self, oracle, d):
         assert min_degree(oracle, d) == min_degree_scan(oracle, d)
+
+
+class BreachStarOracle(StarOracle):
+    """The complete star at ``center``, except that one query kind breaks
+    its contract: ``extension`` answers a (k+1)-set ("wide") or a star edge
+    that misses part of its base ("off-base"), or ``enumerate_extensions``
+    yields every star edge widened to a (k+1)-set ("enumerate")."""
+
+    def __init__(self, n: int, k: int, center: int, breach: str):
+        super().__init__(n, k, center)
+        self.breach = breach
+
+    def extension(self, base, forbidden=0):
+        e = super().extension(base, forbidden)
+        if e is None or self.breach == "enumerate":
+            return e
+        if self.breach == "wide":
+            return e | smallest_subset(self.params.full & ~e, 1)
+        return self._cbit | smallest_subset(self.params.full & ~(base | self._cbit), self.params.k - 1)
+
+    def enumerate_extensions(self, base):
+        for e in super().enumerate_extensions(base):
+            if self.breach == "enumerate":
+                e |= smallest_subset(self.params.full & ~e, 1)
+            yield e
+
+
+class TestQueryContractBreaches:
+    # the counting wrapper refuses an answer outside the query contract
+    # before any shrink step reads it; the k-1 shrink asks extensions at
+    # k >= 3 and enumerates at k = 2, the k-2 shrink enumerates links
+    @pytest.mark.parametrize(
+        "shrink, n, k, breach, message",
+        [
+            (shrink_core_k1, 7, 3, "wide", r"extension answer \(1, 2, 3, 4\)"),
+            (shrink_core_k1, 7, 3, "off-base", r"extension answer \(1, 2, 3\)"),
+            (shrink_core_k1, 6, 2, "enumerate", r"enumeration answer \(1, 2, 3\)"),
+            (shrink_core_k2, 230, 3, "enumerate", r"enumeration answer \(1, 2, 3, 14\)"),
+        ],
+        ids=["k1-extension-wide", "k1-extension-off-base", "k1-enumerate-k2", "k2-enumerate"],
+    )
+    def test_shrink_raises(self, shrink, n, k, breach, message):
+        oracle = BreachStarOracle(n, k, 1, breach)
+        with pytest.raises(InternalContradictionError, match=rf"oracle {message} violates the query contract"):
+            shrink(oracle, mask_of(range(1, k + 1)))

@@ -79,3 +79,10 @@ def test_line_trace_reads_another_file():
     assert "acc = map(or_, acc, map(lshift, repeat(1), col))" not in unrun
     assert "m = _edge(line, params, lineno)" in unrun
     assert not any(line.startswith("constructions.py:") for line in done.stdout.splitlines())
+
+
+def test_mutants_reports_a_killed_mutant():
+    # the consolidation test catches a second query set that ignores the reduced covers
+    done = run_script("mutants.py", "aux-union-never-grown")
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines() == ["aux-union-never-grown: killed"]
