@@ -13,7 +13,6 @@ Usage, from the repository root:
 
     python scripts/mutants.py                      # every mutant
     python scripts/mutants.py part-pairs-keep-own  # the named ones
-    python scripts/mutants.py --list
 
 The mutants' tests are first run once on the unedited copy, where they
 must pass.  The exit status is 0 when every mutant run is killed, 1 when
@@ -74,8 +73,8 @@ MUTANTS = (
     Mutant(
         "aux-union-never-grown",  # the consolidation's second query set ignores the reduced covers
         "constructions.py",
-        "            aux_union |= pr\n",
-        "            pass\n",
+        "        aux_union |= pr\n",
+        "        pass\n",
         (f"{GOLDEN}::test_direct_consolidation_outcomes",),
     ),
     Mutant(
@@ -135,12 +134,7 @@ def run(mutant: Mutant, copy: Path) -> str:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    parser.add_argument("--list", action="store_true", help="print the mutant names and exit")
     args = parser.parse_args(argv)
-    if args.list:
-        for mutant in MUTANTS:
-            print(mutant.name)
-        return 0
     known = {mutant.name: mutant for mutant in MUTANTS}
     unknown = [name for name in args.names if name not in known]
     if unknown:

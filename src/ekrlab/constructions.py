@@ -637,10 +637,14 @@ def _grow_k2(co: CountingOracle, e: Mask, trace: ConstructionTrace) -> tuple[Tra
     # Phase 2: eliminate size-two covers missing the distinguished vertex.
     v = lowest_vertex(current.core) if current.core else lowest_vertex(e)
     other_labels = labels(current.vertex_set & ~bit(v))
-    parts = [sum(map(bit, other_labels[i : i + part_size])) for i in range(0, len(other_labels), part_size)]
+    parts = [
+        sum(bit(u) for u in other_labels[i : i + part_size])
+        for i in range(0, len(other_labels), part_size)
+    ]
     s = len(parts)
     trace.parameters["s"] = s
-    assert s <= (4 * (k + x + 2 * ((k + x - 1) // x) + 3) + x - 1) // x  # ceil(4(k+x+2*ceil(k/x)+3)/x)
+    cap3 = 4 * (k + x + 2 * ((k + x - 1) // x) + 3)
+    assert s <= (cap3 + x - 1) // x  # s <= ceil(4(k+x+2*ceil(k/x)+3)/x)
     assert s * x <= 4 * k + 7 * x
     assert 2 * s + k - 1 < p.n - k + 1  # the cover-count contradiction has room
     current, cover_vertex = _part_pairs_k2(co, current, parts, v, trace)
@@ -667,13 +671,12 @@ def _core_k2(co: FamilyOracle, e: Mask, x: int, trace: ConstructionTrace) -> Tra
     """Phase 1 of the k-2 shrink: a subfamily around ``e`` whose core has at most one vertex.
 
     Each carve step extends the (k-2)-set that x+2 carved vertices (core
-    first) leave of the k+x base vertices; ``ell`` counts the steps.  A
-    2-core takes one more query.
+    first) leave of the k+x base vertices; ``ell``, the carve step count,
+    is read off the fresh ``trace``.  A 2-core takes one more query.
     """
     p = co.params
     base_vset = e | smallest_subset(p.full & ~e, x)  # k + x vertices
     current = trace.record(1, 0, None, TracedFamily(p, (e,), base_vset))
-    ell = 0
     while popcount(current.core) >= 3:
         core = current.core
         if popcount(core) >= x + 2:
@@ -685,24 +688,21 @@ def _core_k2(co: FamilyOracle, e: Mask, x: int, trace: ConstructionTrace) -> Tra
         f = w | _link_at_least(co, w).edges[0]
         prev = current.vertex_set
         current = trace.record(1, w, f, current.add([f]))
-        ell += 1
         assert popcount(current.vertex_set) - popcount(prev) <= 2
-    trace.parameters["ell"] = ell
+    trace.parameters["ell"] = len(trace.steps) - 1
 
     core = current.core
     if popcount(core) == 2:
         w = smallest_subset(current.vertex_set & ~core, p.k - 2)
         lk = _link_at_least(co, w)
-        matching = max_matching_upto(lk, 2)
-        if len(matching) == 2:
-            current = trace.record(1, w, w | matching[0], current.add([w | t for t in matching]))
-        else:
+        pairs = max_matching_upto(lk, 2)  # two disjoint link pairs, else one star pair below
+        if len(pairs) < 2:
             center = is_star_graph(lk)
             assert center is not None  # >= 6 pairwise-meeting pairs share a vertex
             cbit = bit(center)
-            partner = next((t for t in lk.edges if t & cbit and not (t & ~cbit) & core), None)
-            assert partner is not None  # complete star link leaves partners outside the 2-core
-            current = trace.record(1, w, w | partner, current.add([w | partner]))
+            pairs = [next((t for t in lk.edges if t & cbit and not (t & ~cbit) & core), None)]
+            assert pairs[0] is not None  # complete star link leaves partners outside the 2-core
+        current = trace.record(1, w, w | pairs[0], current.add([w | t for t in pairs]))
     assert popcount(current.core) <= 1
     return current
 
@@ -731,7 +731,8 @@ def _part_pairs_k2(
         nonstar = next((sel for sel, _, center in entries if center is None), None)
         if nonstar is not None:
             res = cherry_reduce(co, current, nonstar, area)
-            assert not res.is_star_link and res.reduced is not None
+            assert not res.is_star_link
+            assert res.reduced is not None
             current = trace.record(2, nonstar, None, res.reduced)
             continue
         first = entries[0]
@@ -778,9 +779,8 @@ def _consolidate_k2(
     assert res.reduced is not None
     current = trace.record(2, sel, None, res.reduced)
     aux_union = 0
-    if cover_union:
-        for pr in covers_size2(current, cover_union).edges:
-            aux_union |= pr
+    for pr in covers_size2(current, cover_union).edges:
+        aux_union |= pr
     current, sel2 = _select_outside(current, aux_union | vbit)
     lk2 = _link_at_least(co, sel2)
     off = next((t for t in lk2.edges if not t & vbit), None)
