@@ -47,6 +47,7 @@ class Mutant:
 
 GOLDEN = "tests/test_certify_golden.py"
 ADVERSARIAL = "tests/test_constructions_adversarial.py"
+FAMILY = "tests/test_family.py"
 
 MUTANTS = (
     Mutant(
@@ -97,6 +98,27 @@ MUTANTS = (
         'self.queries += per_row * failure.index + (1 if failure.kind == "degree" else per_row)',
         "self.queries += per_row * failure.index + 1",
         (f"{ADVERSARIAL}::TestBatchAnswers",),
+    ),
+    Mutant(
+        "star-search-off-by-one",  # the missing-edge binary search skips past a mismatch
+        "family.py",
+        "            hi = mid\n",
+        "            hi = mid - 1\n",
+        (f"{FAMILY}::TestCompleteStarOn::test_star_minus_one_edge", f"{FAMILY}::TestVertexIndex"),
+    ),
+    Mutant(
+        "traced-add-unmerged",  # a shrink's added edges are appended, not merged into order
+        "constructions.py",
+        "tuple(sorted(self.edges + fresh))",
+        "self.edges + fresh",
+        (f"{GOLDEN}::test_trusted_families_pass_validation",),
+    ),
+    Mutant(
+        "index-run-short",  # a vertex's run of edge ids stops one short
+        "family.py",
+        "return ids[starts[v] : starts[v + 1]]",
+        "return ids[starts[v] : starts[v + 1] - 1]",
+        (f"{FAMILY}::TestVertexIndex",),
     ),
 )
 

@@ -198,12 +198,13 @@ class TracedFamily(Family):
         return covers_size1(self)[0]
 
     def add(self, new_edges: Iterable[Mask]) -> "TracedFamily":
-        merged = set(self.edges)
+        """This family with ``new_edges`` added: only the new edges are
+        checked, and the two sorted runs are merged (``sorted`` finds them)."""
+        fresh = Family(self.params, tuple(sorted({e for e in new_edges if e not in self}))).edges
         vs = self.vertex_set
-        for e in new_edges:
-            merged.add(e)
+        for e in fresh:
             vs |= e
-        return TracedFamily(self.params, tuple(sorted(merged)), vs)
+        return TracedFamily._trusted(self.params, tuple(sorted(self.edges + fresh)), vertex_set=vs)
 
     def to_dict(self) -> dict:
         return {name: value for name, value in fields_json(self).items() if name != "params"}

@@ -5,7 +5,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from math import comb
 from typing import Iterable, Optional
 
@@ -14,10 +13,10 @@ from .masks import (
     bit,
     full_mask,
     iter_bits,
-    iter_subsets_within,
     labels,
     mask_of,
     popcount,
+    unrank_subset,
 )
 
 
@@ -38,11 +37,14 @@ class FamilyParams:
 
 
 INCIDENCE_BLOCK = 2048  # edges per block of the incidence build; a multiple of 8
+INDEX_BLOCK = 1 << 12  # edges per block of the label-row, mask and vertex-index builds
 
 
 @dataclass(frozen=True)
 class Family:
-    """An explicit k-uniform family: strictly increasing, deduplicated edge masks."""
+    """An explicit k-uniform family: strictly increasing, deduplicated edge
+    masks.  ``rows`` and ``index``, built on first use, hold each edge's
+    labels and each vertex's edges for the extension and star queries."""
 
     params: FamilyParams
     edges: tuple[Mask, ...]
@@ -58,6 +60,17 @@ class Family:
             if e <= prev:
                 raise ValueError("edges not strictly increasing in canonical order")
             prev = e
+
+    @classmethod
+    def _trusted(cls, params: FamilyParams, edges: tuple[Mask, ...], rows=None, **fields) -> "Family":
+        """A family built without the checks, for callers that have proved
+        its edges strictly increasing k-sets of [n]; ``rows``, when given,
+        are its ``rows``, and ``fields`` a subclass's other fields."""
+        fam = object.__new__(cls)
+        fam.__dict__.update(params=params, edges=edges, **fields)
+        if rows is not None:
+            fam.__dict__["rows"] = rows  # the cached property's value
+        return fam
 
     @classmethod
     def from_masks(cls, params: FamilyParams, edges: Iterable[Mask]) -> "Family":
@@ -86,6 +99,58 @@ class Family:
             for part, bits in zip(parts, block):
                 part += bits.to_bytes(width, "little")
         return tuple(int.from_bytes(part, "little") for part in parts)
+
+    @cached_property
+    def rows(self):
+        """The edges as a |F| × k numpy matrix of vertex indices (label - 1),
+        ascending along each row, in edge order, of the smallest unsigned
+        type that holds n - 1 (uint8 when n <= 256, else uint16 up to
+        65,536).  The bulk reader hands in the rows it parsed; otherwise they
+        are unpacked from the masks a block of edges at a time."""
+        import numpy as np
+
+        n, k, edges = self.params.n, self.params.k, self.edges
+        width = (n + 7) // 8
+        out = np.empty((len(edges), k), np.min_scalar_type(n - 1))
+        for lo in range(0, len(edges), INDEX_BLOCK):
+            block = edges[lo : lo + INDEX_BLOCK]
+            data = np.frombuffer(b"".join(e.to_bytes(width, "little") for e in block), np.uint8)
+            bits = np.unpackbits(data.reshape(len(block), width), axis=1, bitorder="little")
+            out[lo : lo + len(block)] = np.nonzero(bits)[1].reshape(len(block), k)
+        return out
+
+    @cached_property
+    def index(self):
+        """Per-vertex runs of edge ids, read off ``rows`` (CSR): the edges
+        through the vertex with index v are ``edges[i]`` for i in
+        ``ids[starts[v] : starts[v + 1]]``, ascending.
+
+        ``ids`` is int32; each block of ``INDEX_BLOCK`` rows is sorted by
+        vertex (stably, so ids ascend within a vertex) and written straight
+        into its vertices' runs, with no whole-family temporary.
+        """
+        import numpy as np
+
+        rows, n = self.rows, self.params.n
+        blocks = [rows[lo : lo + INDEX_BLOCK].ravel() for lo in range(0, len(rows), INDEX_BLOCK)]
+        counts = [np.bincount(flat, minlength=n) for flat in blocks]
+        starts = np.zeros(n + 1, np.int64)
+        np.cumsum(sum(counts, np.zeros(n, np.int64)), out=starts[1:])
+        ids = np.empty(starts[-1], np.int32)
+        fill = starts[:-1].copy()
+        k = self.params.k
+        for b, (flat, count) in enumerate(zip(blocks, counts)):
+            order = np.argsort(flat, kind="stable")
+            verts = flat[order]
+            first = np.cumsum(count) - count  # where each vertex's group starts in ``order``
+            ids[fill[verts] + np.arange(len(flat)) - first[verts]] = b * INDEX_BLOCK + order // k
+            fill += count
+        return starts, ids
+
+    def run(self, v: int):
+        """Ids of the edges through the vertex with index v (label v + 1), ascending."""
+        starts, ids = self.index
+        return ids[starts[v] : starts[v + 1]]
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -165,12 +230,12 @@ def covers_size2(fam: Family, area: Mask) -> Family:
     verts = list(iter_bits(area))
     avoid = {a: all_edges ^ inc[a.bit_length() - 1] for a in verts}
     pairs = []
-    for i, a in enumerate(verts):
-        av_a = avoid[a]
-        for b in verts[i + 1 :]:
-            if not av_a & avoid[b]:
+    for j, b in enumerate(verts):  # b ascends outermost: the pairs come in canonical order
+        av_b = avoid[b]
+        for a in verts[:j]:
+            if not av_b & avoid[a]:
                 pairs.append(a | b)
-    return Family(FamilyParams(fam.params.n, 2), tuple(sorted(pairs)))
+    return Family._trusted(FamilyParams(fam.params.n, 2), tuple(pairs))
 
 
 def is_complete_star_on(fam: Family, window: Mask, center: int) -> Optional[StarViolation]:
@@ -178,9 +243,11 @@ def is_complete_star_on(fam: Family, window: Mask, center: int) -> Optional[Star
 
     Returns the first offending edge (inside the window, avoiding the
     center) or else the first missing star edge, in canonical order.
-    One scan collects the edges inside the window; when none avoids the
-    center and there are C(|W|-1, k-1) of them the star is complete, and
-    only otherwise are the star edges enumerated to name the missing one.
+    The edges outside the window are the runs of its outside vertices;
+    the present star edges are the center's run less those.  The j-th
+    present star edge is the j-th star edge exactly when none is missing
+    before it, so the first missing one is found by binary search,
+    unranking O(log |F|) star edges.
     """
     cbit = bit(center)
     if not window & cbit:
@@ -188,12 +255,26 @@ def is_complete_star_on(fam: Family, window: Mask, center: int) -> Optional[Star
     k = fam.params.k
     if popcount(window) < k:
         raise ValueError("window smaller than the edge size")
-    outside = ~window
-    inside = [e for e in fam.edges if not e & outside]
-    offending = next((e for e in inside if not e & cbit), None)
-    if offending is not None:
-        return StarViolation("offending", offending)
-    if len(inside) == comb(popcount(window) - 1, k - 1):
+    import numpy as np
+
+    outside = np.zeros(len(fam.edges), bool)
+    for v in iter_bits(fam.params.full & ~window):
+        outside[fam.run(v.bit_length() - 1)] = True
+    through = fam.run(center - 1)
+    offending = ~outside
+    offending[through] = False
+    hits = np.flatnonzero(offending)
+    if len(hits):
+        return StarViolation("offending", fam.edges[hits[0]])
+    present = through[~outside[through]]
+    if len(present) == comb(popcount(window) - 1, k - 1):
         return None
-    star = (rest | cbit for rest in iter_subsets_within(window & ~cbit, k - 1))
-    return next(StarViolation("missing", e) for e, have in zip(star, chain(inside, [0])) if e != have)
+    others = list(iter_bits(window & ~cbit))
+    lo, hi = 0, len(present)
+    while lo < hi:  # the first j at which the j-th present star edge is not the j-th star edge
+        mid = (lo + hi) // 2
+        if fam.edges[present[mid]] == cbit | unrank_subset(others, k - 1, mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return StarViolation("missing", cbit | unrank_subset(others, k - 1, lo))

@@ -10,12 +10,14 @@ and blank lines are skipped.  A label is any spelling ``int()`` accepts
 A text in exactly the form ``family_text`` writes (the header on line 1,
 then lines of k canonical labels ``str(v)`` joined by single spaces, each
 ending in ``'\\n'``, all ASCII) is read in bulk: blocks of about
-``TEXT_BLOCK`` characters of whole lines are parsed with numpy, and the
-masks are built as uint64 when n <= 64 and by C-level ``map`` folds
-otherwise.  Any other text, or one with a duplicate edge, is read by one
-plain loop over its lines in file order, which parses each line with
-``int()`` and stops at the first error, so both routes return the same
-family and the same error.  That loop is the general route, not a fast
+``TEXT_BLOCK`` characters of whole lines are parsed with numpy into rows
+of vertex indices, which are sorted into canonical order if they are not
+in it already and kept as the family's ``rows``; the masks are built
+from them as uint64 when n <= 64 and by C-level ``map`` folds otherwise.
+Any other text, or one with a duplicate edge, is read by one plain loop
+over its lines in file order, which parses each line with ``int()`` and
+stops at the first error, so both routes return the same family and the
+same error.  That loop is the general route, not a fast
 one: it holds the text's lines and a set of the masks read so far.
 
 Errors are ``FamilyParseError`` with a 1-based line number, and the first
@@ -33,12 +35,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-from itertools import islice, repeat
-from operator import eq, lshift, or_
+from itertools import repeat
+from operator import lshift, or_
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
-from .family import Family, FamilyParams
+from .family import INDEX_BLOCK, Family, FamilyParams
 from .masks import Mask, labels, mask_of
 
 
@@ -104,9 +106,10 @@ def _read_lines(text: str) -> Family:
     return Family(params, tuple(sorted(seen)))
 
 
-def _written_masks(block: str, n: int, k: int) -> Iterable[Mask] | None:
-    """The edge masks of ``block``, whole lines of k labels as
-    ``family_text`` writes them; None if any line is shaped otherwise.
+def _written_rows(block: str, n: int, k: int):
+    """The edges of ``block``, whole lines of k labels as ``family_text``
+    writes them, as rows of vertex indices (label - 1); None if any line is
+    shaped otherwise.
 
     Every byte is a digit, ``' '`` or ``'\\n'``; each run of k separators is
     k-1 spaces and a newline; a label has at most ``len(str(n))`` digits
@@ -136,46 +139,80 @@ def _written_masks(block: str, n: int, k: int) -> Iterable[Mask] | None:
     rows = values.reshape(-1, k)
     if values.max() > n or not (rows[:, 1:] > rows[:, :-1]).all():
         return None
+    return (rows - 1).astype(np.min_scalar_type(n - 1))
+
+
+def _label_masks(rows, n: int) -> Iterable[Mask]:
+    """The masks of rows of vertex indices: as uint64 when n <= 64,
+    otherwise folded at C level, with no n-bit row per edge."""
+    import numpy as np
+
     if n <= 64:
-        bits = np.left_shift(np.uint64(1), (rows - 1).astype(np.uint64))
+        bits = np.left_shift(np.uint64(1), rows.astype(np.uint64))
         return np.bitwise_or.reduce(bits, axis=1).tolist()
-    cols = (rows - 1).T.tolist()  # folded at C level, with no n-bit row per edge
+    cols = rows.T.tolist()
     acc = map(lshift, repeat(1), cols[0])
     for col in cols[1:]:
         acc = map(or_, acc, map(lshift, repeat(1), col))
     return acc
 
 
-def _read_written(text: str) -> tuple[FamilyParams, list[Mask]] | None:
-    """The header and unsorted edge masks of a text in exactly the form
-    ``family_text`` writes, read in blocks of whole lines; None otherwise."""
+def _in_canonical_order(rows) -> bool:
+    """Whether each row of vertex indices is above the row before it in
+    canonical order: compared from the highest label down."""
+    import numpy as np
+
+    above, tied = np.zeros(len(rows) - 1, bool), np.ones(len(rows) - 1, bool)
+    for col in rows.T[::-1]:
+        above |= tied & (col[1:] > col[:-1])
+        tied &= col[1:] == col[:-1]
+    return bool(above.all())
+
+
+def _read_written(text: str):
+    """The header and the label rows, in file order, of a text in exactly
+    the form ``family_text`` writes, read in blocks of whole lines (None
+    for the rows of a header alone); None otherwise."""
     head = text.find("\n")
     first = text[:head]
     if head < 0 or not text.endswith("\n") or not text.isascii() or not first.isprintable() or not _strip(first):
         return None
     params = _header(_strip(first), 1)  # line 1 of splitlines() too: it holds no line break
-    masks: list[Mask] = []
+    blocks = []
     start, end = head + 1, len(text)
     while start < end:
         # whole lines of at most TEXT_BLOCK characters, or one longer line
         stop = text.rfind("\n", start, start + TEXT_BLOCK) + 1 or text.find("\n", start) + 1
-        block = _written_masks(text[start:stop], params.n, params.k)
+        block = _written_rows(text[start:stop], params.n, params.k)
         if block is None:
             return None
-        masks.extend(block)
+        blocks.append(block)
         start = stop
-    return params, masks
+    if not blocks:
+        return params, None
+    import numpy as np
+
+    return params, np.concatenate(blocks)
 
 
 def read_family_text(text: str) -> Family:
     read = _read_written(text)
     if read is None:
         return _read_lines(text)
-    params, masks = read
-    masks.sort()
-    if any(map(eq, masks, islice(masks, 1, None))):
-        return _read_lines(text)  # names the first repeat in file order
-    return Family(params, tuple(masks))
+    params, rows = read
+    if rows is None:
+        return Family(params, ())
+    if not _in_canonical_order(rows):  # the writer's files are in order already
+        import numpy as np
+
+        rows = rows[np.lexsort(rows.T)]  # the highest label is the first key
+        if not _in_canonical_order(rows):
+            return _read_lines(text)  # a repeated edge: the loop names its first repeat in file order
+    masks: list[Mask] = []
+    for lo in range(0, len(rows), INDEX_BLOCK):
+        masks.extend(_label_masks(rows[lo : lo + INDEX_BLOCK], params.n))
+    # the rows are strictly increasing k-sets of [n], and so are their masks
+    return Family._trusted(params, tuple(masks), rows)
 
 
 def read_family(path: str | Path) -> Family:

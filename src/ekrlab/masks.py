@@ -9,6 +9,7 @@ numeric order of their masks, i.e. colexicographic order on the sets.
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterable, Iterator
 
 Mask = int
@@ -117,6 +118,24 @@ def iter_subsets_within(pool: Mask, r: int) -> Iterator[Mask]:
         yield 0
     elif r <= len(positions):
         yield from _subsets_below(positions, len(positions), r)
+
+
+def unrank_subset(positions: list[Mask], r: int, rank: int) -> Mask:
+    """The r-subset of ``positions`` (single-bit masks, ascending) at index
+    ``rank`` of canonical order; requires rank < C(len(positions), r).
+
+    Colex unranking: the top member is ``positions[p]`` for the largest p
+    with C(p, r) <= rank, and the members below it are the subset at index
+    rank - C(p, r) among the (r-1)-subsets of ``positions[:p]``.
+    """
+    out, p = 0, len(positions)
+    for t in range(r, 0, -1):
+        p -= 1
+        while comb(p, t) > rank:
+            p -= 1
+        out |= positions[p]
+        rank -= comb(p, t)
+    return out
 
 
 def _subsets_below(positions: list[Mask], top: int, r: int) -> Iterator[Mask]:

@@ -25,6 +25,7 @@ from .family import Family, FamilyParams
 from .masks import (
     Mask,
     bit,
+    iter_bits,
     iter_ksubsets,
     iter_subsets_within,
     labels,
@@ -97,7 +98,9 @@ class FamilyOracle(ABC):
 
 
 class ExplicitOracle(FamilyOracle):
-    """Oracle backed by scans over an explicit edge list."""
+    """Oracle backed by an explicit family: extensions are read off its
+    per-vertex edge index; degrees are counted by a plain scan, the route
+    independent of the index that re-verification relies on."""
 
     def __init__(self, family: Family):
         self.family = family
@@ -114,15 +117,42 @@ class ExplicitOracle(FamilyOracle):
         return sum(1 for e in self.family.edges if e & s == s)
 
     def extension(self, base: Mask, forbidden: Mask = 0) -> Optional[Mask]:
-        for e in self.family.edges:
-            if e & base == base and not (e & ~base) & forbidden:
-                return e
-        return None
+        ids = self._extending(base, forbidden)
+        return self.family.edges[ids[0]] if len(ids) else None
 
     def enumerate_extensions(self, base: Mask) -> Iterator[Mask]:
-        for e in self.family.edges:
-            if e & base == base:
-                yield e
+        edges = self.family.edges
+        for i in self._extending(base):
+            yield edges[i]
+
+    def _extending(self, base: Mask, forbidden: Mask = 0):
+        """Ids, ascending, of the edges that hold ``base`` and meet
+        ``forbidden`` only inside it: the rows of the rarest base vertex's
+        run (every row for an empty base), filtered by vertex tables."""
+        import numpy as np
+
+        fam = self.family
+        n, full = fam.params.n, fam.params.full
+        if base & ~full:
+            return np.empty(0, np.int32)
+        verts = [b.bit_length() - 1 for b in iter_bits(base)]
+        cand, rows = None, fam.rows
+        if verts:
+            starts = fam.index[0]
+            cand = fam.run(min(verts, key=lambda v: starts[v + 1] - starts[v]))
+            rows = rows[cand]
+        keep = np.ones(len(rows), bool)
+        if len(verts) > 1:
+            held = np.zeros(n, bool)
+            held[verts] = True
+            keep &= held[rows].sum(axis=1) == len(verts)
+        banned = forbidden & ~base & full
+        if banned:
+            hit = np.zeros(n, bool)
+            hit[[b.bit_length() - 1 for b in iter_bits(banned)]] = True
+            keep &= ~hit[rows].any(axis=1)
+        hits = np.flatnonzero(keep)
+        return hits if cand is None else cand[hits]
 
 
 class StarOracle(FamilyOracle):
@@ -243,12 +273,18 @@ def as_oracle(source: FamilyOracle | Family) -> FamilyOracle:
 
 
 def link(source: FamilyOracle | Family, base: Mask) -> Family:
-    """Link of a (k-2)-set: the pairs T with T | base an edge, as a 2-uniform family on [n]."""
+    """Link of a (k-2)-set: the pairs T with T | base an edge, as a 2-uniform family on [n].
+
+    The enumeration's edges are distinct k-sets of [n] holding ``base``, so
+    their pairs are distinct 2-sets of [n]; removing the same bits from
+    each keeps the enumeration's order, which the sort (one pass over an
+    ordered run) enforces on an oracle that breaks it.
+    """
     oracle = as_oracle(source)
     p = oracle.params
     if popcount(base) != p.k - 2:
         raise ValueError(f"base must have size k-2 = {p.k - 2}")
-    return Family(FamilyParams(p.n, 2), tuple(sorted(e & ~base for e in oracle.enumerate_extensions(base))))
+    return Family._trusted(FamilyParams(p.n, 2), tuple(sorted(e & ~base for e in oracle.enumerate_extensions(base))))
 
 
 def min_degree_scan(oracle: FamilyOracle, d: int) -> tuple[int, Mask]:

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from math import comb
 from typing import Optional
 
 from .bounds import applicable_threshold, codegree_bound
-from .family import Family, covers_size1, is_complete_star_on, is_intersecting
+from .family import Family, covers_size1, is_intersecting
 from .generators import (
     Budget,
     BudgetExceeded,
@@ -18,7 +19,7 @@ from .generators import (
     maximal_cliques,
 )
 from .io import fields_json
-from .masks import Mask, lowest_vertex
+from .masks import Mask
 from .oracles import ExplicitOracle, min_degree, min_degree_scan
 
 ACHIEVER_CAP = 64
@@ -143,9 +144,9 @@ def check_theorem(
     if best == bound and not stopped:
         all_stars = not truncated
         for edges in achievers if all_stars else ():
-            fam = Family(params, edges)
-            common, _ = covers_size1(fam)
-            if not common or is_complete_star_on(fam, params.full, lowest_vertex(common)) is not None:
+            # every edge holds a common vertex: a star, complete at C(n-1, k-1) edges
+            common, _ = covers_size1(Family(params, edges))
+            if not common or len(edges) != comb(n - 1, k - 1):
                 all_stars = False
                 break
     if n >= threshold and best > bound:

@@ -74,6 +74,26 @@ def ref_is_maximal_intersecting(fam: Family) -> bool:
     return True
 
 
+def ref_extension(fam: Family, base: Mask, forbidden: Mask = 0) -> Optional[Mask]:
+    """First edge holding ``base`` whose other vertices avoid ``forbidden``, by a plain scan."""
+    return next((e for e in fam.edges if e & base == base and not e & ~base & forbidden), None)
+
+
+def ref_enumerate_extensions(fam: Family, base: Mask) -> list[Mask]:
+    """The edges holding ``base``, in edge order, by a plain scan."""
+    return [e for e in fam.edges if e & base == base]
+
+
+def ref_rows(fam: Family) -> list[list[int]]:
+    """Each edge's vertex indices (label - 1), ascending, by testing every bit."""
+    return [[v for v in range(fam.params.n) if e >> v & 1] for e in fam.edges]
+
+
+def ref_run(fam: Family, v: int) -> list[int]:
+    """Positions of the edges through the vertex with index v, ascending."""
+    return [i for i, e in enumerate(fam.edges) if e >> v & 1]
+
+
 def ref_star_violation(fam: Family, window: Mask, center: int) -> Optional[tuple[str, Mask]]:
     """First offending edge by a plain edge scan, else the smallest absent star edge.
 

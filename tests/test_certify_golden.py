@@ -21,6 +21,7 @@ asserts.  Run this file as a script to print both maps as JSON.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -49,7 +50,7 @@ from ekrlab.family import Family, FamilyParams
 from ekrlab.generators import complete_star, hilton_milner
 from ekrlab.io import to_json
 from ekrlab.masks import bit, full_mask, iter_ksubsets, mask_of
-from ekrlab.oracles import ExplicitOracle, StarOracle, as_oracle
+from ekrlab.oracles import ExplicitOracle, StarOracle, as_oracle, link
 from test_constructions_adversarial import (
     LowBandStarOracle,
     PuncturedStarOracle,
@@ -424,6 +425,32 @@ def test_digests_under_optimize_flag():
 
 def test_shrink_digests():
     assert all_shrink_digests() == SHRINK_GOLDEN
+
+
+def test_trusted_families_pass_validation(monkeypatch):
+    # every family built unchecked (merged shrink subfamilies, cover-pair
+    # families, links) on the golden certify, shrink and link inputs is
+    # one the validating constructor accepts, equal field for field
+    made = []
+    trusted = Family._trusted.__func__
+
+    def spy(cls, *args, **kwargs):
+        made.append(trusted(cls, *args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(Family, "_trusted", classmethod(spy))
+    for level, source, kw in golden_inputs().values():
+        attempt(lambda: CERTIFY[level](source, **kw))
+    for level, source, _ in golden_inputs().values():
+        for e in islice(as_oracle(source).enumerate_extensions(0), SHRINK_EDGES):
+            attempt(lambda: SHRINK[level](source, e))
+    for _, source, _ in golden_inputs().values():
+        p = as_oracle(source).params
+        for base in (full_mask(p.k - 2), full_mask(p.n) ^ full_mask(p.n - p.k + 2)):
+            attempt(lambda: link(source, base))
+    assert {type(fam) for fam in made} == {Family, TracedFamily}
+    for fam in made:
+        assert dataclasses.replace(fam) == fam
 
 
 # Sources that answer as one family; split and switching oracles answer

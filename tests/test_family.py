@@ -9,8 +9,12 @@ from conftest import (
     random_family,
     ref_covers_size2,
     ref_disjoint_pair,
+    ref_enumerate_extensions,
+    ref_extension,
     ref_incidence,
     ref_is_intersecting,
+    ref_rows,
+    ref_run,
     ref_star_violation,
 )
 from ekrlab.family import (
@@ -23,9 +27,10 @@ from ekrlab.family import (
     is_complete_star_on,
     is_intersecting,
 )
-from ekrlab.generators import complete_star
+from ekrlab.generators import complete_star, hilton_milner
+from ekrlab.io import family_text, read_family_text
 from ekrlab.masks import full_mask, iter_ksubsets, labels, mask_of
-from ekrlab.oracles import link
+from ekrlab.oracles import ExplicitOracle, link
 
 
 def fam(n, k, edges):
@@ -220,22 +225,98 @@ class TestCompleteStarOn:
                 f = Family(full.params, full.edges[:i] + full.edges[i + 1 :])
                 assert self.check(f, window, center) == StarViolation("missing", full.edges[i])
 
-    def test_counts_before_enumerating(self, monkeypatch):
+    def test_missing_edge_search_unranks_log_many(self, monkeypatch):
         calls = []
-        real = ekrlab.family.iter_subsets_within
+        real = ekrlab.family.unrank_subset
 
-        def spy(pool, r):
-            calls.append((pool, r))
-            return real(pool, r)
+        def spy(positions, r, rank):
+            calls.append(rank)
+            return real(positions, r, rank)
 
-        monkeypatch.setattr(ekrlab.family, "iter_subsets_within", spy)
+        monkeypatch.setattr(ekrlab.family, "unrank_subset", spy)
         star = complete_star(26, 4, 2)
         assert is_complete_star_on(star, full_mask(26), 2) is None
         assert is_complete_star_on(star, mask_of(range(2, 20)), 2) is None
         assert calls == []
-        sv = is_complete_star_on(Family(star.params, star.edges[:-1]), full_mask(26), 2)
-        assert sv == StarViolation("missing", star.edges[-1])
-        assert calls == [(full_mask(26) & ~mask_of([2]), 3)]
+        bound = len(star.edges).bit_length() + 1  # the binary search's steps, then the answer
+        for i in (0, 1, len(star.edges) // 2, len(star.edges) - 1):
+            calls.clear()
+            sv = is_complete_star_on(Family(star.params, star.edges[:i] + star.edges[i + 1 :]), full_mask(26), 2)
+            assert sv == StarViolation("missing", star.edges[i])
+            assert 1 <= len(calls) <= bound
+
+
+def index_families(rng):
+    """(name, family) pairs over n <= 64, 64 < n <= 256 (uint8 rows) and
+    n > 256 (uint16 rows): stars, a star less its first, middle or last
+    edge, Hilton-Milner and random families (the empty one among them)."""
+    out = []
+    for n, k in ((9, 3), (40, 4), (70, 3), (300, 2), (6, 1)):
+        center = rng.randrange(1, n + 1)
+        star = complete_star(n, k, center)
+        m = len(star.edges)
+        out.append((f"star({n},{k},{center})", star))
+        for i in (0, m // 2, m - 1):
+            out.append((f"star({n},{k},{center}) minus #{i}", Family(star.params, star.edges[:i] + star.edges[i + 1 :])))
+        if k >= 2:
+            out.append((f"hm({n},{k})", hilton_milner(n, k)))
+        for size in (0, 1, 7, 60):
+            sets = {mask_of(rng.sample(range(1, n + 1), k)) for _ in range(size)}
+            out.append((f"random({n},{k}) of {len(sets)}", Family.from_masks(star.params, sets)))
+    return out
+
+
+class TestVertexIndex:
+    """Label rows, per-vertex runs and the queries read off them, against
+    plain scans, on in-memory families and the same families read back."""
+
+    @staticmethod
+    def routes(fam, rng):
+        """The family in memory, read back, and read back from its lines shuffled."""
+        text = family_text(fam)
+        head, *lines = text.splitlines(keepends=True)
+        rng.shuffle(lines)
+        back, shuffled = read_family_text(text), read_family_text(head + "".join(lines))
+        assert back == shuffled == fam
+        return (("memory", fam), ("reader", back), ("shuffled", shuffled))
+
+    def test_rows_and_runs(self, rng):
+        import numpy as np
+
+        for name, fam in index_families(rng):
+            for route, f in self.routes(fam, rng):
+                assert f.rows.dtype == (np.uint8 if f.params.n <= 256 else np.uint16), (name, route)
+                assert f.rows.shape == (len(f.edges), f.params.k) and f.rows.tolist() == ref_rows(f), (name, route)
+                for v in range(f.params.n):
+                    assert f.run(v).tolist() == ref_run(f, v), (name, route, v)
+
+    def test_extensions_against_scans(self, rng):
+        for name, fam in index_families(rng):
+            n, k = fam.params.n, fam.params.k
+            for route, f in self.routes(fam, rng):
+                oracle = ExplicitOracle(f)
+                bases = [0, full_mask(n), mask_of(range(1, k + 2))]
+                for _ in range(12):
+                    e = rng.choice(f.edges) if f.edges else mask_of(rng.sample(range(1, n + 1), k))
+                    bases.append(mask_of(rng.sample(labels(e), rng.randrange(0, k + 1))))
+                    bases.append(mask_of(rng.sample(range(1, n + 1), rng.randrange(1, k + 1))))
+                for base in bases:
+                    assert list(oracle.enumerate_extensions(base)) == ref_enumerate_extensions(f, base), (name, route)
+                    for forbidden in (0, rng.randrange(1 << n), mask_of(rng.sample(range(1, n + 1), 2))):
+                        got = oracle.extension(base, forbidden)
+                        assert got == ref_extension(f, base, forbidden), (name, route, base, forbidden)
+
+    def test_star_windows_against_scans(self, rng):
+        for name, fam in index_families(rng):
+            n, k = fam.params.n, fam.params.k
+            common = fam.edges[0] if fam.edges else 1
+            for e in fam.edges:
+                common &= e
+            for route, f in self.routes(fam, rng):
+                for _ in range(4):
+                    center = (common & -common).bit_length() if common and rng.random() < 0.7 else rng.randrange(1, n + 1)
+                    for window in (full_mask(n), TestCompleteStarOn.random_window(rng, n, k, center)):
+                        TestCompleteStarOn.check(f, window, center)
 
 
 class TestLink:
