@@ -120,6 +120,20 @@ MUTANTS = (
         "return ids[starts[v] : starts[v + 1] - 1]",
         (f"{FAMILY}::TestVertexIndex",),
     ),
+    Mutant(
+        "k2-stray-unfiltered",  # the k = 2 stray-edge search returns the first edge, met or not
+        "constructions.py",
+        "next((f for f in co.enumerate_extensions(0) if not f & e), None)",
+        "next((f for f in co.enumerate_extensions(0)), None)",
+        ("tests/test_constructions.py::TestShrinkK1::test_k2_stray_edge_is_disjoint",),
+    ),
+    Mutant(
+        "link-repeat-allowed",  # a link keeps the pairs of an enumeration that repeats an edge
+        "oracles.py",
+        "    if any(map(eq, pairs, islice(pairs, 1, None))):\n",
+        "    if False:\n",
+        (f"{ADVERSARIAL}::TestQueryContractBreaches",),
+    ),
 )
 
 

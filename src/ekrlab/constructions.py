@@ -278,13 +278,13 @@ class CountingOracle(FamilyOracle):
             raise InternalContradictionError("oracle returned a negative degree")
         return d
 
-    def extension(self, base: Mask, forbidden: Mask = 0) -> Optional[Mask]:
+    def extension(self, base: Mask) -> Optional[Mask]:
         self.queries += 1
-        e = self.inner.extension(base, forbidden)
+        e = self.inner.extension(base)
         if e is None:
             return None
         p = self.params
-        if popcount(e) != p.k or e & ~p.full or e & base != base or (e & ~base) & forbidden:
+        if popcount(e) != p.k or e & ~p.full or e & base != base:
             raise InternalContradictionError(
                 f"oracle extension answer {labels(e)} violates the query contract"
             )
@@ -444,7 +444,7 @@ def _grow_k1(co: CountingOracle, e: Mask, trace: ConstructionTrace) -> tuple[Tra
                     partner = f if partner is None else min(partner, f)
                     break
         if partner is None:
-            stray = co.extension(0, e)
+            stray = next((f for f in co.enumerate_extensions(0) if not f & e), None)
             if stray is not None:
                 raise _Refuted(DisjointEdges(e, stray))
             raise _Refuted(ZeroCodegree(smallest_subset(p.full & ~e, 1)))
@@ -464,7 +464,7 @@ def _grow_k1(co: CountingOracle, e: Mask, trace: ConstructionTrace) -> tuple[Tra
             w = smallest_subset(outside, k - 1)
         else:
             w = outside | smallest_subset(core, k - 1 - popcount(outside))
-        f = co.extension(w, 0)
+        f = co.extension(w)
         if f is None:
             raise _Refuted(ZeroCodegree(w))
         prev = trace.steps[-1]
@@ -812,7 +812,7 @@ def _gap_probe_k1(
     p = co.params
     avail = p.full & ~(window | ctx_vset)
     w = smallest_subset(avail, p.k - 1)
-    f = co.extension(w, 0)
+    f = co.extension(w)
     if f is None:
         return ZeroCodegree(w)
     hub = f & ~w
@@ -825,7 +825,7 @@ def _gap_probe_k1(
 def _off_center_extension(co: FamilyOracle, m: Mask, v: int) -> Mask:
     """The first extension of m - v for a star edge ``m`` (through v) reported absent."""
     w = m & ~bit(v)
-    f = co.extension(w, 0)
+    f = co.extension(w)
     if f is None:
         raise _Refuted(ZeroCodegree(w))
     if f & bit(v):
@@ -945,7 +945,7 @@ class _K1:
             return wb | vb
         # Any extension of wb misses v, so it is disjoint from a window
         # star edge steered away from it.
-        f = co.extension(wb, 0)
+        f = co.extension(wb)
         if f is None:
             raise _Refuted(ZeroCodegree(wb))
         if f & vb:

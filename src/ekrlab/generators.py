@@ -28,9 +28,8 @@ def complete_star(n: int, k: int, center: int) -> Family:
     params = FamilyParams(n, k)
     if not (1 <= center <= n):
         raise ValueError(f"center {center} outside [1..{n}]")
-    cbit = bit(center)
-    edges = [cbit | rest for rest in iter_subsets_within(params.full & ~cbit, k - 1)]
-    return Family(params, tuple(sorted(edges)))
+    cbit = bit(center)  # OR-ing a bit outside the pool keeps the subsets' canonical order
+    return Family._trusted(params, tuple(cbit | rest for rest in iter_subsets_within(params.full & ~cbit, k - 1)))
 
 
 def hilton_milner(n: int, k: int) -> Family:

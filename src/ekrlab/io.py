@@ -171,8 +171,8 @@ def _in_canonical_order(rows) -> bool:
 
 def _read_written(text: str):
     """The header and the label rows, in file order, of a text in exactly
-    the form ``family_text`` writes, read in blocks of whole lines (None
-    for the rows of a header alone); None otherwise."""
+    the form ``family_text`` writes with at least one edge, read in blocks
+    of whole lines; None otherwise."""
     head = text.find("\n")
     first = text[:head]
     if head < 0 or not text.endswith("\n") or not text.isascii() or not first.isprintable() or not _strip(first):
@@ -189,7 +189,7 @@ def _read_written(text: str):
         blocks.append(block)
         start = stop
     if not blocks:
-        return params, None
+        return None  # a header alone: the plain loop reads it without numpy
     import numpy as np
 
     return params, np.concatenate(blocks)
@@ -200,8 +200,6 @@ def read_family_text(text: str) -> Family:
     if read is None:
         return _read_lines(text)
     params, rows = read
-    if rows is None:
-        return Family(params, ())
     if not _in_canonical_order(rows):  # the writer's files are in order already
         import numpy as np
 

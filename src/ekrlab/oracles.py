@@ -1,8 +1,10 @@
 """Query access to families, explicit or implicit.
 
-An oracle answers containment, codegree, and extension queries.  The
-explicit realization wraps a materialized :class:`Family` and exposes it
-as ``family``, which is None on an oracle that answers for no explicit
+An oracle answers containment, codegree, extension and enumeration
+queries; an extension is the canonically smallest edge holding a base,
+and an enumeration every such edge in canonical order.  The explicit
+realization wraps a materialized :class:`Family` and exposes it as
+``family``, which is None on an oracle that answers for no explicit
 family; the star realization answers for the complete star centered at a
 vertex without materializing its C(n-1, k-1) edges.
 
@@ -17,8 +19,9 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import Counter
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from math import comb
+from operator import eq
 from typing import Iterator, NamedTuple, Optional
 
 from .family import Family, FamilyParams
@@ -46,6 +49,9 @@ class BatchFailure(NamedTuple):
 
 
 class FamilyOracle(ABC):
+    """Query access to a k-uniform family on [n]: membership, the degree of
+    a set, and the edges holding a base, the smallest one or all of them."""
+
     family: Optional[Family] = None  # the explicit family the oracle answers for, if it has one
 
     @property
@@ -60,15 +66,15 @@ class FamilyOracle(ABC):
         """Number of edges containing ``s`` (requires |s| <= k)."""
 
     @abstractmethod
-    def extension(self, base: Mask, forbidden: Mask = 0) -> Optional[Mask]:
-        """Canonically smallest edge e >= base with (e - base) avoiding ``forbidden``."""
+    def extension(self, base: Mask) -> Optional[Mask]:
+        """Canonically smallest edge containing ``base``."""
 
     @abstractmethod
     def enumerate_extensions(self, base: Mask) -> Iterator[Mask]:
         """All edges containing ``base``, in canonical order."""
 
     def first_edge(self) -> Optional[Mask]:
-        return self.extension(0, 0)
+        return self.extension(0)
 
     def first_failure(self, edges, sets=None, required: int = 0) -> Optional[BatchFailure]:
         """Ask a batch of samples in order and stop at the first failure.
@@ -99,8 +105,9 @@ class FamilyOracle(ABC):
 
 class ExplicitOracle(FamilyOracle):
     """Oracle backed by an explicit family: extensions are read off its
-    per-vertex edge index; degrees are counted by a plain scan, the route
-    independent of the index that re-verification relies on."""
+    edge tuple for an empty base and off its per-vertex edge index
+    otherwise; degrees are counted by a plain scan, the route independent
+    of the index that re-verification relies on."""
 
     def __init__(self, family: Family):
         self.family = family
@@ -116,8 +123,8 @@ class ExplicitOracle(FamilyOracle):
         self._check_degree_arg(s)
         return sum(1 for e in self.family.edges if e & s == s)
 
-    def extension(self, base: Mask, forbidden: Mask = 0) -> Optional[Mask]:
-        ids = self._extending(base, forbidden)
+    def extension(self, base: Mask) -> Optional[Mask]:
+        ids = self._extending(base)
         return self.family.edges[ids[0]] if len(ids) else None
 
     def enumerate_extensions(self, base: Mask) -> Iterator[Mask]:
@@ -125,34 +132,25 @@ class ExplicitOracle(FamilyOracle):
         for i in self._extending(base):
             yield edges[i]
 
-    def _extending(self, base: Mask, forbidden: Mask = 0):
-        """Ids, ascending, of the edges that hold ``base`` and meet
-        ``forbidden`` only inside it: the rows of the rarest base vertex's
-        run (every row for an empty base), filtered by vertex tables."""
+    def _extending(self, base: Mask):
+        """Ids, ascending, of the edges that hold ``base``: every id for an
+        empty base, read off the edge tuple; otherwise the rarest base
+        vertex's run, filtered by a table of the base vertices."""
+        fam = self.family
+        if base & ~fam.params.full:
+            return ()
+        verts = [b.bit_length() - 1 for b in iter_bits(base)]
+        if not verts:
+            return range(len(fam.edges))
+        starts = fam.index[0]
+        cand = fam.run(min(verts, key=lambda v: starts[v + 1] - starts[v]))
+        if len(verts) == 1:
+            return cand
         import numpy as np
 
-        fam = self.family
-        n, full = fam.params.n, fam.params.full
-        if base & ~full:
-            return np.empty(0, np.int32)
-        verts = [b.bit_length() - 1 for b in iter_bits(base)]
-        cand, rows = None, fam.rows
-        if verts:
-            starts = fam.index[0]
-            cand = fam.run(min(verts, key=lambda v: starts[v + 1] - starts[v]))
-            rows = rows[cand]
-        keep = np.ones(len(rows), bool)
-        if len(verts) > 1:
-            held = np.zeros(n, bool)
-            held[verts] = True
-            keep &= held[rows].sum(axis=1) == len(verts)
-        banned = forbidden & ~base & full
-        if banned:
-            hit = np.zeros(n, bool)
-            hit[[b.bit_length() - 1 for b in iter_bits(banned)]] = True
-            keep &= ~hit[rows].any(axis=1)
-        hits = np.flatnonzero(keep)
-        return hits if cand is None else cand[hits]
+        held = np.zeros(fam.params.n, bool)
+        held[verts] = True
+        return cand[held[fam.rows[cand]].sum(axis=1) == len(verts)]
 
 
 class StarOracle(FamilyOracle):
@@ -185,26 +183,19 @@ class StarOracle(FamilyOracle):
         through = tuple(comb(n - d, k - d) for d in range(k + 1))
         return through, tuple(comb(n - d - 1, k - d - 1) if d < k else 0 for d in range(k + 1))
 
-    def extension(self, base: Mask, forbidden: Mask = 0) -> Optional[Mask]:
+    def extension(self, base: Mask) -> Optional[Mask]:
         p = self._params
-        if popcount(base) > p.k or base & ~p.full:
-            return None
         core = base | self._cbit
-        if popcount(core) > p.k:
-            return None  # every edge contains the center
-        if (core & ~base) & forbidden:
-            return None  # the center itself would violate the exclusion
-        free = p.full & ~core & ~forbidden
         need = p.k - popcount(core)
-        if popcount(free) < need:
-            return None
-        return core | smallest_subset(free, need)
+        if base & ~p.full or need < 0:
+            return None  # every edge lies in [n] and contains the center
+        return core | smallest_subset(p.full & ~core, need)
 
     def enumerate_extensions(self, base: Mask) -> Iterator[Mask]:
         p = self._params
         core = base | self._cbit
         need = p.k - popcount(core)
-        if popcount(base) > p.k or base & ~p.full or need < 0:
+        if base & ~p.full or need < 0:
             return
         for rest in iter_subsets_within(p.full & ~core, need):
             yield core | rest
@@ -275,16 +266,20 @@ def as_oracle(source: FamilyOracle | Family) -> FamilyOracle:
 def link(source: FamilyOracle | Family, base: Mask) -> Family:
     """Link of a (k-2)-set: the pairs T with T | base an edge, as a 2-uniform family on [n].
 
-    The enumeration's edges are distinct k-sets of [n] holding ``base``, so
-    their pairs are distinct 2-sets of [n]; removing the same bits from
-    each keeps the enumeration's order, which the sort (one pass over an
-    ordered run) enforces on an oracle that breaks it.
+    That each enumerated edge is a k-set of [n] holding ``base`` is
+    ``CountingOracle``'s check, so the pairs are 2-sets of [n].  Removing
+    the same bits from each edge keeps the enumeration's order, which the
+    sort (one pass over an ordered run) enforces on an oracle that breaks
+    it; an enumeration that repeats an edge raises ValueError.
     """
     oracle = as_oracle(source)
     p = oracle.params
     if popcount(base) != p.k - 2:
         raise ValueError(f"base must have size k-2 = {p.k - 2}")
-    return Family._trusted(FamilyParams(p.n, 2), tuple(sorted(e & ~base for e in oracle.enumerate_extensions(base))))
+    pairs = sorted(e & ~base for e in oracle.enumerate_extensions(base))
+    if any(map(eq, pairs, islice(pairs, 1, None))):
+        raise ValueError(f"the enumeration through {labels(base)} repeats an edge")
+    return Family._trusted(FamilyParams(p.n, 2), tuple(pairs))
 
 
 def min_degree_scan(oracle: FamilyOracle, d: int) -> tuple[int, Mask]:

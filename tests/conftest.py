@@ -74,9 +74,9 @@ def ref_is_maximal_intersecting(fam: Family) -> bool:
     return True
 
 
-def ref_extension(fam: Family, base: Mask, forbidden: Mask = 0) -> Optional[Mask]:
-    """First edge holding ``base`` whose other vertices avoid ``forbidden``, by a plain scan."""
-    return next((e for e in fam.edges if e & base == base and not e & ~base & forbidden), None)
+def ref_extension(fam: Family, base: Mask) -> Optional[Mask]:
+    """First edge holding ``base``, by a plain scan."""
+    return next((e for e in fam.edges if e & base == base), None)
 
 
 def ref_enumerate_extensions(fam: Family, base: Mask) -> list[Mask]:

@@ -41,7 +41,7 @@ from ekrlab.masks import (
     row_masks,
     smallest_subset,
 )
-from ekrlab.oracles import ExplicitOracle, FamilyOracle, StarOracle, min_degree, min_degree_scan
+from ekrlab.oracles import ExplicitOracle, FamilyOracle, StarOracle, link, min_degree, min_degree_scan
 
 
 def without_edge(star: Family, edge_labels) -> Family:
@@ -109,18 +109,14 @@ class TwoStarOracle(FamilyOracle):
         hits_both = comb(p.n - d - 2, p.k - d - 2) if p.k - d - 2 >= 0 else 0
         return 2 * comb(p.n - d - 1, p.k - d - 1) - hits_both
 
-    def extension(self, base, forbidden=0):
+    def extension(self, base):
         p = self._params
         best = None
         for cbit in iter_bits(self.ab):
             core = base | cbit
-            if popcount(core) > p.k or (core & ~base) & forbidden:
+            if popcount(core) > p.k:
                 continue
-            free = p.full & ~core & ~forbidden
-            need = p.k - popcount(core)
-            if popcount(free) < need:
-                continue
-            cand = core | smallest_subset(free, need)
+            cand = core | smallest_subset(p.full & ~core, p.k - popcount(core))
             best = cand if best is None else min(best, cand)
         return best
 
@@ -161,8 +157,8 @@ class SplitStarOracle(FamilyOracle):
     def degree(self, s):
         return self._star("degree", s).degree(s)
 
-    def extension(self, base, forbidden=0):
-        return self._star("extension", base).extension(base, forbidden)
+    def extension(self, base):
+        return self._star("extension", base).extension(base)
 
     def enumerate_extensions(self, base):
         return self._star("enumerate", base).enumerate_extensions(base)
@@ -185,8 +181,8 @@ class PuncturedStarOracle(FamilyOracle):
         through = s | self.hole
         return self.star.degree(s) - (self.star.degree(through) if popcount(through) <= self.params.k else 0)
 
-    def extension(self, base, forbidden=0):
-        return None if base & self.hole else self.star.extension(base, forbidden | self.hole)
+    def extension(self, base):
+        return next(self.enumerate_extensions(base), None)
 
     def enumerate_extensions(self, base):
         return (e for e in self.star.enumerate_extensions(base) if not e & self.hole)
@@ -216,8 +212,8 @@ class SwitchingStarOracle(FamilyOracle):
     def degree(self, s):
         return self._star(s).degree(s)
 
-    def extension(self, base, forbidden=0):
-        return self._star(base).extension(base, forbidden)
+    def extension(self, base):
+        return self._star(base).extension(base)
 
     def enumerate_extensions(self, base):
         return self._star(base).enumerate_extensions(base)
@@ -355,8 +351,7 @@ class TestTwoStarUnion:
         rng = random.Random(5)
         for _ in range(300):
             base = rng.randrange(1 << n)
-            forb = rng.randrange(1 << n)
-            assert o.extension(base, forb) == exp.extension(base, forb)
+            assert o.extension(base) == exp.extension(base)
 
 
 class PatchworkOracle(FamilyOracle):
@@ -388,11 +383,8 @@ class PatchworkOracle(FamilyOracle):
     def degree(self, s):
         return len(list(self.enumerate_extensions(s))) if popcount(s) <= 3 else 0
 
-    def extension(self, base, forbidden=0):
-        for e in self.enumerate_extensions(base):
-            if not (e & ~base) & forbidden:
-                return e
-        return None
+    def extension(self, base):
+        return next(self.enumerate_extensions(base), None)
 
     def enumerate_extensions(self, base):
         p = self._params
@@ -615,15 +607,16 @@ class BreachStarOracle(StarOracle):
     """The complete star at ``center``, except that one query kind breaks
     its contract: ``extension`` answers a (k+1)-set ("wide") or a star edge
     that misses part of its base ("off-base"), or ``enumerate_extensions``
-    yields every star edge widened to a (k+1)-set ("enumerate")."""
+    yields every star edge widened to a (k+1)-set ("enumerate") or yields
+    every star edge twice ("repeat")."""
 
     def __init__(self, n: int, k: int, center: int, breach: str):
         super().__init__(n, k, center)
         self.breach = breach
 
-    def extension(self, base, forbidden=0):
-        e = super().extension(base, forbidden)
-        if e is None or self.breach == "enumerate":
+    def extension(self, base):
+        e = super().extension(base)
+        if e is None or self.breach in ("enumerate", "repeat"):
             return e
         if self.breach == "wide":
             return e | smallest_subset(self.params.full & ~e, 1)
@@ -633,6 +626,8 @@ class BreachStarOracle(StarOracle):
         for e in super().enumerate_extensions(base):
             if self.breach == "enumerate":
                 e |= smallest_subset(self.params.full & ~e, 1)
+            if self.breach == "repeat":
+                yield e
             yield e
 
 
@@ -654,3 +649,13 @@ class TestQueryContractBreaches:
         oracle = BreachStarOracle(n, k, 1, breach)
         with pytest.raises(InternalContradictionError, match=rf"oracle {message} violates the query contract"):
             shrink(oracle, mask_of(range(1, k + 1)))
+
+    # the link refuses an enumeration that repeats an edge: its doubled
+    # pairs would pass the n-k+1 floor on half as many distinct ones
+    def test_k2_shrink_refuses_a_repeated_link_edge(self):
+        with pytest.raises(ValueError, match=r"^the enumeration through \(14,\) repeats an edge$"):
+            shrink_core_k2(BreachStarOracle(230, 3, 1, "repeat"), mask_of([1, 2, 3]))
+
+    def test_link_refuses_a_repeated_edge(self):
+        with pytest.raises(ValueError, match=r"^the enumeration through \(5,\) repeats an edge$"):
+            link(CountingOracle(BreachStarOracle(155, 3, 1, "repeat")), bit(5))

@@ -302,9 +302,7 @@ class TestVertexIndex:
                     bases.append(mask_of(rng.sample(range(1, n + 1), rng.randrange(1, k + 1))))
                 for base in bases:
                     assert list(oracle.enumerate_extensions(base)) == ref_enumerate_extensions(f, base), (name, route)
-                    for forbidden in (0, rng.randrange(1 << n), mask_of(rng.sample(range(1, n + 1), 2))):
-                        got = oracle.extension(base, forbidden)
-                        assert got == ref_extension(f, base, forbidden), (name, route, base, forbidden)
+                    assert oracle.extension(base) == ref_extension(f, base), (name, route, base)
 
     def test_star_windows_against_scans(self, rng):
         for name, fam in index_families(rng):

@@ -1,3 +1,4 @@
+import dataclasses
 from math import comb
 
 import pytest
@@ -46,6 +47,14 @@ class TestCompleteStar:
     def test_bad_center(self):
         with pytest.raises(ValueError):
             complete_star(5, 2, 6)
+
+    @pytest.mark.parametrize("n", [*range(1, 12), 63, 64, 65, 70])
+    def test_trusted_build_passes_the_checks(self, n):
+        # built without Family's checks: re-running them must accept it
+        for k in range(1, min(n, 4) + 1):
+            for c in {1, (n + 1) // 2, n}:
+                f = complete_star(n, k, c)
+                assert dataclasses.replace(f) == f and len(f) == comb(n - 1, k - 1), (n, k, c)
 
 
 class TestHiltonMilner:

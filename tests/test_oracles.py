@@ -51,8 +51,7 @@ class TestStarOracleClosedForms:
         exp = ExplicitOracle(complete_star(8, 3, 2))
         for _ in range(300):
             base = rng.randrange(1 << 8)
-            forbidden = rng.randrange(1 << 8)
-            assert star.extension(base, forbidden) == exp.extension(base, forbidden)
+            assert star.extension(base) == exp.extension(base)
 
     def test_enumerate_agrees(self):
         star = StarOracle(7, 3, 4)
@@ -80,8 +79,8 @@ class OpaqueOracle(FamilyOracle):
     def degree(self, s):
         return self.inner.degree(s)
 
-    def extension(self, base, forbidden=0):
-        return self.inner.extension(base, forbidden)
+    def extension(self, base):
+        return self.inner.extension(base)
 
     def enumerate_extensions(self, base):
         return self.inner.enumerate_extensions(base)
@@ -220,18 +219,23 @@ class TestOracleEquivalence:
                 s = mask_of(rng.sample(range(1, n + 1), d))
                 assert o.degree(s) == ref_degree(f, s)
                 base = mask_of(rng.sample(range(1, n + 1), rng.randrange(0, k + 1)))
-                forbidden = rng.randrange(1 << n)
-                want = next(
-                    (e for e in f.edges if e & base == base and not (e & ~base) & forbidden),
-                    None,
-                )
-                assert o.extension(base, forbidden) == want
+                assert o.extension(base) == next((e for e in f.edges if e & base == base), None)
                 assert list(o.enumerate_extensions(base)) == [
                     e for e in f.edges if e & base == base
                 ]
             for e in f.edges:
                 assert o.contains(e)
             assert not o.contains(mask_of(range(1, k + 1))) or mask_of(range(1, k + 1)) in f.edges
+
+
+def test_empty_base_reads_the_edge_tuple():
+    # an empty base is every edge: answered without the label rows or the vertex index
+    f = complete_star(30, 3, 7)
+    o = ExplicitOracle(f)
+    assert o.first_edge() == f.edges[0]
+    assert tuple(o.enumerate_extensions(0)) == f.edges
+    assert "rows" not in f.__dict__ and "index" not in f.__dict__
+    assert ExplicitOracle(Family(f.params, ())).first_edge() is None
 
 
 def test_degree_monotone_under_edge_subsets(rng):
