@@ -48,6 +48,7 @@ class Mutant:
 GOLDEN = "tests/test_certify_golden.py"
 ADVERSARIAL = "tests/test_constructions_adversarial.py"
 FAMILY = "tests/test_family.py"
+ANCHORED = "tests/test_generators.py::TestAnchoredCanonical"
 
 MUTANTS = (
     Mutant(
@@ -133,6 +134,20 @@ MUTANTS = (
         "    if any(map(eq, pairs, islice(pairs, 1, None))):\n",
         "    if False:\n",
         (f"{ADVERSARIAL}::TestQueryContractBreaches",),
+    ),
+    Mutant(
+        "swap-visit-before-test",  # a clique joins the visited set before its images are tested
+        "generators.py",
+        "        known = not visited.isdisjoint(graph.images(clique))\n        visited.add(clique)\n",
+        "        visited.add(clique)\n        known = not visited.isdisjoint(graph.images(clique))\n",
+        (f"{ANCHORED}::test_same_representatives_as_forming_every_family",),
+    ),
+    Mutant(
+        "swap-image-off-by-one",  # each swap moves a k-set one index short of its image
+        "generators.py",
+        "d = index[e ^ pair] - j\n",
+        "d = index[e ^ pair] - j - 1\n",
+        (f"{ANCHORED}::test_same_representatives_as_forming_every_family",),
     ),
 )
 

@@ -49,12 +49,15 @@ ordering of the support is then the base plus one share per
 non-singleton cell, one integer addition each, and its form is its
 slots, read by one ``int.to_bytes`` (by shifts when s > 8), sorted.
 Most maximal families take the degree cells: 506 of the 512 anchored
-(6,3) families, 1,827 of 1,860 at (7,3) and 4,600 of 4,709 at (8,3).
-The rest have 720 or 5,040 degree-cell orderings and search.
-``_refine`` runs
-60, 381 and 1,522 times per pass over those families, against 566,
-2,208 and 6,122 when every family with repeated degrees was refined
-first (3,630, 14,430 and 45,532 with the search alone).  The cap was
+(6,3) families, 1,827 of 1,860 at (7,3) and 4,600 of 4,709 at (8,3),
+and 44, 120 and 123 of the 45, 126 and 132 of them that the canonical
+walk forms (``generators.maximal_cliques`` passes over the families an
+anchor-fixing swap maps onto one visited before).  The rest have 720 or
+5,040 degree-cell orderings and search.  ``_refine`` runs 60, 381 and
+1,522 times per pass over all anchored families, and 10, 74 and 150
+times per canonical walk, against 566, 2,208 and 6,122 per pass when
+every family with repeated degrees was refined first (3,630, 14,430 and
+45,532 with the search alone).  The cap was
 measured on the same families (2-core x86 host): per family, the search
 took 0.5-0.9 ms and the direct minimum about 2.5-3 us per ordering (0.37
 ms at 144 orderings, 2.3-2.5 ms at 720); per pass, median of 7

@@ -5,6 +5,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from math import comb
 from typing import Iterable, Optional
 
@@ -106,17 +107,23 @@ class Family:
         ascending along each row, in edge order, of the smallest unsigned
         type that holds n - 1 (uint8 when n <= 256, else uint16 up to
         65,536).  The bulk reader hands in the rows it parsed; otherwise they
-        are unpacked from the masks a block of edges at a time."""
+        are unpacked from the masks a block of edges at a time, the masks
+        converted by one uint64 array when n <= 64."""
         import numpy as np
 
         n, k, edges = self.params.n, self.params.k, self.edges
-        width = (n + 7) // 8
+        width = 8 if n <= 64 else (n + 7) // 8  # bytes per mask
         out = np.empty((len(edges), k), np.min_scalar_type(n - 1))
         for lo in range(0, len(edges), INDEX_BLOCK):
             block = edges[lo : lo + INDEX_BLOCK]
-            data = np.frombuffer(b"".join(e.to_bytes(width, "little") for e in block), np.uint8)
-            bits = np.unpackbits(data.reshape(len(block), width), axis=1, bitorder="little")
-            out[lo : lo + len(block)] = np.nonzero(bits)[1].reshape(len(block), k)
+            if n <= 64:
+                data = np.array(block, "<u8").view(np.uint8)
+            else:
+                data = np.frombuffer(b"".join(map(int.to_bytes, block, repeat(width), repeat("little"))), np.uint8)
+            at = np.flatnonzero(data != 0)  # the nonzero bytes, row by row
+            bits = np.flatnonzero(np.unpackbits(data[at, None], axis=1, bitorder="little").view(bool))
+            cols = (at[bits >> 3] % width) * 8 + (bits & 7)
+            out[lo : lo + len(block)] = cols.reshape(len(block), k)
         return out
 
     @cached_property

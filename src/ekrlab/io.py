@@ -219,24 +219,30 @@ def read_family(path: str | Path) -> Family:
 
 def _text_blocks(fam: Family) -> Iterator[str]:
     """The family text of ``fam``: the header line, then blocks of whole
-    edge lines of about ``TEXT_BLOCK`` characters each."""
+    edge lines of about ``TEXT_BLOCK`` characters each.
+
+    A block is cut from ``fam.rows`` through a per-label byte table: row
+    v holds ``str(v + 1)`` and a space, padded with zero bytes to one
+    width.  A block's rows index the table, the space after each line's
+    last label becomes a newline (digits are never spaces), and the
+    nonzero bytes, in order, are the block's text.
+    """
     n, k = fam.params.n, fam.params.k
-    name = [""] + [str(v) for v in range(1, n + 1)]  # the label of bit v-1, by bit length v
     yield f"n={n} k={k}\n"
-    edges = fam.edges
-    per = max(1, TEXT_BLOCK // (k * (len(name[-1]) + 1)))  # lines per block
-    for start in range(0, len(edges), per):
-        lines = []
-        append = lines.append
-        for e in edges[start : start + per]:
-            parts = []
-            while e:
-                low = e & -e
-                parts.append(name[low.bit_length()])
-                e ^= low
-            append(" ".join(parts))
-        append("")
-        yield "\n".join(lines)
+    if not fam.edges:
+        return
+    import numpy as np
+
+    width = len(str(n)) + 1  # a label and the separator after it
+    names = b"".join(f"{v} ".encode().ljust(width, b"\0") for v in range(1, n + 1))
+    table = np.frombuffer(names, np.uint8).reshape(n, width)
+    rows = fam.rows
+    per = max(1, TEXT_BLOCK // (k * width))  # lines per block
+    for start in range(0, len(rows), per):
+        cells = table[rows[start : start + per]]  # lines x k x width
+        last = cells[:, -1]
+        last[last == 32] = 10
+        yield cells[cells != 0].tobytes().decode("ascii")
 
 
 def family_text(fam: Family) -> str:

@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 import ekrlab.generators as generators
+import ekrlab.verify as verify
 from conftest import (
     brute_force_maximal_families,
     ref_canonical_form,
@@ -11,7 +12,7 @@ from conftest import (
     ref_is_maximal_intersecting,
     ref_min_degree,
 )
-from ekrlab.canonical import canonical_form
+from ekrlab.canonical import canonical_form, member_table
 from ekrlab.family import covers_size1, is_intersecting
 from ekrlab.generators import (
     Budget,
@@ -181,37 +182,81 @@ class TestCanonicalDedup:
 
 
 class TestAnchoredCanonical:
-    """Canonical mode walks only the maximal families through [k] = {1..k}."""
+    """Canonical mode walks only the maximal families through [k] = {1..k},
+    and forms only those that no anchor-fixing swap maps onto one visited
+    before."""
 
     @staticmethod
-    def _formed(monkeypatch, n, k, budget=None):
-        formed = []
+    def _walked(monkeypatch, n, k, budget=None):
+        """The cliques the walk visits, the families it forms, and the
+        representatives it emits."""
+        visited, formed = [], []
+        walk = generators._bron_kerbosch_pivot
 
-        def spy(n_, edges, *members):
+        def walk_spy(*args):
+            for clique in walk(*args):
+                visited.append(clique)
+                yield clique
+
+        def form_spy(n_, edges, *members):
             formed.append(edges)
             return canonical_form(n_, edges, *members)
 
-        monkeypatch.setattr(generators, "canonical_form", spy)
-        reps = [f.edges for f in enumerate_maximal_intersecting(n, k, "canonical", budget)]
-        return formed, reps
+        monkeypatch.setattr(generators, "_bron_kerbosch_pivot", walk_spy)
+        monkeypatch.setattr(generators, "canonical_form", form_spy)
+        graph = compatibility_graph(n, k)
+        reps = [graph.edges(c) for c in maximal_cliques(graph, "canonical", budget)]
+        return [graph.edges(c) for c in visited], formed, reps
 
     @pytest.mark.parametrize("n,k", [(5, 2), (6, 2), (6, 3), (7, 2), (7, 3)])
-    def test_forms_exactly_the_labeled_families_through_k(self, monkeypatch, n, k):
+    def test_visits_exactly_the_labeled_families_through_k(self, monkeypatch, n, k):
         first = (1 << k) - 1
         through = [f.edges for f in enumerate_maximal_intersecting(n, k) if first in f.edges]
-        formed, reps = self._formed(monkeypatch, n, k)
-        assert len(set(formed)) == len(formed)
+        visited, formed, reps = self._walked(monkeypatch, n, k)
         # the same families in the same order: the full walk pivots on
         # [k] at its root, so its first branch is the anchored walk
-        assert formed == through
+        assert visited == through
+        # each family is formed at most once, in walk order, and every
+        # representative was formed
+        once = set(formed)
+        assert len(once) == len(formed)
+        assert formed == [edges for edges in visited if edges in once]
+        assert set(reps) <= once
         assert all(first in edges for edges in reps)
 
     def test_pinned_counts(self, monkeypatch):
         budget = Budget()
-        formed, reps = self._formed(monkeypatch, 6, 3, budget)
-        assert (len(formed), budget.nodes, len(reps)) == (512, 1023, 13)
-        formed, reps = self._formed(monkeypatch, 7, 3)
-        assert (len(formed), len(reps)) == (1860, 15)
+        visited, formed, reps = self._walked(monkeypatch, 6, 3, budget)
+        assert (len(visited), len(formed), budget.nodes, len(reps)) == (512, 45, 1023, 13)
+        visited, formed, reps = self._walked(monkeypatch, 7, 3)
+        assert (len(visited), len(formed), len(reps)) == (1860, 126, 15)
+
+    @staticmethod
+    def _form_every_family(graph, budget=None):
+        """The reference dedup: form every anchored family and keep the
+        cliques whose form is new."""
+        n, members, seen = graph.params.n, member_table(graph.verts), set()
+        for clique in generators._bron_kerbosch_pivot(graph.adj, 1, graph.adj[0], 0, budget):
+            form = canonical_form(n, graph.edges(clique), members)
+            if form not in seen:
+                seen.add(form)
+                yield clique
+
+    @pytest.mark.parametrize("n,k", [(5, 2), (6, 2), (6, 3), (7, 2), (7, 3), (8, 3)])
+    def test_same_representatives_as_forming_every_family(self, n, k):
+        graph = compatibility_graph(n, k)
+        assert list(maximal_cliques(graph, "canonical")) == list(self._form_every_family(graph))
+
+    @pytest.mark.parametrize("n,k,d", [(7, 3, 2), (8, 3, 2), (8, 4, 3)])
+    @pytest.mark.parametrize("cap", [0, 40, 700, 3000])
+    def test_same_budget_stop_as_forming_every_family(self, monkeypatch, n, k, d, cap):
+        ours = Budget(max_nodes=cap)
+        got = check_theorem(n, k, d, "canonical", ours)
+        reference = Budget(max_nodes=cap)
+        monkeypatch.setattr(verify, "maximal_cliques", lambda graph, _, budget: self._form_every_family(graph, budget))
+        want = check_theorem(n, k, d, "canonical", reference)
+        assert (got.verdict, got.families_checked, ours.nodes) == (want.verdict, want.families_checked, reference.nodes)
+        assert (got.max_delta, got.achievers) == (want.max_delta, want.achievers)
 
     @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 2), (4, 3), (5, 3)])
     def test_classes_against_brute_force(self, n, k):

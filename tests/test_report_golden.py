@@ -2,11 +2,11 @@
 
 ``elapsed_ms`` is removed before hashing; everything else in the report
 (maximum, achievers, star flag, verdict, counts, nodes) is pinned.  The
-cells cover labeled and canonical ``check_theorem``, both search
-outcomes, enumeration reports in both dedup modes, a bound table and
-structure sweeps at 5, 7 and 8 vertices.  The same digests must come out
-under ``python -O``, which strips bare asserts.  Run this file as a script
-to print the map as JSON.
+cells cover labeled and canonical ``check_theorem`` (one canonical cell
+stopped by a node budget), both search outcomes, enumeration reports in
+both dedup modes, a bound table and structure sweeps at 5, 7 and 8
+vertices.  The same digests must come out under ``python -O``, which
+strips bare asserts.  Run this file as a script to print the map as JSON.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import ekrlab
 from ekrlab.bounds import bound_table
-from ekrlab.generators import enumeration_report
+from ekrlab.generators import Budget, enumeration_report
 from ekrlab.graphs import structure_sweep
 from ekrlab.io import to_json
 from ekrlab.verify import check_theorem, search_counterexample
@@ -31,8 +31,9 @@ def report_cases() -> dict:
     cases = {}
     for n, k, d in [(7, 3, 1), (7, 3, 2), (8, 3, 1), (8, 3, 2)]:
         cases[f"check/labeled-{n}-{k}-{d}"] = lambda n=n, k=k, d=d: check_theorem(n, k, d)
-    for n, k, d in [(6, 3, 1), (6, 3, 2), (7, 2, 1), (7, 3, 2)]:
+    for n, k, d in [(6, 3, 1), (6, 3, 2), (7, 2, 1), (7, 3, 2), (8, 3, 2), (9, 3, 2)]:
         cases[f"check/canonical-{n}-{k}-{d}"] = lambda n=n, k=k, d=d: check_theorem(n, k, d, "canonical")
+    cases["check/canonical-8-4-3-nodes-20000"] = lambda: check_theorem(8, 4, 3, "canonical", Budget(max_nodes=20_000))
     for cell in [(6, 3, 2, 2), (7, 3, 2, 2)]:
         cases["search/" + "-".join(map(str, cell))] = lambda cell=cell: search_counterexample(*cell)
     for mode in ("labeled", "canonical"):
@@ -63,6 +64,9 @@ REPORT_GOLDEN: dict[str, str] = {
     "check/canonical-6-3-2": "7524033eda28f3ac03ac11dfcd7af7e6a6bd1cf1899fcf40d6e99083a1b578ad",
     "check/canonical-7-2-1": "f2f940da0f2296e25a8c14fd3a64a787c715f70b547637202be9432b712d71db",
     "check/canonical-7-3-2": "42f29a07979ca0378a21236136e986169b50b5566197ec94088cd9a8a65eb762",
+    "check/canonical-8-3-2": "bbcd22514b2fddb52872f8ed25b254a4a961e41e11254a263be9060e405dc92c",
+    "check/canonical-9-3-2": "f1e837663401847a0b9761ead77ab6c5d73b13afea079c5fefa556ae2e87e1a9",
+    "check/canonical-8-4-3-nodes-20000": "c8c99d05e54128c8991663b936a2c1de68744811feedbda4c823dfd942dfd712",
     "search/6-3-2-2": "dbcde593b6b1b7c57098251339e6899d708709cf95d15e9f76996c49e83ffca8",
     "search/7-3-2-2": "961398667344d425118ca2df622a89f670bb14ff5da14b03d99e1164b087d0fc",
     "enumeration/labeled-6-3": "3bad756ba1c142217ca5303f44aeecf5a5e7fc98edb86e38a7731be40167d819",

@@ -57,9 +57,10 @@ def test_traced_check_matches_untraced_and_uninstalls():
     assert counts.get("oracles.min_degree_calls", 0) >= len(traced.achievers) > 0
 
 
-def test_traced_canonical_check_counts_every_anchored_family():
+def test_traced_canonical_check_counts_the_walks_forms():
     # the walk calls generators.canonical_form by name, once per maximal
-    # family through [3]: 512 at (6,3)
+    # family through [3] that no swap maps from an earlier one: 45 of the
+    # 512 at (6,3)
     untraced = verify.check_theorem(6, 3, 2, "canonical")
     instrumentation = _tracing_module().Instrumentation()
     instrumentation.install()
@@ -73,7 +74,7 @@ def test_traced_canonical_check_counts_every_anchored_family():
         untraced.max_delta,
         untraced.families_checked,
     )
-    assert counts["canonical.forms"] == 512
+    assert counts["canonical.forms"] == 45
     # canonical_form reaches _refine through the module attribute
     assert counts["canonical.refine_calls"] > 0
 
