@@ -101,6 +101,20 @@ MUTANTS = (
         (f"{ADVERSARIAL}::TestBatchAnswers",),
     ),
     Mutant(
+        "closed-form-any-width",  # the closed form passes a batch of star edges one vertex short or long
+        "oracles.py",
+        "stop = (edges >= n).any(axis=1) | ~(edges == c).any(axis=1) | (edges.shape[1] != k)",
+        "stop = (edges >= n).any(axis=1) | ~(edges == c).any(axis=1)",
+        (f"{ADVERSARIAL}::TestBatchAnswers",),
+    ),
+    Mutant(
+        "closed-form-n-in-range",  # the closed form takes index n (label n + 1) for a vertex of [n]
+        "oracles.py",
+        "stop = (edges >= n).any(axis=1)",
+        "stop = (edges > n).any(axis=1)",
+        (f"{ADVERSARIAL}::TestBatchAnswers",),
+    ),
+    Mutant(
         "star-search-off-by-one",  # the missing-edge binary search skips past a mismatch
         "family.py",
         "            hi = mid\n",

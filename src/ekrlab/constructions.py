@@ -18,6 +18,7 @@ low d-set of ``oracle.family``, set when it answers for an explicit family).
 from __future__ import annotations
 
 import random
+from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -45,7 +46,9 @@ from .masks import (
     iter_bits,
     labels,
     lowest_vertex,
+    mask_rows,
     popcount,
+    row_dtype,
     row_masks,
     smallest_subset,
     fill_to_size,
@@ -65,11 +68,12 @@ class InternalContradictionError(RuntimeError):
 # violations
 
 
-class Violation:
+class Violation(ABC):
     kind: ClassVar[str]
 
+    @abstractmethod
     def verify(self, oracle: FamilyOracle) -> bool:
-        raise NotImplementedError
+        """Whether the witness holds against ``oracle``'s own answers."""
 
     def to_dict(self) -> dict:
         """``kind`` first, then the fields that are set."""
@@ -281,23 +285,18 @@ class CountingOracle(FamilyOracle):
     def extension(self, base: Mask) -> Optional[Mask]:
         self.queries += 1
         e = self.inner.extension(base)
-        if e is None:
-            return None
-        p = self.params
-        if popcount(e) != p.k or e & ~p.full or e & base != base:
-            raise InternalContradictionError(
-                f"oracle extension answer {labels(e)} violates the query contract"
-            )
-        return e
+        return e if e is None else next(self._checked((e,), base, "extension"))
 
-    def enumerate_extensions(self, base: Mask):
+    def enumerate_extensions(self, base: Mask) -> Iterator[Mask]:
         self.queries += 1
+        return self._checked(self.inner.enumerate_extensions(base), base, "enumeration")
+
+    def _checked(self, answers: Iterable[Mask], base: Mask, query: str) -> Iterator[Mask]:
+        """The answers, refusing one that is not a k-set of [n] holding ``base``."""
         p = self.params
-        for e in self.inner.enumerate_extensions(base):
+        for e in answers:
             if popcount(e) != p.k or e & ~p.full or e & base != base:
-                raise InternalContradictionError(
-                    f"oracle enumeration answer {labels(e)} violates the query contract"
-                )
+                raise InternalContradictionError(f"oracle {query} answer {labels(e)} violates the query contract")
             yield e
 
     def first_failure(self, edges, sets=None, required: int = 0) -> Optional[BatchFailure]:
@@ -339,19 +338,18 @@ def _sample_subsets(rng: random.Random, pool: Mask, r: int, count: int) -> Itera
     from one ``getrandbits`` call read as word pairs (``_random_floats``,
     equal to ``rng.random()`` float for float), then its swaps run as
     numpy column operations across the batch.  Each batch is yielded as
-    its b × W 0/1 uint8 matrix, W the pool's bit length rounded up to a
-    byte; column c set means vertex c + 1 is a member.  The rows' masks
-    (``row_masks``) and the final ``rng`` state equal ``count``
-    one-at-a-time draws, which ``TestSampleSubsets`` checks against a
-    plain ``rng.random()`` reference.  Batches are drawn one at a time,
-    so a caller that draws from ``rng`` between yields sees the stream
-    split at the batch boundaries.  The sampler only feeds spot checks,
-    never proofs.
+    its b × r label rows: row c holds sample c's vertex indices (label -
+    1) in shuffle order, distinct since they fill distinct pool
+    positions.  The rows' masks (``row_masks``) and the final ``rng``
+    state equal ``count`` one-at-a-time draws, which ``TestSampleSubsets``
+    checks against a plain ``rng.random()`` reference.  Batches are drawn
+    one at a time, so a caller that draws from ``rng`` between yields sees
+    the stream split at the batch boundaries.  The sampler only feeds spot
+    checks, never proofs.
     """
     import numpy as np
 
-    nbytes = (pool.bit_length() + 7) // 8
-    members = np.array([m.bit_length() - 1 for m in iter_bits(pool)], np.min_scalar_type(nbytes * 8))
+    members = mask_rows([pool], pool.bit_length(), popcount(pool))[0]
     size = len(members)
     if not 0 <= r <= size:
         raise ValueError(f"cannot sample {r} of {size} pool vertices")
@@ -365,29 +363,27 @@ def _sample_subsets(rng: random.Random, pool: Mask, r: int, count: int) -> Itera
         # shuffled[i, c] is position i of sample c; flat index i * b + c
         shuffled = np.repeat(members[:, None], b, axis=1)
         flat = shuffled.reshape(-1)
-        cols = np.arange(b)
-        targets = (j * b + cols[:, None]).T.copy()
+        targets = (j * b + np.arange(b)[:, None]).T.copy()
         for i in range(r):
             t = targets[i]
             head = flat[i * b : (i + 1) * b].copy()
             flat[i * b : (i + 1) * b] = flat[t]
             flat[t] = head
-        chosen = np.zeros((b, nbytes * 8), np.uint8)
-        chosen[cols, shuffled[:r]] = 1
-        yield chosen
+        yield shuffled[:r].T
 
 
-def _edge_rows(rows, v: int, zcols=None):
-    """The sampled rows with the column of ``v`` set, and with column
-    ``zcols[i]`` set in row i when given; widened when v lies past the rows."""
+def _edge_rows(rows, v: int, zs=None):
+    """The sampled label rows with v's index appended, and ``zs[i]`` to row i
+    when given.  Indices stay distinct: both checks sample a pool without
+    v, and the k-2 check redraws each z from it until z avoids its row."""
     import numpy as np
 
-    b, width = rows.shape
-    edges = np.zeros((b, max(width, v)), np.uint8)
-    edges[:, :width] = rows
-    edges[:, v - 1] = 1
-    if zcols is not None:
-        edges[np.arange(b), zcols] = 1
+    b, r = rows.shape
+    edges = np.empty((b, r + 1 + (zs is not None)), np.promote_types(rows.dtype, row_dtype(v)))
+    edges[:, :r] = rows
+    edges[:, r] = v - 1
+    if zs is not None:
+        edges[:, r + 1] = zs
     return edges
 
 
@@ -1063,17 +1059,16 @@ class _K2:
             return
         required = p.n - p.k + 1
         pool = p.full & ~vb
-        zchoices = [zb.bit_length() - 1 for zb in iter_bits(pool)]  # columns
+        zchoices = [zb.bit_length() - 1 for zb in iter_bits(pool)]  # vertex indices
         for rows in _sample_subsets(rng, pool, p.k - 2, samples):
             # each sample's z, drawn in sample order until it avoids the sample
-            width, taken = rows.shape[1], rows.tobytes()
-            zcols = []
-            for o in range(0, len(taken), width):
+            zs = []
+            for row in rows.tolist():
                 z = rng.choice(zchoices)
-                while taken[o + z]:
+                while z in row:
                     z = rng.choice(zchoices)
-                zcols.append(z)
-            edges = _edge_rows(rows, v, zcols)
+                zs.append(z)
+            edges = _edge_rows(rows, v, zs)
             failure = co.first_failure(edges, rows, required)
             if failure is None:
                 continue

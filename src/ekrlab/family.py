@@ -5,7 +5,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from math import comb
 from typing import Iterable, Optional
 
@@ -16,7 +15,9 @@ from .masks import (
     iter_bits,
     labels,
     mask_of,
+    mask_rows,
     popcount,
+    row_dtype,
     unrank_subset,
 )
 
@@ -104,26 +105,15 @@ class Family:
     @cached_property
     def rows(self):
         """The edges as a |F| × k numpy matrix of vertex indices (label - 1),
-        ascending along each row, in edge order, of the smallest unsigned
-        type that holds n - 1 (uint8 when n <= 256, else uint16 up to
-        65,536).  The bulk reader hands in the rows it parsed; otherwise they
-        are unpacked from the masks a block of edges at a time, the masks
-        converted by one uint64 array when n <= 64."""
+        ascending along each row, in edge order, of dtype ``row_dtype(n)``.
+        The bulk reader hands in the rows it parsed; otherwise they are
+        unpacked from the masks (``mask_rows``) a block of edges at a time."""
         import numpy as np
 
         n, k, edges = self.params.n, self.params.k, self.edges
-        width = 8 if n <= 64 else (n + 7) // 8  # bytes per mask
-        out = np.empty((len(edges), k), np.min_scalar_type(n - 1))
+        out = np.empty((len(edges), k), row_dtype(n))
         for lo in range(0, len(edges), INDEX_BLOCK):
-            block = edges[lo : lo + INDEX_BLOCK]
-            if n <= 64:
-                data = np.array(block, "<u8").view(np.uint8)
-            else:
-                data = np.frombuffer(b"".join(map(int.to_bytes, block, repeat(width), repeat("little"))), np.uint8)
-            at = np.flatnonzero(data != 0)  # the nonzero bytes, row by row
-            bits = np.flatnonzero(np.unpackbits(data[at, None], axis=1, bitorder="little").view(bool))
-            cols = (at[bits >> 3] % width) * 8 + (bits & 7)
-            out[lo : lo + len(block)] = cols.reshape(len(block), k)
+            out[lo : lo + INDEX_BLOCK] = mask_rows(edges[lo : lo + INDEX_BLOCK], n, k)
         return out
 
     @cached_property

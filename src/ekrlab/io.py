@@ -13,7 +13,7 @@ ending in ``'\\n'``, all ASCII) is read in bulk: blocks of about
 ``TEXT_BLOCK`` characters of whole lines are parsed with numpy into rows
 of vertex indices, which are sorted into canonical order if they are not
 in it already and kept as the family's ``rows``; the masks are built
-from them as uint64 when n <= 64 and by C-level ``map`` folds otherwise.
+from them by ``masks.row_masks``.
 Any other text, or one with a duplicate edge, is read by one plain loop
 over its lines in file order, which parses each line with ``int()`` and
 stops at the first error, so both routes return the same family and the
@@ -35,13 +35,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-from itertools import repeat
-from operator import lshift, or_
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 from .family import INDEX_BLOCK, Family, FamilyParams
-from .masks import Mask, labels, mask_of
+from .masks import Mask, labels, mask_of, row_dtype, row_masks
 
 
 TEXT_BLOCK = 1 << 16  # characters of family text per block of the bulk reader and of the writer
@@ -139,22 +137,7 @@ def _written_rows(block: str, n: int, k: int):
     rows = values.reshape(-1, k)
     if values.max() > n or not (rows[:, 1:] > rows[:, :-1]).all():
         return None
-    return (rows - 1).astype(np.min_scalar_type(n - 1))
-
-
-def _label_masks(rows, n: int) -> Iterable[Mask]:
-    """The masks of rows of vertex indices: as uint64 when n <= 64,
-    otherwise folded at C level, with no n-bit row per edge."""
-    import numpy as np
-
-    if n <= 64:
-        bits = np.left_shift(np.uint64(1), rows.astype(np.uint64))
-        return np.bitwise_or.reduce(bits, axis=1).tolist()
-    cols = rows.T.tolist()
-    acc = map(lshift, repeat(1), cols[0])
-    for col in cols[1:]:
-        acc = map(or_, acc, map(lshift, repeat(1), col))
-    return acc
+    return (rows - 1).astype(row_dtype(n))
 
 
 def _in_canonical_order(rows) -> bool:
@@ -208,7 +191,7 @@ def read_family_text(text: str) -> Family:
             return _read_lines(text)  # a repeated edge: the loop names its first repeat in file order
     masks: list[Mask] = []
     for lo in range(0, len(rows), INDEX_BLOCK):
-        masks.extend(_label_masks(rows[lo : lo + INDEX_BLOCK], params.n))
+        masks.extend(row_masks(rows[lo : lo + INDEX_BLOCK]))
     # the rows are strictly increasing k-sets of [n], and so are their masks
     return Family._trusted(params, tuple(masks), rows)
 

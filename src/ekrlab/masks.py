@@ -5,12 +5,18 @@ member.  Python ints are arbitrary precision, so the same code covers
 n <= 64 (single machine word under the hood) and the n ~ 232 ground sets
 the certification procedures need.  Canonical order of subsets is the
 numeric order of their masks, i.e. colexicographic order on the sets.
+
+The one numpy form of sets is label rows: a matrix with one set's vertex
+indices (label - 1) per row.  ``row_masks`` and ``mask_rows`` convert
+between rows and masks, importing numpy only when they run.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import comb
-from typing import Iterable, Iterator
+from operator import lshift, or_
+from typing import Iterable, Iterator, Sequence
 
 Mask = int
 
@@ -37,13 +43,44 @@ def labels(m: Mask) -> tuple[int, ...]:
     return tuple(out)
 
 
-def row_masks(rows) -> list[Mask]:
-    """The masks of the rows of a b × W 0/1 numpy matrix: column c set means vertex c + 1 is a member."""
+def row_dtype(n: int):
+    """The dtype of label rows on [n]: the smallest unsigned one that holds n - 1 (uint8 up to n = 256)."""
     import numpy as np
 
-    nbytes = (rows.shape[1] + 7) // 8
-    data = np.packbits(rows, axis=1, bitorder="little").tobytes()
-    return [int.from_bytes(data[o : o + nbytes], "little") for o in range(0, len(data), nbytes)]
+    return np.min_scalar_type(n - 1)
+
+
+def row_masks(rows) -> list[Mask]:
+    """The masks of label rows, whose indices must be distinct in each row:
+    as uint64 when every index is below 64, else folded column by column
+    at C level, with no n-bit row per set."""
+    import numpy as np
+
+    if not rows.size or rows.max() < 64:  # an empty OR is 0
+        bits = np.left_shift(np.uint64(1), rows.astype(np.uint64))
+        return np.bitwise_or.reduce(bits, axis=1).tolist()
+    cols = rows.T.tolist()
+    acc = map(lshift, repeat(1), cols[0])
+    for col in cols[1:]:
+        acc = map(or_, acc, map(lshift, repeat(1), col))
+    return list(acc)
+
+
+def mask_rows(masks: Sequence[Mask], n: int, k: int):
+    """The k-sets ``masks`` of [n] as label rows, ascending along each row:
+    the set bits of the masks' nonzero bytes (one uint64 array when n <=
+    64, else ``to_bytes``), read off in order."""
+    import numpy as np
+
+    width = 8 if n <= 64 else (n + 7) // 8  # bytes per mask
+    if n <= 64:
+        data = np.array(masks, "<u8").view(np.uint8)
+    else:
+        data = np.frombuffer(b"".join(map(int.to_bytes, masks, repeat(width), repeat("little"))), np.uint8)
+    at = np.flatnonzero(data != 0)  # the nonzero bytes, row by row
+    bits = np.flatnonzero(np.unpackbits(data[at, None], axis=1, bitorder="little").view(bool))
+    cols = (at[bits >> 3] % width) * 8 + (bits & 7)
+    return cols.reshape(len(masks), k).astype(row_dtype(n))
 
 
 def full_mask(n: int) -> Mask:

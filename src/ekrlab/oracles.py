@@ -10,8 +10,8 @@ vertex without materializing its C(n-1, k-1) edges.
 
 The sampled star checks ask their queries a batch at a time through
 :meth:`FamilyOracle.first_failure`.  Its default asks them one by one;
-the star answers a batch in closed form, by column tests, as long as its
-``contains`` and ``degree`` are its own.
+the star answers a batch in closed form, by whole-batch tests, as long
+as its ``contains`` and ``degree`` are its own.
 """
 
 from __future__ import annotations
@@ -79,11 +79,14 @@ class FamilyOracle(ABC):
     def first_failure(self, edges, sets=None, required: int = 0) -> Optional[BatchFailure]:
         """Ask a batch of samples in order and stop at the first failure.
 
-        ``edges`` and ``sets`` are b × W 0/1 numpy matrices, one sample per
-        row.  Sample i asks ``degree(sets[i])`` when ``sets`` is given, and
-        fails if it is below ``required``; then it asks ``contains(edges[i])``
-        and fails if that is False.  This default asks exactly those
-        queries, one at a time; None means every sample passed.
+        ``edges`` and ``sets`` are label rows, one sample per row, with
+        distinct indices in each row: the sampler draws distinct pool
+        positions from a pool without the star vertex, and redraws a k-2
+        edge's extra vertex until it avoids its row.  Sample i asks
+        ``degree(sets[i])`` when ``sets`` is given, and fails if it is below
+        ``required``; then it asks ``contains(edges[i])`` and fails if that
+        is False.  This default asks exactly those queries, one at a time;
+        None means every sample passed.
         """
         queried = row_masks(sets) if sets is not None else None
         for i, e in enumerate(row_masks(edges)):
@@ -201,50 +204,38 @@ class StarOracle(FamilyOracle):
             yield core | rest
 
     def first_failure(self, edges, sets=None, required: int = 0) -> Optional[BatchFailure]:
-        """The default's answer, by column tests over the whole batch.
+        """The default's answer, by whole-batch tests on the label rows.
 
-        A row is a star edge when it has k nonzero columns, none at index n
-        or above, and the center's.  A set's degree is read off the
-        ``_degrees`` tables by its size and its center column; a set with
-        more than k members or one past n raises as :meth:`degree` does.
-        A subclass that overrides ``contains`` or ``degree`` gets the
-        default, which asks its own answers.
+        With distinct indices in each row, a row is a star edge when the
+        batch is k wide, no index is n or above and one is the center's.
+        Every set of the batch has its width, so its degree is read off
+        the ``_degrees`` tables at that width, through or avoiding the
+        center; a set wider than k or one past n raises as :meth:`degree`
+        does.  A subclass that overrides ``contains`` or ``degree`` gets
+        the default, which asks its own answers.
         """
         if not _star_closed_form(self):
             return super().first_failure(edges, sets, required)
         import numpy as np
 
-        k = self._params.k
-        size, through, past = self._columns(edges)
-        stop = (size != k) | past | ~through
+        n, k, c = self._params.n, self._params.k, self.center - 1
+        stop = (edges >= n).any(axis=1) | ~(edges == c).any(axis=1) | (edges.shape[1] != k)
         if sets is None:
             hits = np.flatnonzero(stop)
             return BatchFailure(int(hits[0]), "contains", None) if len(hits) else None
-        tables = self._degrees
-        low_through, low_avoiding = (np.array([d < required for d in table]) for table in tables)
-        size, through, past = self._columns(sets)
-        bounded = np.minimum(size, k)
-        invalid = (size > k) | past
-        low = invalid | np.where(through, low_through[bounded], low_avoiding[bounded])
+        width = sets.shape[1]
+        invalid = (sets >= n).any(axis=1) | (width > k)
+        through = (sets == c).any(axis=1)
+        degrees = [table[min(width, k)] for table in self._degrees]
+        low = invalid | np.where(through, degrees[0] < required, degrees[1] < required)
         hits = np.flatnonzero(stop | low)
         if not len(hits):
             return None
         i = int(hits[0])
         if invalid[i]:
             self._check_degree_arg(row_masks(sets[i : i + 1])[0])
-        deg = tables[0 if through[i] else 1][int(size[i])]
+        deg = degrees[0 if through[i] else 1]
         return BatchFailure(i, "degree" if low[i] else "contains", deg)
-
-    def _columns(self, rows):
-        """Per row of a 0/1 matrix: its member count, whether it holds the
-        center, and whether it has a member past n."""
-        import numpy as np
-
-        b, width = rows.shape
-        col, n = self.center - 1, self._params.n
-        through = rows[:, col] != 0 if col < width else np.zeros(b, bool)
-        past = rows[:, n:].any(axis=1) if width > n else np.zeros(b, bool)
-        return rows.sum(axis=1, dtype=np.uint32), through, past
 
 
 _STAR_CONTAINS, _STAR_DEGREE = StarOracle.contains, StarOracle.degree

@@ -18,6 +18,7 @@ from ekrlab.constructions import (
     LowCodegree,
     NotStar,
     TracedFamily,
+    Violation,
     ZeroCodegree,
     certify_star_k1,
     certify_star_k2,
@@ -506,6 +507,14 @@ class TestOffendingProbeK2:
         witness = NotStar(*(None if edge is None else mask_of(edge) for edge in (missing, offending)))
         assert not witness.verify(ExplicitOracle(fam))
         assert NotStar(mask_of([1, 2, 3]), None).verify(ExplicitOracle(fam))
+
+
+def test_a_witness_class_without_verify_cannot_be_built():
+    class Unverifiable(Violation):
+        kind = "unverifiable"
+
+    with pytest.raises(TypeError, match="abstract method 'verify'|abstract method verify"):
+        Unverifiable()
 
 
 class TestFinalCheckK1Explicit:

@@ -6,6 +6,7 @@ cross-window edge derivation, and the phase-2 case analysis.
 """
 
 import os
+import random
 import subprocess
 import sys
 from math import comb
@@ -346,8 +347,6 @@ class TestTwoStarUnion:
         for d in range(0, 3):
             for s in iter_ksubsets(n, d):
                 assert o.degree(s) == exp.degree(s), labels(s)
-        import random
-
         rng = random.Random(5)
         for _ in range(300):
             base = rng.randrange(1 << n)
@@ -421,14 +420,12 @@ class TestPatchworkCases:
 # batch answers of the sampled checks
 
 
-def label_rows(rows, width=16):
-    """A 0/1 uint8 matrix whose row i holds the labels ``rows[i]``."""
+def index_rows(rows, dtype="uint8"):
+    """Label rows: row i holds the vertex indices (label - 1) of ``rows[i]``;
+    every row of a batch has one width."""
     import numpy as np
 
-    out = np.zeros((len(rows), width), np.uint8)
-    for i, row in enumerate(rows):
-        out[i, [v - 1 for v in row]] = 1
-    return out
+    return np.array([[v - 1 for v in row] for row in rows], dtype).reshape(len(rows), len(rows[0]) if rows else 0)
 
 
 def loop_failure(oracle, edges, sets=None, required=0):
@@ -458,28 +455,31 @@ def swap(rows, i, row):
     return rows[:i] + [row] + rows[i + 1 :]
 
 
-# the star at 2 on [12]; rows are 16 columns wide, so labels 13-16 lie past n
+# the star at 2 on [12]; labels 13-16 lie past n
 STAR = StarOracle(12, 3, 2)
 EDGES = [[2, 1, 3], [2, 4, 5], [2, 6, 7], [2, 8, 9], [2, 10, 11], [2, 12, 1]]
 SETS = [[1], [4], [6], [2], [10], [12]]  # degree 10 = n-k+1 each, 55 through the center
+PAIRS = [[2, 1], [2, 4], [2, 6], [2, 8], [2, 10], [2, 12]]  # through the center: degree 10 each
 K1_CASES = {
     "nowhere": (EDGES, None),
     "row0-no-center": (swap(EDGES, 0, [1, 3, 4]), 0),
-    "middle-too-big": (swap(EDGES, 3, [2, 8, 9, 10]), 3),
-    "middle-too-small": (swap(EDGES, 2, [2, 5]), 2),
     "last-past-n": (swap(EDGES, 5, [2, 13, 1]), 5),
     "first-of-two": (swap(swap(EDGES, 1, [2, 14, 3]), 4, [5, 6, 7]), 1),
+    # every row of a batch has the batch's width, so a wrong width fails row 0
+    "batch-too-small": ([row[:2] for row in EDGES], 0),
+    "batch-too-big": ([row + [min(set(range(1, 13)) - set(row))] for row in EDGES], 0),  # all in [12]
 }
 
 
 K2_CASES = {
     "nowhere": (EDGES, SETS, None),
-    "degree-row0": (EDGES, swap(SETS, 0, [4, 5]), (0, "degree", 1)),
-    "degree-before-contains": (swap(EDGES, 4, [3, 4, 5]), swap(SETS, 1, [4, 5]), (1, "degree", 1)),
-    "degree-at-contains": (swap(EDGES, 2, [3, 4, 5]), swap(SETS, 2, [4, 5, 6]), (2, "degree", 0)),
-    "degree-after-contains": (swap(EDGES, 1, [2, 4]), swap(SETS, 3, [4, 5]), (1, "contains", 10)),
+    "degree-row0": (EDGES, swap(PAIRS, 0, [4, 5]), (0, "degree", 1)),
+    "degree-before-contains": (swap(EDGES, 4, [3, 4, 5]), swap(PAIRS, 1, [4, 5]), (1, "degree", 1)),
+    "degree-at-contains": (swap(EDGES, 2, [3, 4, 5]), swap(PAIRS, 2, [4, 5]), (2, "degree", 1)),
+    "degree-after-contains": (swap(EDGES, 1, [1, 3, 4]), swap(PAIRS, 3, [4, 5]), (1, "contains", 10)),
     "contains-last-through-center": (swap(EDGES, 5, [1, 12, 3]), SETS, (5, "contains", 10)),
-    "pair-through-center-passes": (EDGES, swap(SETS, 5, [2, 4]), None),  # degree 10 = required
+    "pair-through-center-passes": (EDGES, PAIRS, None),  # degree 10 = required
+    "empty-sets": (swap(EDGES, 3, [2, 15, 4]), [[]] * 6, (3, "contains", 55)),  # degree of {} = |F|
 }
 
 
@@ -489,7 +489,7 @@ class TestBatchAnswers:
     @pytest.mark.parametrize("case", K1_CASES)
     def test_contains_only(self, case):
         rows, index = K1_CASES[case]
-        edges = label_rows(rows)
+        edges = index_rows(rows)
         want = loop_failure(STAR, edges)
         assert batch_failure(STAR, edges) == want
         assert STAR.first_failure(edges) == FamilyOracle.first_failure(STAR, edges)
@@ -499,7 +499,7 @@ class TestBatchAnswers:
     @pytest.mark.parametrize("case", K2_CASES)
     def test_degree_then_contains(self, case):
         rows, sets, expected = K2_CASES[case]
-        edges, queried = label_rows(rows), label_rows(sets)
+        edges, queried = index_rows(rows), index_rows(sets)
         want = loop_failure(STAR, edges, queried, 10)
         assert batch_failure(STAR, edges, queried, 10) == want
         assert STAR.first_failure(edges, queried, 10) == FamilyOracle.first_failure(STAR, edges, queried, 10)
@@ -507,22 +507,27 @@ class TestBatchAnswers:
         per_row = 2 * len(rows) if expected is None else 2 * expected[0] + (1 if expected[1] == "degree" else 2)
         assert want[1] == per_row
 
-    @pytest.mark.parametrize("bad", [[1, 3, 4, 5], [3, 13]], ids=["larger-than-k", "past-n"])
-    def test_invalid_degree_set_raises_as_degree_does(self, bad):
-        edges, queried = label_rows(EDGES), label_rows(swap(SETS, 3, bad))
+    @pytest.mark.parametrize(
+        "sets", [[[1, 3, 4, 5 + i] for i in range(6)], swap(SETS, 3, [13])], ids=["larger-than-k", "past-n"]
+    )
+    def test_invalid_degree_set_raises_as_degree_does(self, sets):
+        edges, queried = index_rows(EDGES), index_rows(sets)
         with pytest.raises(ValueError) as loop_error:
             loop_failure(STAR, edges, queried, 10)
         with pytest.raises(ValueError) as batch_error:
             batch_failure(STAR, edges, queried, 10)
         assert str(batch_error.value) == str(loop_error.value)
-        # a failure in an earlier row stops the batch before the bad set
-        early = label_rows(swap(EDGES, 1, [3, 4, 5]))
-        assert batch_failure(STAR, early, queried, 10) == loop_failure(STAR, early, queried, 10)
+
+    def test_earlier_failure_stops_before_an_invalid_set(self):
+        # the set past n is row 3's; row 1's absent edge ends the batch first
+        early, queried = index_rows(swap(EDGES, 1, [3, 4, 5])), index_rows(swap(SETS, 3, [13]))
+        assert batch_failure(STAR, early, queried, 10) == loop_failure(STAR, early, queried, 10) == ((1, "contains", 10), 4)
 
     def test_random_batches(self):
-        # rows as wide as, narrower than and wider than [n]; a batch that
-        # raises must raise the same error both ways
-        import numpy as np
+        # distinct labels per row, some past n; edge batches k-1, k and k+1
+        # wide, set batches 0 to k+1 wide; a batch that raises must raise
+        # the same error both ways
+        rng = random.Random(26)
 
         def outcome(call, *args):
             try:
@@ -530,23 +535,26 @@ class TestBatchAnswers:
             except ValueError as exc:
                 return str(exc)
 
-        rng = np.random.default_rng(26)
-        for center, width in ((1, 8), (12, 8), (12, 16), (5, 24)):
-            star = StarOracle(12, 3, center)
-            others = [c for c in range(min(width, 12)) if c != center - 1]
-            for _ in range(60):
-                edges = (rng.random((9, width)) < 0.2).astype(np.uint8)
-                for i in np.flatnonzero(rng.random(9) < 0.7):  # mostly star edges
-                    edges[i] = 0
-                    edges[i, rng.choice(others, 2, replace=False)] = 1
-                    edges[i, min(center - 1, width - 1)] = 1
-                sets = (rng.random((9, width)) < 0.1).astype(np.uint8)
+        n, k = 12, 3
+        for center in (1, 5, 12):
+            star = StarOracle(n, k, center)
+            others = [v for v in range(1, n + 1) if v != center]
+            for _ in range(80):
+                width, dtype = rng.choice((k - 1, k, k + 1)), rng.choice(("uint8", "uint16"))
+                edges = []
+                for _ in range(9):
+                    if rng.random() < 0.7:  # mostly star edges when k wide
+                        row = [center] + rng.sample(others, width - 1)
+                    else:
+                        row = rng.sample(range(1, 17), width)
+                    edges.append(rng.sample(row, width))  # in any order
+                d = rng.choice(range(k + 2))
+                sets = [rng.sample(range(1, 14 if rng.random() < 0.2 else n + 1), d) for _ in range(9)]
+                edges, sets = index_rows(edges, dtype), index_rows(sets, dtype)
                 for args in ((edges,), (edges, sets, 10)):
                     assert outcome(batch_failure, star, *args) == outcome(loop_failure, star, *args)
 
     def test_a_sampled_batch_passes_whole(self):
-        import random
-
         n, k, v = 232, 3, 7
         rows = next(_sample_subsets(random.Random(5), full_mask(n) & ~bit(v), k - 1, 256))
         edges = _edge_rows(rows, v)
@@ -559,8 +567,6 @@ class TestBatchDeferral:
     batches with its own queries, one per sample."""
 
     def test_contains_override_is_asked(self):
-        import random
-
         n, k = 11, 3
         oracle = WindowedStarOracle(n, k, 1, (mask_of(range(1, 9)),))
         asked = []
@@ -579,8 +585,8 @@ class TestBatchDeferral:
         oracle = LowBandStarOracle(n, k, 1, range(9, 13))
         asked = []
         oracle.degree = lambda s: asked.append(s) or LowBandStarOracle.degree(oracle, s)
-        sets = label_rows([[a] for a in range(2, 13)])
-        edges = label_rows([[1, a, 2 if a > 2 else 3] for a in range(2, 13)])
+        sets = index_rows([[a] for a in range(2, 13)])
+        edges = index_rows([[1, a, 2 if a > 2 else 3] for a in range(2, 13)])
         got = batch_failure(oracle, edges, sets, n - k + 1)
         assert got == ((7, "degree", 9), 15)
         assert got == loop_failure(LowBandStarOracle(n, k, 1, range(9, 13)), edges, sets, n - k + 1)

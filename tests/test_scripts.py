@@ -67,18 +67,24 @@ def test_line_trace_lists_unrun_lines_of_one_test():
 
 
 def test_line_trace_reads_another_file():
-    # two small written texts take the bulk route, one on each mask route
+    # two small written texts take the bulk route, one on each branch of row_masks
     tests = [
-        "tests/test_io.py::TestBulkRoute::test_lines_longer_than_a_block",  # n = 26
-        "tests/test_io.py::TestRead::test_memory_does_not_grow_with_n",  # n = 10^6
+        "tests/test_io.py::TestBulkRoute::test_lines_longer_than_a_block",  # n = 26: uint64
+        "tests/test_io.py::TestRead::test_memory_does_not_grow_with_n",  # n = 10^6: folds
     ]
-    done = run_script("line_trace.py", "--file", "io.py", *tests, "-q")
+    done = run_script("line_trace.py", "--file", "masks.py", *tests, "-q")
     assert done.returncode == 0, done.stdout + done.stderr
-    unrun = [line.split(": ", 1)[1] for line in done.stdout.splitlines() if line.startswith("io.py:")]
-    assert "return np.bitwise_or.reduce(bits, axis=1).tolist()" not in unrun
-    assert "acc = map(or_, acc, map(lshift, repeat(1), col))" not in unrun
-    assert "m = _edge(line, params, lineno)" in unrun
-    assert not any(line.startswith("constructions.py:") for line in done.stdout.splitlines())
+    unrun = [line.split(": ", 1)[1] for line in done.stdout.splitlines() if line.startswith("masks.py:")]
+    source = {line.strip() for line in (SCRIPTS.parent / "src" / "ekrlab" / "masks.py").read_text().splitlines()}
+    ran = [
+        "return np.bitwise_or.reduce(bits, axis=1).tolist()",
+        "acc = map(or_, acc, map(lshift, repeat(1), col))",
+    ]
+    for line in ran:
+        assert line in source  # a line that moved would pass the next check vacuously
+        assert line not in unrun
+    assert "raise ValueError(\"base already larger than requested size\")" in unrun
+    assert not any(line.startswith(("constructions.py:", "io.py:")) for line in done.stdout.splitlines())
 
 
 def test_mutants_reports_a_killed_mutant():
