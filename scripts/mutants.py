@@ -49,6 +49,7 @@ GOLDEN = "tests/test_certify_golden.py"
 ADVERSARIAL = "tests/test_constructions_adversarial.py"
 FAMILY = "tests/test_family.py"
 ANCHORED = "tests/test_generators.py::TestAnchoredCanonical"
+VERIFY = "tests/test_verify.py"
 
 MUTANTS = (
     Mutant(
@@ -162,6 +163,20 @@ MUTANTS = (
         "d = index[e ^ pair] - j\n",
         "d = index[e ^ pair] - j - 1\n",
         (f"{ANCHORED}::test_same_representatives_as_forming_every_family",),
+    ),
+    Mutant(
+        "orbit-fixes-anchor",  # the orbit closure uses only the transpositions that fix [k]
+        "generators.py",
+        "for image in self.images(todo.pop(), self.transpositions):",
+        "for image in self.images(todo.pop(), self.swaps):",
+        (f"{VERIFY}::TestLabeledCut::test_same_report_as_the_full_walk",),
+    ),
+    Mutant(
+        "cut-ignores-achievers",  # the labeled cut stops before the achiever list is full
+        "verify.py",
+        "if len(achievers) == ACHIEVER_CAP:",
+        "if True:",
+        (f"{VERIFY}::TestLabeledCut::test_same_report_at_any_achiever_cap",),
     ),
 )
 

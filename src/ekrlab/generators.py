@@ -6,7 +6,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import chain, repeat
+from itertools import repeat
 from math import comb
 from operator import and_, lt, or_
 from typing import Callable, Iterator, Optional
@@ -17,6 +17,8 @@ from .family import Family, FamilyParams, is_intersecting
 from .masks import Mask, bit, iter_ksubsets, iter_subsets_within, labels
 
 ENUMERATION_GUARD = 10_000
+
+DeltaSwaps = tuple[tuple[int, int], ...]  # a relabeling of cliques: (distance, low bits) pairs
 
 
 class ResourceLimitError(RuntimeError):
@@ -133,19 +135,18 @@ class CompatibilityGraph:
         return Family(self.params, self.edges(clique))
 
     @cached_property
-    def swaps(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """The n-2 adjacent transpositions (i i+1) of [n] that fix [k]
-        setwise, 1 <= i < k and then k < i < n, as maps of cliques.
+    def transpositions(self) -> tuple[DeltaSwaps, ...]:
+        """The n-1 adjacent transpositions (i i+1) of [n], 1 <= i < n, as
+        maps of cliques; they generate every relabeling of [n].
 
         A transposition swaps the k-sets holding exactly one of i and i+1
         in pairs (j, j + d), and fixes the rest.  It is stored as delta
         swaps (Knuth, TAOCP 7.1.3): one ``(d, low)`` per distance d, bit j
         of ``low`` set for each such pair; at most k distances occur.
         """
-        n, k = self.params.n, self.params.k
         index = {e: j for j, e in enumerate(self.verts)}
         out = []
-        for i in chain(range(1, k), range(k + 1, n)):
+        for i in range(1, self.params.n):
             lo, pair = bit(i), bit(i) | bit(i + 1)
             lows: dict[int, int] = {}
             for j, e in enumerate(self.verts):
@@ -155,14 +156,31 @@ class CompatibilityGraph:
             out.append(tuple(lows.items()))
         return tuple(out)
 
-    def images(self, clique: int) -> Iterator[int]:
-        """The clique's image under each of :attr:`swaps`, in order."""
-        for moves in self.swaps:
+    @cached_property
+    def swaps(self) -> tuple[DeltaSwaps, ...]:
+        """The n-2 :attr:`transpositions` that fix [k] setwise: all but (k k+1)."""
+        k = self.params.k
+        return self.transpositions[: k - 1] + self.transpositions[k:]
+
+    def images(self, clique: int, maps: Optional[tuple[DeltaSwaps, ...]] = None) -> Iterator[int]:
+        """The clique's image under each of ``maps`` (default :attr:`swaps`), in order."""
+        for moves in self.swaps if maps is None else maps:
             image = clique
             for d, low in moves:
                 t = (image ^ image >> d) & low  # pairs whose two bits differ
                 image ^= t | t << d
             yield image
+
+    def orbit(self, clique: int) -> set[int]:
+        """The clique's images under every relabeling of [n]: its closure
+        under :attr:`transpositions`."""
+        found, todo = {clique}, [clique]
+        while todo:
+            for image in self.images(todo.pop(), self.transpositions):
+                if image not in found:
+                    found.add(image)
+                    todo.append(image)
+        return found
 
     def containment(self, d: int) -> Containment:
         """Per d-subset S of [n], canonical order, the vertices whose k-set
@@ -266,7 +284,9 @@ def maximal_cliques(
     [k] = {1..k}.  Every class has such a member, since any nonempty
     family relabels to one holding [k].  The labeled walk pivots on
     vertex 0 at its root (all degrees are equal), so this is its first
-    branch and the representatives are the ones it meets first.
+    branch and the representatives are the ones it meets first.  Every
+    later root branch holds vertex 0 in its excluded set, so the labeled
+    walk emits every clique holding [k] before any clique without it.
 
     The graph's :attr:`swaps` fix [k], so they map the walk's cliques to
     the walk's cliques.  A clique with an image among the cliques visited

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
-from math import comb
+from math import comb, lcm
 from typing import Optional
 
 from .bounds import applicable_threshold, codegree_bound
@@ -75,12 +76,28 @@ def _reverify_excess(fam: Family, d: int, bound: int) -> bool:
     return val > bound
 
 
-def _cross_checked(graph: CompatibilityGraph, degrees: Containment, clique: int, d: int) -> tuple[Mask, ...]:
-    """The clique's edges, once ``min_degree`` on its Family agrees with the bitset score."""
+def _cross_checked(graph: CompatibilityGraph, degrees: Containment, clique: int, d: int) -> int:
+    """The clique, once ``min_degree`` on its Family agrees with the bitset score."""
     fam = graph.family(clique)
     if min_degree(fam, d) != degrees.min_degree(clique):
         raise AssertionError(f"bitset score and min_degree disagree on a family of {len(fam)} edges")
-    return fam.edges
+    return clique
+
+
+def _labeled_count(total: int, sizes: Counter[int]) -> int:
+    """The labeled families that ``sizes`` (the families through [k], by
+    edge count) stand for: C(n, k) times the sum of 1/|F| over them.
+
+    Weigh each labeled family 1/|F| on each of its edges, so that it
+    weighs 1 in all.  A relabeling that takes [k] to the edge e maps the
+    families through [k] onto those through e, sizes kept, so each of the
+    ``total`` = C(n, k) edges carries the weight that [k] carries.
+    """
+    common = lcm(*sizes)
+    count, rest = divmod(sum(total * m * (common // s) for s, m in sizes.items()), common)
+    if rest:
+        raise AssertionError(f"the families through [k] stand for {count} + {rest}/{common} labeled families")
+    return count
 
 
 def check_theorem(
@@ -105,6 +122,18 @@ def check_theorem(
     is a violator.  An excess at or above the
     threshold is "violated" only once an achiever re-verifies by direct
     scans; if none does, the call raises.
+
+    A labeled check leaves the walk at its first clique without [k]
+    (vertex 0), once the families through [k] settle the rest: every
+    labeled family relabels onto one of them, with its size and delta_d.
+    So their maximum is the maximum, and counting (family, edge) pairs
+    gives the families checked, C(n, k) times the sum of 1/|F| over
+    them; the achievers are counted the same way.  If at most
+    ``ACHIEVER_CAP`` achieve, they are the orbits of those through [k],
+    each cross-checked; otherwise the report keeps the first
+    ``ACHIEVER_CAP`` in walk order, and the walk goes on past [k]'s
+    families until it has them.  A budget stop before the cut gives the
+    report the whole walk would have given there.
     """
     if not (1 <= d < k):
         raise ValueError("require 1 <= d < k")
@@ -116,21 +145,40 @@ def check_theorem(
     degrees = graph.containment(d)
 
     best = -1
-    achievers: list[tuple[Mask, ...]] = []
+    achievers: list[int] = []  # cliques
     truncated = False
     count = 0
     stopped = False
+    sizes: Counter[int] = Counter()  # the families through [k] by size, and their achievers
+    best_sizes: Counter[int] = Counter()
+    whole: Optional[tuple[int, int]] = None  # labeled families and achievers, from those through [k]
     try:
         for clique in maximal_cliques(graph, dedup_mode, budget):
+            if dedup_mode == "labeled" and not clique & 1:  # past every family through [k]
+                if whole is None:
+                    whole = _labeled_count(len(graph.verts), sizes), _labeled_count(len(graph.verts), best_sizes)
+                if whole[1] <= ACHIEVER_CAP:  # every achiever relabels one through [k]
+                    found = set(achievers)
+                    orbits = set().union(*map(graph.orbit, found)) - found
+                    achievers += [_cross_checked(graph, degrees, image, d) for image in orbits]
+                    count, truncated = whole[0], False
+                    break
+                if len(achievers) == ACHIEVER_CAP:  # the first ACHIEVER_CAP in walk order are in
+                    count, truncated = whole[0], True
+                    break
             count += 1
+            size = clique.bit_count()
+            sizes[size] += 1
             if best > 0 and degrees.below(clique, best):
                 continue
             val, _ = degrees.min_degree(clique)
             if val > best:
                 best = val
                 achievers = [_cross_checked(graph, degrees, clique, d)]
+                best_sizes = Counter((size,))
                 truncated = False
             elif val == best:
+                best_sizes[size] += 1
                 if len(achievers) < ACHIEVER_CAP:
                     achievers.append(_cross_checked(graph, degrees, clique, d))
                 else:
@@ -138,19 +186,19 @@ def check_theorem(
     except BudgetExceeded:
         stopped = True
 
-    achievers.sort()
     params = graph.params
+    achiever_edges = sorted(map(graph.edges, achievers))
     all_stars: Optional[bool] = None
     if best == bound and not stopped:
         all_stars = not truncated
-        for edges in achievers if all_stars else ():
+        for edges in achiever_edges if all_stars else ():
             # every edge holds a common vertex: a star, complete at C(n-1, k-1) edges
             common, _ = covers_size1(Family(params, edges))
             if not common or len(edges) != comb(n - 1, k - 1):
                 all_stars = False
                 break
     if n >= threshold and best > bound:
-        if not any(_reverify_excess(Family(params, edges), d, bound) for edges in achievers):
+        if not any(_reverify_excess(Family(params, edges), d, bound) for edges in achiever_edges):
             raise AssertionError("claimed excess failed independent re-verification")
         verdict = "violated"
     elif stopped:
@@ -168,7 +216,7 @@ def check_theorem(
         threshold=threshold,
         bound=bound,
         max_delta=best if count else None,
-        achievers=tuple(achievers),
+        achievers=tuple(achiever_edges),
         achievers_truncated=truncated,
         achievers_all_stars=all_stars,
         verdict=verdict,

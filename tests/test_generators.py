@@ -295,6 +295,37 @@ class TestAnchoredCanonical:
         )
 
 
+class TestRelabelings:
+    @pytest.mark.parametrize("n,k", [(4, 2), (5, 3), (6, 3), (4, 4)])
+    def test_transpositions_swap_adjacent_labels(self, n, k):
+        graph = compatibility_graph(n, k)
+        index = {e: j for j, e in enumerate(graph.verts)}
+        assert len(graph.transpositions) == n - 1
+        for i, moves in enumerate(graph.transpositions, 1):
+            swapped = {i: i + 1, i + 1: i}
+            for j, e in enumerate(graph.verts):
+                image = mask_of(swapped.get(v, v) for v in labels(e))
+                assert list(graph.images(1 << j, (moves,))) == [1 << index[image]]
+        # the swaps are the transpositions that fix [k]: all but (k k+1)
+        assert graph.swaps == tuple(m for i, m in enumerate(graph.transpositions, 1) if i != k)
+
+    @pytest.mark.parametrize("n,k", [(5, 2), (6, 3), (7, 3)])
+    def test_orbits_of_the_families_through_k_are_every_family(self, n, k):
+        graph = compatibility_graph(n, k)
+        every, covered = set(maximal_cliques(graph)), set()
+        for clique in every:
+            if clique & 1 and clique not in covered:
+                orbit = graph.orbit(clique)
+                assert covered.isdisjoint(orbit) and orbit <= every
+                covered |= orbit
+        assert covered == every
+
+    def test_star_orbit(self):
+        graph = compatibility_graph(6, 3)
+        stars = {sum(1 << j for j, e in enumerate(graph.verts) if e & 1 << v) for v in range(6)}
+        assert all(graph.orbit(star) == stars for star in stars)
+
+
 @pytest.mark.parametrize("n,k", [(5, 2), (6, 3), (7, 3), (8, 3), (9, 4)])
 def test_graph_adjacency_against_pair_loop(n, k):
     graph = compatibility_graph(n, k)

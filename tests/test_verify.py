@@ -1,15 +1,18 @@
 import importlib.util
 import json
 import sys
+from collections import Counter
+from math import comb
 from pathlib import Path
 
 import pytest
 
 import ekrlab.verify as verify
+from ekrlab.bounds import applicable_threshold, codegree_bound
 from ekrlab.family import Family, FamilyParams, covers_size1
-from ekrlab.generators import Budget
+from ekrlab.generators import Budget, BudgetExceeded, compatibility_graph, maximal_cliques
 from ekrlab.io import to_json
-from ekrlab.verify import CSV_HEADER, check_theorem, search_counterexample
+from ekrlab.verify import CSV_HEADER, BoundReport, check_theorem, search_counterexample
 
 
 class TestCheckTheorem:
@@ -87,6 +90,126 @@ class TestCheckTheorem:
         row = rep.csv_row()
         assert len(row) == len(CSV_HEADER)
         assert row[0] in ("vertex-degree", "codegree")
+
+
+def full_walk_check(n, k, d, budget=None):
+    """``check_theorem``'s labeled loop over the whole walk, with no cut:
+    every maximal clique is scored, and the achievers are the first
+    ``verify.ACHIEVER_CAP`` at the maximum in walk order."""
+    graph = compatibility_graph(n, k)
+    degrees = graph.containment(d)
+    best, achievers, truncated, count, stopped = -1, [], False, 0, False
+    try:
+        for clique in maximal_cliques(graph, "labeled", budget):
+            count += 1
+            val, _ = degrees.min_degree(clique)
+            if val > best:
+                best, achievers, truncated = val, [clique], False
+            elif val == best:
+                if len(achievers) < verify.ACHIEVER_CAP:
+                    achievers.append(clique)
+                else:
+                    truncated = True
+    except BudgetExceeded:
+        stopped = True
+    edges = sorted(map(graph.edges, achievers))
+    bound, threshold = codegree_bound(n, k, d), applicable_threshold(k, d)
+    all_stars = None
+    if best == bound and not stopped:
+        all_stars = not truncated and all(
+            covers_size1(Family(graph.params, e))[0] and len(e) == comb(n - 1, k - 1) for e in edges
+        )
+    if n >= threshold and best > bound:
+        verdict = "violated"
+    else:
+        verdict = "inconclusive" if stopped else "below-threshold" if n < threshold else "holds"
+    return BoundReport(
+        rule="vertex-degree" if d == 1 else "codegree",
+        n=n,
+        k=k,
+        d=d,
+        threshold=threshold,
+        bound=bound,
+        max_delta=best if count else None,
+        achievers=tuple(edges),
+        achievers_truncated=truncated,
+        achievers_all_stars=all_stars,
+        verdict=verdict,
+        families_checked=count,
+        elapsed_ms=0.0,
+        dedup_mode="labeled",
+        nodes=budget.nodes if stopped else None,
+    )
+
+
+def untimed(report):
+    payload = json.loads(to_json(report))
+    del payload["elapsed_ms"]
+    return payload
+
+
+LABELED_CELLS = (
+    [(n, 2, 1) for n in range(2, 11)]
+    + [(n, 3, d) for n in range(3, 9) for d in (1, 2)]
+    + [(n, 4, d) for n in range(4, 8) for d in (1, 2, 3)]
+)
+
+
+class TestLabeledCut:
+    """A labeled check stops at the first clique without [k] and derives
+    the rest of its report from the families through [k]."""
+
+    @pytest.mark.parametrize("n,k,d", LABELED_CELLS)
+    def test_same_report_as_the_full_walk(self, n, k, d):
+        assert untimed(check_theorem(n, k, d)) == untimed(full_walk_check(n, k, d))
+
+    # (6,3,1) has 12 achievers, 6 through [k]; (6,3,2) 12 and 6; (7,3,2)
+    # 37 and 9; (8,3,1) 8 and 3.  Caps below the count through [k] fill
+    # the list inside the first branch, caps between the two walk on past
+    # it, and caps at or above the total take the orbits.
+    @pytest.mark.parametrize("cap", [1, 2, 8, 12, 36, 37])
+    @pytest.mark.parametrize("n,k,d", [(6, 3, 1), (6, 3, 2), (7, 3, 2), (8, 3, 1)])
+    def test_same_report_at_any_achiever_cap(self, monkeypatch, n, k, d, cap):
+        monkeypatch.setattr(verify, "ACHIEVER_CAP", cap)
+        assert untimed(check_theorem(n, k, d)) == untimed(full_walk_check(n, k, d))
+
+    # at (7,3) the walk meets its first clique without [k] at node 4,407
+    @pytest.mark.parametrize("max_nodes", [3, 300, 4_406])
+    def test_same_budget_stop_inside_the_first_branch(self, max_nodes):
+        ours, reference = Budget(max_nodes=max_nodes), Budget(max_nodes=max_nodes)
+        got = check_theorem(7, 3, 2, budget=ours)
+        assert got.verdict == "inconclusive"
+        assert untimed(got) == untimed(full_walk_check(7, 3, 2, reference))
+        assert ours.nodes == reference.nodes
+
+    @pytest.mark.parametrize("max_nodes", [4_407, 5_000])
+    def test_a_budget_past_the_cut_gives_the_whole_report(self, max_nodes):
+        budget = Budget(max_nodes=max_nodes)
+        assert untimed(check_theorem(7, 3, 2, budget=budget)) == untimed(full_walk_check(7, 3, 2))
+        assert budget.nodes == 4_407
+
+    def test_walks_only_the_first_branch(self):
+        budget = Budget()
+        rep = check_theorem(8, 3, 2, budget=budget)
+        assert (rep.families_checked, budget.nodes) == (23_936, 12_302)  # of the whole walk's 62,888
+
+    def test_a_budget_past_the_cut_now_holds(self):
+        # the whole walk takes 62,888 nodes, so this budget stopped it "inconclusive"
+        rep = check_theorem(8, 3, 2, budget=Budget(max_nodes=20_000))
+        assert (rep.verdict, rep.families_checked, rep.nodes) == ("holds", 23_936, None)
+        assert "nodes" not in json.loads(to_json(rep))
+
+    def test_a_fractional_count_raises(self):
+        assert verify._labeled_count(10, Counter({2: 3, 5: 1})) == 17
+        with pytest.raises(AssertionError, match="stand for 7 \\+ 1/2 labeled families"):
+            verify._labeled_count(5, Counter({2: 3}))
+
+
+@pytest.mark.parametrize("n,k", [(5, 2), (6, 3), (7, 3), (8, 3)])
+def test_labeled_walk_meets_every_family_through_k_first(n, k):
+    through = [bool(clique & 1) for clique in maximal_cliques(compatibility_graph(n, k))]
+    first_without = through.index(False)
+    assert any(through) and not any(through[first_without:])
 
 
 class TestSearch:
