@@ -178,6 +178,20 @@ MUTANTS = (
         "if True:",
         (f"{VERIFY}::TestLabeledCut::test_same_report_at_any_achiever_cap",),
     ),
+    Mutant(
+        "require-debug-only",  # the checks of ruled-out states vanish under python -O, like bare asserts
+        "constructions.py",
+        "    if not holds:\n",
+        "    if __debug__ and not holds:\n",
+        (f"{ADVERSARIAL}::TestCrossingAnswers::test_returned_absent_edge_under_optimize_flag",),
+    ),
+    Mutant(
+        "require-never-raises",  # the checks of ruled-out states pass whatever they are given
+        "constructions.py",
+        "    if not holds:\n",
+        "    return\n    if not holds:\n",
+        (f"{ADVERSARIAL}::TestRuledOutStates",),
+    ),
 )
 
 

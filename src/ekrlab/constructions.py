@@ -7,7 +7,8 @@ hypotheses guarantee comes back short, the procedure returns a
 checkable violation witness instead of raising.  Inside a procedure a
 witness is raised as ``_Refuted`` where it is found and caught at the
 procedure's one exit.  Witnesses re-verify against the oracle via
-:meth:`Violation.verify`.
+:meth:`Violation.verify`.  A state that the arguments rule out fails
+``_require``, which raises InternalContradictionError under ``python -O`` too.
 
 Each certification witness route is written once: the k-1 gap probe, the
 off-center extension of an absent k-1 star edge, the scan of an outside
@@ -22,6 +23,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
+from string import Formatter
 from typing import Callable, ClassVar, Iterable, Iterator, Optional, Sequence
 
 from .bounds import (
@@ -29,10 +31,8 @@ from .bounds import (
     certify_threshold_k1,
     certify_threshold_k2,
     ell_param,
-    floor_triangular_root,
     shrink_threshold_k1,
     shrink_threshold_k2,
-    shrink_vertex_bound_k1,
     shrink_vertex_bound_k2,
     sqrt_term,
     x_param,
@@ -62,6 +62,24 @@ SAMPLE_BATCH = 256  # samples per batch of _sample_subsets: one getrandbits call
 
 class InternalContradictionError(RuntimeError):
     """A state the underlying arguments rule out; indicates an inconsistent oracle or a bug."""
+
+
+class _Message(Formatter):
+    """``str.format`` in which a ``{:labels}`` field prints a mask's vertex labels."""
+
+    def format_field(self, value, format_spec: str) -> str:
+        return str(labels(value)) if format_spec == "labels" else super().format_field(value, format_spec)
+
+
+def _require(holds: bool, message: str, *values) -> None:
+    """Raise InternalContradictionError unless ``holds``, under ``python -O`` too.
+
+    ``holds`` is a fact that the counting arguments, or the oracle's own
+    answers, guarantee.  ``message`` is a format string filled from
+    ``values`` only on failure, so a passing check formats nothing.
+    """
+    if not holds:
+        raise InternalContradictionError(_Message().format(message, *values))
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +296,7 @@ class CountingOracle(FamilyOracle):
     def degree(self, s: Mask) -> int:
         self.queries += 1
         d = self.inner.degree(s)
-        if d < 0:
-            raise InternalContradictionError("oracle returned a negative degree")
+        _require(d >= 0, "oracle returned a negative degree")
         return d
 
     def extension(self, base: Mask) -> Optional[Mask]:
@@ -293,10 +310,10 @@ class CountingOracle(FamilyOracle):
 
     def _checked(self, answers: Iterable[Mask], base: Mask, query: str) -> Iterator[Mask]:
         """The answers, refusing one that is not a k-set of [n] holding ``base``."""
-        p = self.params
+        k, full = self.params.k, self.params.full  # locals: this loop runs once per oracle answer
         for e in answers:
-            if popcount(e) != p.k or e & ~p.full or e & base != base:
-                raise InternalContradictionError(f"oracle {query} answer {labels(e)} violates the query contract")
+            valid = popcount(e) == k and not e & ~full and e & base == base
+            _require(valid, "oracle {} answer {:labels} violates the query contract", query, e)
             yield e
 
     def first_failure(self, edges, sets=None, required: int = 0) -> Optional[BatchFailure]:
@@ -308,8 +325,7 @@ class CountingOracle(FamilyOracle):
             self.queries += per_row * len(edges)
             return None
         self.queries += per_row * failure.index + (1 if failure.kind == "degree" else per_row)
-        if failure.degree is not None and failure.degree < 0:
-            raise InternalContradictionError("oracle returned a negative degree")
+        _require(failure.degree is None or failure.degree >= 0, "oracle returned a negative degree")
         return failure
 
 
@@ -465,12 +481,12 @@ def _grow_k1(co: CountingOracle, e: Mask, trace: ConstructionTrace) -> tuple[Tra
             raise _Refuted(ZeroCodegree(w))
         prev = trace.steps[-1]
         current = trace.record(1, w, f, current.add([f]))
-        assert popcount(current.core) <= prev.core_size - prev.excess or terminal
-        assert trace.steps[-1].excess - prev.excess in (0, 1)
+        _require(terminal or popcount(current.core) <= prev.core_size - prev.excess, "a k-1 step kept its core")
+        _require(trace.steps[-1].excess - prev.excess in (0, 1), "a k-1 step added more than one vertex")
         if terminal:
             terminal_fired = True
             break
-    assert popcount(current.core) <= 1
+    _require(popcount(current.core) <= 1, "the k-1 shrink stopped with a core of two or more vertices")
 
     # The stopping index of the underlying argument is the state just
     # before a terminal query (one that draws the whole query set from
@@ -478,10 +494,9 @@ def _grow_k1(co: CountingOracle, e: Mask, trace: ConstructionTrace) -> tuple[Tra
     d_seq = trace.excesses
     stop = len(d_seq) - 2 if terminal_fired else len(d_seq) - 1
     big_d = d_seq[stop - 1] if stop >= 1 else d_seq[-1]
-    assert sum(d_seq[:stop]) <= k
-    assert big_d * (big_d + 1) <= 2 * k
-    assert big_d <= floor_triangular_root(k)
-    assert popcount(current.vertex_set) <= k + big_d + 2 <= shrink_vertex_bound_k1(k)
+    _require(sum(d_seq[:stop]) <= k, "the excesses before the stop sum past k = {}", k)
+    _require(big_d * (big_d + 1) <= 2 * k, "D = {} breaks D(D+1) <= 2k at k = {}", big_d, k)
+    _require(popcount(current.vertex_set) <= k + big_d + 2, "the k-1 subfamily spans more than k+D+2 vertices")
 
     trace.parameters["D"] = big_d
     return current, None
@@ -521,15 +536,12 @@ def cherry_reduce(
     if center is not None:
         return CherryReduceResult(star_center=center, reduced=None, pattern=None)
     witness = find_pattern(lk)
-    if witness is None:
-        raise InternalContradictionError(
-            "link with >= 6 edges and no star center admits no 3-matching, Q, or K4"
-        )
+    _require(witness is not None, "link with >= 6 edges and no star center admits no 3-matching, Q, or K4")
     new_edges = [base | xy for xy in witness.edges]
     reduced = sub.add(new_edges)
-    assert popcount(reduced.vertex_set) <= popcount(sub.vertex_set) + 6
+    _require(popcount(reduced.vertex_set) <= popcount(sub.vertex_set) + 6, "a pattern added over six vertices")
     cov = covers_size2(reduced, area)
-    assert is_subgraph_of_cherry(cov.edges)
+    _require(is_subgraph_of_cherry(cov.edges), "the covers left inside the area form no subgraph of a cherry")
     return CherryReduceResult(star_center=None, reduced=reduced, pattern=witness)
 
 
@@ -556,7 +568,7 @@ def _star_edges(sel: Mask, lk: Family, center: int, among: Mask) -> list[Mask]:
     added = []
     for zbit in iter_bits(among & ~(sel | cbit)):
         pr = cbit | zbit
-        assert pr in lk
+        _require(pr in lk, "the star link at {} lacks the pair {:labels}", center, pr)
         added.append(sel | pr)
     return added
 
@@ -589,17 +601,12 @@ def _refute_by_outside_query(co: FamilyOracle, ctx_edges: Sequence[Mask], ctx_ve
     Any extension of such a set must either be scarce (LowCodegree) or
     yield an edge disjoint from some context edge (DisjointEdges);
     callers invoke this only where the counting arguments make one of
-    the two certain.
+    the two certain.  Their contexts span at most shrink_vertex_bound_k2(k)
+    vertices, which leaves k of them outside at n >= shrink_threshold_k2(k).
     """
     p = co.params
-    avail = p.full & ~ctx_vertex_set
-    if popcount(avail) < p.k - 2:
-        raise InternalContradictionError("context vertex set too large for an outside query")
-    miss = _outside_miss(co, smallest_subset(avail, p.k - 2), ctx_edges)
-    if miss is None:
-        raise InternalContradictionError(
-            "every extension of an outside (k-2)-set covers the context family"
-        )
+    miss = _outside_miss(co, smallest_subset(p.full & ~ctx_vertex_set, p.k - 2), ctx_edges)
+    _require(miss is not None, "every extension of an outside (k-2)-set covers the context family")
     return miss
 
 
@@ -621,7 +628,8 @@ def _grow_k2(co: CountingOracle, e: Mask, trace: ConstructionTrace) -> tuple[Tra
     p = co.params
     k = p.k
     x = x_param(k)
-    assert x >= 10 and 4 * ((k + x - 1) // x) + 6 <= x
+    q = (k + x - 1) // x  # ceil(k/x)
+    _require(x >= 10 and 4 * q + 6 <= x, "x = {} breaks x >= max(10, 4ceil(k/x)+6)", x)
     trace.parameters["x"] = x
     current = _core_k2(co, e, x, trace)
 
@@ -629,7 +637,7 @@ def _grow_k2(co: CountingOracle, e: Mask, trace: ConstructionTrace) -> tuple[Tra
     part_size = (x + 3) // 4
     pad_target = max(k + x, (k - 2) + 4 * part_size + 1, popcount(current.vertex_set))
     current = TracedFamily(p, current.edges, fill_to_size(current.vertex_set, pad_target, p.full))
-    assert popcount(current.vertex_set) <= k + x + 2 * ((k + x - 1) // x) + 4
+    _require(popcount(current.vertex_set) <= k + x + 2 * q + 4, "padding left over k+x+2ceil(k/x)+4 vertices")
 
     # Phase 2: eliminate size-two covers missing the distinguished vertex.
     v = lowest_vertex(current.core) if current.core else lowest_vertex(e)
@@ -640,25 +648,20 @@ def _grow_k2(co: CountingOracle, e: Mask, trace: ConstructionTrace) -> tuple[Tra
     ]
     s = len(parts)
     trace.parameters["s"] = s
-    cap3 = 4 * (k + x + 2 * ((k + x - 1) // x) + 3)
-    assert s <= (cap3 + x - 1) // x  # s <= ceil(4(k+x+2*ceil(k/x)+3)/x)
-    assert s * x <= 4 * k + 7 * x
-    assert 2 * s + k - 1 < p.n - k + 1  # the cover-count contradiction has room
+    cap3 = 4 * (k + x + 2 * q + 3)
+    _require(s <= (cap3 + x - 1) // x, "s = {} breaks s <= ceil(4(k+x+2ceil(k/x)+3)/x)", s)
+    _require(s * x <= 4 * k + 7 * x, "s = {} breaks sx <= 4k+7x", s)
+    _require(2 * s + k - 1 < p.n - k + 1, "s = {} leaves the cover count no room below n-k+1", s)
     current, cover_vertex = _part_pairs_k2(co, current, parts, v, trace)
     if cover_vertex is None:
         current, cover_vertex = _consolidate_k2(co, current, parts, v, trace)
 
     # Lemma postconditions, re-verified exhaustively.
-    assert popcount(current.vertex_set) <= shrink_vertex_bound_k2(k)
+    _require(popcount(current.vertex_set) <= shrink_vertex_bound_k2(k), "the k-2 shrink spans too many vertices")
     cvbit = bit(cover_vertex)
-    if current.core & ~cvbit:
-        raise InternalContradictionError("construction left a stray core vertex")
-    cov = covers_size2(current, current.vertex_set)
-    for pr in cov.edges:
-        if not pr & cvbit:
-            raise InternalContradictionError(
-                f"size-two cover {labels(pr)} avoids the designated vertex {cover_vertex}"
-            )
+    # a core vertex u other than the cover vertex would make every {u, y} such a cover
+    stray = next((pr for pr in covers_size2(current, current.vertex_set).edges if not pr & cvbit), None)
+    _require(stray is None, "size-two cover {:labels} avoids the designated vertex {}", stray, cover_vertex)
     if not e & cvbit:
         raise _Refuted(_refute_by_outside_query(co, current.edges, current.vertex_set))
     return current, cover_vertex
@@ -681,11 +684,11 @@ def _core_k2(co: FamilyOracle, e: Mask, x: int, trace: ConstructionTrace) -> Tra
         else:
             carved = core | smallest_subset(base_vset & ~core, x + 2 - popcount(core))
         w = base_vset & ~carved
-        assert popcount(w) == p.k - 2
+        _require(popcount(w) == p.k - 2, "a carve left other than k-2 base vertices")
         f = w | _link_at_least(co, w).edges[0]
         prev = current.vertex_set
         current = trace.record(1, w, f, current.add([f]))
-        assert popcount(current.vertex_set) - popcount(prev) <= 2
+        _require(popcount(current.vertex_set) - popcount(prev) <= 2, "a carve step added over two vertices")
     trace.parameters["ell"] = len(trace.steps) - 1
 
     core = current.core
@@ -695,12 +698,12 @@ def _core_k2(co: FamilyOracle, e: Mask, x: int, trace: ConstructionTrace) -> Tra
         pairs = max_matching_upto(lk, 2)  # two disjoint link pairs, else one star pair below
         if len(pairs) < 2:
             center = is_star_graph(lk)
-            assert center is not None  # >= 6 pairwise-meeting pairs share a vertex
+            _require(center is not None, ">= 6 pairwise-meeting link pairs share no vertex")
             cbit = bit(center)
             pairs = [next((t for t in lk.edges if t & cbit and not (t & ~cbit) & core), None)]
-            assert pairs[0] is not None  # complete star link leaves partners outside the 2-core
+            _require(pairs[0] is not None, "the star link leaves no partner outside the 2-core")
         current = trace.record(1, w, w | pairs[0], current.add([w | t for t in pairs]))
-    assert popcount(current.core) <= 1
+    _require(popcount(current.core) <= 1, "phase 1 left a core of two or more vertices")
     return current
 
 
@@ -728,8 +731,7 @@ def _part_pairs_k2(
         nonstar = next((sel for sel, _, center in entries if center is None), None)
         if nonstar is not None:
             res = cherry_reduce(co, current, nonstar, area)
-            assert not res.is_star_link
-            assert res.reduced is not None
+            _require(not res.is_star_link, "the link at {:labels} turned into a star", nonstar)
             current = trace.record(2, nonstar, None, res.reduced)
             continue
         first = entries[0]
@@ -741,7 +743,8 @@ def _part_pairs_k2(
         added = [f for sel, lk, center in (first, second) for f in _star_edges(sel, lk, center, vset)]
         current = trace.record(2, first[0], added[0], current.add(added))
         allowed = bit(first[2]) | bit(second[2])
-        assert all(pr == allowed for pr in covers_size2(current, area).edges)
+        covers = covers_size2(current, area).edges
+        _require(all(pr == allowed for pr in covers), "a part pair keeps a cover other than its star centers")
     return current, None
 
 
@@ -758,10 +761,10 @@ def _consolidate_k2(
     cover_union = 0
     for first, second in combinations(parts, 2):
         cov = covers_size2(current, first | second)
-        assert is_subgraph_of_cherry(cov.edges)
+        _require(is_subgraph_of_cherry(cov.edges), "a reduced part pair keeps covers beyond a cherry")
         for pr in cov.edges:
             cover_union |= pr
-    assert popcount(cover_union) <= 3 * len(parts) ** 2
+    _require(popcount(cover_union) <= 3 * len(parts) ** 2, "the covers span over 3s^2 vertices")
     current, sel = _select_outside(current, cover_union | vbit)
     lk = _link_at_least(co, sel)
     center = is_star_graph(lk)
@@ -773,7 +776,7 @@ def _consolidate_k2(
         ctx = current.add(_star_edges(sel, lk, center, current.vertex_set))
         raise _Refuted(_refute_by_outside_query(co, ctx.edges, ctx.vertex_set))
     res = cherry_reduce(co, current, sel, cover_union)
-    assert res.reduced is not None
+    _require(not res.is_star_link, "the link at {:labels} turned into a star", sel)
     current = trace.record(2, sel, None, res.reduced)
     aux_union = 0
     for pr in covers_size2(current, cover_union).edges:
@@ -787,7 +790,7 @@ def _consolidate_k2(
         raise _Refuted(_refute_by_outside_query(co, ctx.edges, ctx.vertex_set))
     free = co.params.full & ~(sel2 | vbit | aux_union)
     zbit = next((zb for zb in iter_bits(free) if (vbit | zb) in lk2), None)
-    assert zbit is not None
+    _require(zbit is not None, "the star link at {} has no pair through a free vertex", v)
     return trace.record(2, sel2, sel2 | vbit | zbit, current.add([sel2 | vbit | zbit])), v
 
 
@@ -812,10 +815,9 @@ def _gap_probe_k1(
     if f is None:
         return ZeroCodegree(w)
     hub = f & ~w
-    for h in ctx_edges:
-        if not h & hub:
-            return DisjointEdges(h, f)
-    raise InternalContradictionError("gap probe found a one-vertex cover of a coreless family")
+    partner = next((h for h in ctx_edges if not h & hub), None)
+    _require(partner is not None, "gap probe found a one-vertex cover of a coreless family")
+    return DisjointEdges(partner, f)
 
 
 def _off_center_extension(co: FamilyOracle, m: Mask, v: int) -> Mask:
@@ -824,10 +826,7 @@ def _off_center_extension(co: FamilyOracle, m: Mask, v: int) -> Mask:
     f = co.extension(w)
     if f is None:
         raise _Refuted(ZeroCodegree(w))
-    if f & bit(v):
-        raise InternalContradictionError(
-            f"oracle returned the star edge {labels(f)} previously reported missing"
-        )
+    _require(not f & bit(v), "oracle returned the star edge {:labels} previously reported missing", f)
     return f
 
 
@@ -854,7 +853,7 @@ def _offending_probe_k2(co: FamilyOracle, ctx: TracedFamily, f: Mask, v: int) ->
     avail = p.full & ~(ctx.vertex_set | f | bit(v))
     if popcount(avail) < p.k - 2:
         _explicit_refutation(co, p.k - 2, p.n - p.k + 1)
-        raise InternalContradictionError("no room for an outside probe against the off-center edge")
+    _require(popcount(avail) >= p.k - 2, "no room for an outside probe against the off-center edge")
     miss = _outside_miss(co, smallest_subset(avail, p.k - 2), (f, *ctx.edges))
     # the off-center edge itself is a checkable refutation of the star claim
     return miss or NotStar(missing=None, offending=f)
@@ -864,11 +863,8 @@ def _missing_edge_probe_k2(co: FamilyOracle, ctx: TracedFamily, m: Mask, v: int)
     """Witness from a star edge ``m`` (through v) reported absent."""
     sel = smallest_subset(m & ~bit(v), co.params.k - 2)
     off = next((t for t in _link_at_least(co, sel).edges if not t & bit(v)), None)
-    if off is not None:
-        return _offending_probe_k2(co, ctx, sel | off, v)
-    raise InternalContradictionError(
-        f"complete star link at {v} contradicts the missing edge {labels(m)}"
-    )
+    _require(off is not None, "complete star link at {} contradicts the missing edge {:labels}", v, m)
+    return _offending_probe_k2(co, ctx, sel | off, v)
 
 
 # ---------------------------------------------------------------------------
@@ -944,8 +940,7 @@ class _K1:
         f = co.extension(wb)
         if f is None:
             raise _Refuted(ZeroCodegree(wb))
-        if f & vb:
-            raise InternalContradictionError(f"oracle returned the edge {labels(f)} it reported absent")
+        _require(not f & vb, "oracle returned the edge {:labels} it reported absent", f)
         h = smallest_subset(window_x & ~(f | vb), p.k - 1) | vb
         if co.contains(h):
             raise _Refuted(DisjointEdges(f, h))
@@ -1026,10 +1021,9 @@ class _K2:
             if not t & vb:
                 g = w0 | t
                 partner = next((h for h in ctx.edges if not h & g), None)
-                if partner is None:
-                    raise InternalContradictionError(
-                        "an off-center extension of the outside set covers the shrunken family"
-                    )
+                _require(
+                    partner is not None, "an off-center extension of the outside set covers the shrunken family"
+                )
                 raise _Refuted(DisjointEdges(g, partner))
         return w0 | vb | min(t & ~vb for t in lk.edges)
 
@@ -1125,7 +1119,7 @@ def _certify(
         outside = p.full & ~window_x  # exactly k vertices
         ctx_y = r2.subfamily
         window_y = fill_to_size(outside | ctx_y.vertex_set, n - k, p.full)
-        assert window_x | window_y == p.full
+        _require(window_x | window_y == p.full, "the windows X and Y miss a vertex")
         v2 = level.center(co, ctx_y, r2.cover_vertex, window_y)
         offending_y, missing_y = level.probes(co, ctx_y, window_y, v2)
         _star_check(co, window_y, v2, rng, spot, offending_y, missing_y)
@@ -1146,16 +1140,16 @@ def _certify(
         # carries the star property across the whole ground set.
         ell = level.ell(k)
         overlap = (window_x & window_y) & ~bit(v)
-        assert popcount(overlap) == n - 2 * k - 1
+        _require(popcount(overlap) == n - 2 * k - 1, "the window overlap less v is not n-2k-1 vertices")
         half = (popcount(overlap) + 1) // 2
         z1 = smallest_subset(overlap, half)
         z2 = overlap & ~z1
         x0 = (window_x & ~window_y) | z1
         y0 = (window_y & ~window_x) | z2
         z_min, xy_min = level.split_bounds(k, ell)
-        assert not x0 & y0
-        assert min(popcount(z1), popcount(z2)) >= z_min
-        assert min(popcount(x0), popcount(y0)) >= xy_min
+        _require(not x0 & y0, "X0 and Y0 meet")
+        _require(min(popcount(z1), popcount(z2)) >= z_min, "min(|Z1|, |Z2|) is below {}", z_min)
+        _require(min(popcount(x0), popcount(y0)) >= xy_min, "min(|X0|, |Y0|) is below {}", xy_min)
         trace.parameters.update({level.ell_key: ell, "Z1": z1, "Z2": z2, "X0": x0, "Y0": y0})
 
         level.final_check(co, ctx_x, window_x, window_y, v, rng, samples)

@@ -235,6 +235,21 @@ class TestCherryReduce:
         with pytest.raises(ValueError, match="below the required"):
             cherry_reduce(ExplicitOracle(fam), sub, mask_of([1]), mask_of([4, 5]))
 
+    @pytest.mark.parametrize(
+        "n, base, area, message",
+        [
+            (8, [1, 2], [4, 5], r"^base must be a \(k-2\)-set, got \(1, 2\)$"),
+            (8, [1], [1, 4], "^base and area must be disjoint$"),
+            (7, [1], [4, 5], r"^n >= k\+5 = 8 required$"),
+        ],
+        ids=["base-size", "base-meets-area", "n-below-k-plus-5"],
+    )
+    def test_argument_checks(self, n, base, area, message):
+        o = StarOracle(n, 3, 1)
+        sub = TracedFamily(o.params, (mask_of([1, 2, 3]),), mask_of([1, 2, 3]))
+        with pytest.raises(ValueError, match=message):
+            cherry_reduce(o, sub, mask_of(base), mask_of(area))
+
 
 class TestShrinkK2:
     @pytest.mark.parametrize("k,center", [(3, 1), (8, 5), (27, 1)])

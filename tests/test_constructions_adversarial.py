@@ -15,22 +15,28 @@ from pathlib import Path
 import pytest
 
 import ekrlab
+import ekrlab.constructions as constructions
 from ekrlab.constructions import (
     CountingOracle,
     DisjointEdges,
     InternalContradictionError,
     LowCodegree,
+    TracedFamily,
     ZeroCodegree,
     certify_star_k1,
     certify_star_k2,
+    cherry_reduce,
     shrink_core_k1,
     shrink_core_k2,
+    _K2,
     _edge_rows,
+    _gap_probe_k1,
+    _refute_by_outside_query,
     _sample_subsets,
 )
 from ekrlab.bounds import certify_threshold_k1
 from ekrlab.family import Family, FamilyParams
-from ekrlab.generators import complete_star
+from ekrlab.generators import complete_star, hilton_milner
 from ekrlab.masks import (
     bit,
     full_mask,
@@ -223,14 +229,24 @@ class SwitchingStarOracle(FamilyOracle):
 class TestCrossingAnswers:
     # contains answers as the star at 7 for edges with a vertex >= 8 and
     # as the star at 3 otherwise; extension answers as the star at 3, so
-    # the crossing step gets back the very edge it was told is absent
+    # the crossing step gets back the very edge it was told is absent.
+    # The script's second case reaches a check that was a bare assert
+    # (see TestRuledOutStates.test_reduced_covers_beyond_a_cherry).
     SCRIPT = """
-from ekrlab.constructions import certify_star_k1
-from ekrlab.masks import mask_of
+import ekrlab.constructions as constructions
+from ekrlab.constructions import TracedFamily, certify_star_k1, cherry_reduce
+from ekrlab.generators import hilton_milner
+from ekrlab.masks import bit, mask_of
 from test_constructions_adversarial import SplitStarOracle
 oracle = SplitStarOracle(9, 2, 3, 7, (mask_of([8, 9]),), frozenset({"contains"}))
 try:
     print(certify_star_k1(oracle, samples=300, spot=64, seed=18))
+except Exception as exc:
+    print(type(exc).__name__, exc)
+constructions.is_subgraph_of_cherry = lambda edges: False
+fam = hilton_milner(8, 3)
+try:
+    print(cherry_reduce(fam, TracedFamily(fam.params, (), bit(1)), bit(1), mask_of(range(2, 9))))
 except Exception as exc:
     print(type(exc).__name__, exc)
 """
@@ -252,6 +268,8 @@ except Exception as exc:
             timeout=60,
         )
         assert done.stdout.startswith("InternalContradictionError oracle returned the edge (3, 8)")
+        cherry = "InternalContradictionError the covers left inside the area form no subgraph of a cherry"
+        assert done.stdout.splitlines()[1] == cherry
 
 
 class WindowedStarOracle(StarOracle):
@@ -665,3 +683,53 @@ class TestQueryContractBreaches:
     def test_link_refuses_a_repeated_edge(self):
         with pytest.raises(ValueError, match=r"^the enumeration through \(5,\) repeats an edge$"):
             link(CountingOracle(BreachStarOracle(155, 3, 1, "repeat")), bit(5))
+
+
+class TestRuledOutStates:
+    # states that the counting arguments rule out for every oracle, reached
+    # by a direct call or with one helper patched; each must raise
+    def test_negative_degree_on_a_direct_query(self):
+        co = CountingOracle(LowBandStarOracle(232, 3, 1, range(229, 233), drop=231))
+        with pytest.raises(InternalContradictionError, match="oracle returned a negative degree"):
+            co.degree(mask_of([230]))
+
+    def test_non_star_link_without_a_pattern(self, monkeypatch):
+        # a non-star link of >= 6 pairs holds a 3-matching, Q or K4
+        monkeypatch.setattr(constructions, "find_pattern", lambda lk: None)
+        fam = hilton_milner(8, 3)
+        with pytest.raises(InternalContradictionError, match="no star center admits no 3-matching, Q, or K4"):
+            cherry_reduce(fam, TracedFamily(fam.params, (), bit(1)), bit(1), mask_of(range(2, 9)))
+
+    def test_reduced_covers_beyond_a_cherry(self, monkeypatch):
+        monkeypatch.setattr(constructions, "is_subgraph_of_cherry", lambda edges: False)
+        fam = hilton_milner(8, 3)
+        with pytest.raises(InternalContradictionError, match="^the covers left inside the area form no subgraph"):
+            cherry_reduce(fam, TracedFamily(fam.params, (), bit(1)), bit(1), mask_of(range(2, 9)))
+
+    def test_outside_query_covered_by_its_context(self):
+        # every extension of {4} in the star at 1 meets the context edge {1, 2, 3}
+        co = CountingOracle(StarOracle(9, 3, 1))
+        with pytest.raises(InternalContradictionError, match="every extension of an outside .* covers the context"):
+            _refute_by_outside_query(co, (mask_of([1, 2, 3]),), mask_of([1, 2, 3]))
+
+    def test_gap_probe_on_a_cored_context(self):
+        # vertex 1 is in every context edge and is the hub of every outside extension
+        co = CountingOracle(StarOracle(11, 3, 1))
+        ctx = (mask_of([1, 2, 3]), mask_of([1, 4, 5]))
+        with pytest.raises(InternalContradictionError, match="one-vertex cover of a coreless family"):
+            _gap_probe_k1(co, ctx, mask_of(range(1, 6)), mask_of(range(1, 9)))
+
+    def test_k2_cross_extension_covering_the_context(self):
+        # v = 2 is off the star's center; the extension {1, 3, 9} of the
+        # outside set {9} avoids v yet meets the only context edge
+        co = CountingOracle(StarOracle(11, 3, 1))
+        ctx = TracedFamily(co.params, (mask_of([1, 2, 3]),), mask_of([1, 2, 3]))
+        with pytest.raises(InternalContradictionError, match="off-center extension of the outside set covers"):
+            _K2().cross(co, ctx, mask_of(range(1, 9)), 2)
+
+    def test_k2_shrink_cover_avoiding_the_cover_vertex(self, monkeypatch):
+        # the part-pair phase hands back vertex 2 on the star at 1, whose
+        # core vertex 1 makes every pair through it a cover
+        monkeypatch.setattr(constructions, "_part_pairs_k2", lambda co, current, parts, v, trace: (current, 2))
+        with pytest.raises(InternalContradictionError, match=r"cover \(1, 3\) avoids the designated vertex 2$"):
+            shrink_core_k2(StarOracle(230, 3, 1), mask_of([1, 2, 3]))
