@@ -192,6 +192,27 @@ MUTANTS = (
         "    return\n    if not holds:\n",
         (f"{ADVERSARIAL}::TestRuledOutStates",),
     ),
+    Mutant(
+        "z-accepted-in-row",  # a k-2 sample's z may repeat a vertex of its own row
+        "constructions.py",
+        "if c < size and zchoices[c] not in rows[len(zs)]:",
+        "if c < size:",
+        ("tests/test_constructions.py::TestDrawZs",),
+    ),
+    Mutant(
+        "closed-form-link-uncounted",  # a closed-form link is validated but not counted as a query
+        "constructions.py",
+        "        self.queries += 1\n        off = base | ~self.params.full\n",
+        "        off = base | ~self.params.full\n",
+        (f"{ADVERSARIAL}::TestClosedFormLinks",),
+    ),
+    Mutant(
+        "shrink-queries-not-delta",  # a shrink given a counter reports its whole count, not its own queries
+        "constructions.py",
+        "trace.queries_used = co.queries - start",
+        "trace.queries_used = co.queries",
+        (f"{ADVERSARIAL}::TestSharedCounter",),
+    ),
 )
 
 

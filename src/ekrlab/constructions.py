@@ -21,8 +21,9 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import or_
 from string import Formatter
 from typing import Callable, ClassVar, Iterable, Iterator, Optional, Sequence
 
@@ -278,7 +279,14 @@ class Certificate:
 
 
 class CountingOracle(FamilyOracle):
-    """Delegating oracle that counts queries and validates every answer."""
+    """Delegating oracle that counts queries and validates every answer.
+
+    One counter serves a whole procedure: ``_shrink`` and ``cherry_reduce``
+    ask through the counter they are given rather than wrapping it again,
+    so each answer is validated once.  A closed-form link
+    (``link_pairs``) counts as one enumeration query and is validated
+    whole, in one pass over its pairs.
+    """
 
     def __init__(self, inner: FamilyOracle):
         self.inner = inner
@@ -308,6 +316,22 @@ class CountingOracle(FamilyOracle):
         self.queries += 1
         return self._checked(self.inner.enumerate_extensions(base), base, "enumeration")
 
+    def link_pairs(self, base: Mask) -> Optional[Sequence[Mask]]:
+        """The inner oracle's closed-form link of the (k-2)-set ``base``,
+        refused unless each pair T makes T | ``base`` a k-set of [n] holding
+        ``base``: T is a 2-set of [n] outside ``base``.  The whole batch is
+        tested by one union and one size map; a failing batch is walked
+        for its first bad pair."""
+        pairs = self.inner.link_pairs(base)
+        if pairs is None:
+            return None
+        self.queries += 1
+        off = base | ~self.params.full
+        if reduce(or_, pairs, 0) & off or any(map((2).__ne__, map(popcount, pairs))):
+            bad = next(t for t in pairs if t & off or popcount(t) != 2)
+            _require(False, "oracle link pair {:labels} of {:labels} violates the query contract", bad, base)
+        return pairs
+
     def _checked(self, answers: Iterable[Mask], base: Mask, query: str) -> Iterator[Mask]:
         """The answers, refusing one that is not a k-set of [n] holding ``base``."""
         k, full = self.params.k, self.params.full  # locals: this loop runs once per oracle answer
@@ -335,13 +359,15 @@ def _random_floats(rng: random.Random, m: int):
 
     CPython's ``random()`` takes two 32-bit Mersenne Twister words a, b and
     returns ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``; ``getrandbits`` packs
-    the same words least significant first.  Reading them as little-endian
-    uint32 pairs gives the same floats and leaves ``rng`` in the same state.
+    the same words least significant first.  Each pair, read as one
+    little-endian uint64 w, has a in its low half and b in its high half:
+    the 53-bit integer ``((w >> 5) & (2**27 - 1)) << 26 | w >> 38``, times
+    2**-53, gives the same floats and leaves ``rng`` in the same state.
     """
     import numpy as np
 
-    words = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m, "little"), "<u4")
-    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) / 9007199254740992.0
+    pairs = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m, "little"), "<u8")
+    return ((pairs >> 5 & 0x7FFFFFF) << 26 | pairs >> 38) * (1.0 / 9007199254740992.0)
 
 
 def _sample_subsets(rng: random.Random, pool: Mask, r: int, count: int) -> Iterator:
@@ -388,6 +414,33 @@ def _sample_subsets(rng: random.Random, pool: Mask, r: int, count: int) -> Itera
         yield shuffled[:r].T
 
 
+def _draw_zs(rng: random.Random, rows, zchoices: Sequence[int]) -> list[int]:
+    """Row i's z: ``rng.choice(zchoices)`` redrawn until it avoids row i,
+    for each label row in turn, with the same values and final ``rng`` state.
+
+    ``choice`` takes one 32-bit word per candidate: word >> (32 -
+    len(zchoices).bit_length()), redrawn when it is len(zchoices) or above.
+    The words come in blocks of one ``getrandbits(32 * m)`` call, m the
+    number of rows still without a z, which pack them least significant
+    first.  Each of those rows takes at least one word, so no word is drawn
+    that the one-at-a-time loop would not draw; a block that runs out
+    inside a row leaves that row to the next block.
+    """
+    import numpy as np
+
+    size = len(zchoices)
+    shift = 32 - size.bit_length()
+    rows = rows.tolist()
+    zs: list[int] = []
+    while len(zs) < len(rows):
+        m = len(rows) - len(zs)
+        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), "<u4")
+        for c in (words >> shift).tolist():
+            if c < size and zchoices[c] not in rows[len(zs)]:
+                zs.append(zchoices[c])
+    return zs
+
+
 def _edge_rows(rows, v: int, zs=None):
     """The sampled label rows with v's index appended, and ``zs[i]`` to row i
     when given.  Indices stay distinct: both checks sample a pool without
@@ -407,15 +460,25 @@ def _edge_rows(rows, v: int, zs=None):
 # core shrinking: one entry for both levels
 
 
+def _counting(source: FamilyOracle | Family) -> CountingOracle:
+    """``source`` itself when it is a CountingOracle, else a fresh one around it."""
+    return source if isinstance(source, CountingOracle) else CountingOracle(as_oracle(source))
+
+
 def _shrink(level: _K1 | _K2, source: FamilyOracle | Family, e: Mask) -> ShrinkResult:
-    """Check the arguments, run the level's ``grow`` from ``e`` and catch its witness."""
-    oracle = as_oracle(source)
-    p = oracle.params
+    """Check the arguments, run the level's ``grow`` from ``e`` and catch its witness.
+
+    The queries go through ``source`` when it is a CountingOracle (the
+    certification's own), else through a fresh one; ``queries_used`` is
+    the counter's increase over the shrink.
+    """
+    co = _counting(source)
+    p = co.params
     n, k = p.n, p.k
     need = level.shrink_threshold(k)
     if n < need:
         raise ValueError(f"n >= {need} required for k={k}, got n={n}")
-    co = CountingOracle(oracle)
+    start = co.queries
     if not co.contains(e):
         raise ValueError(f"edge {labels(e)} is not in the family")
     trace = ConstructionTrace()
@@ -424,7 +487,7 @@ def _shrink(level: _K1 | _K2, source: FamilyOracle | Family, e: Mask) -> ShrinkR
     except _Refuted as refuted:
         return ShrinkResult(None, refuted.violation, trace)
     finally:
-        trace.queries_used = co.queries
+        trace.queries_used = co.queries - start
     trace.final_vertex_set = sub.vertex_set
     return ShrinkResult(sub, None, trace, cover_vertex)
 
@@ -515,10 +578,11 @@ def cherry_reduce(
 
     The extension adds the edges base | {x,y} over the edges xy of a
     3-matching, Q, or K4 found in the link (at most six new vertices).
+    The link is asked through ``source`` when it is a CountingOracle (the
+    shrink's own), else through a fresh one.
     """
-    oracle = as_oracle(source)
-    co = CountingOracle(oracle)
-    p = oracle.params
+    co = _counting(source)
+    p = co.params
     n, k = p.n, p.k
     if popcount(base) != k - 2:
         raise ValueError(f"base must be a (k-2)-set, got {labels(base)}")
@@ -1055,14 +1119,7 @@ class _K2:
         pool = p.full & ~vb
         zchoices = [zb.bit_length() - 1 for zb in iter_bits(pool)]  # vertex indices
         for rows in _sample_subsets(rng, pool, p.k - 2, samples):
-            # each sample's z, drawn in sample order until it avoids the sample
-            zs = []
-            for row in rows.tolist():
-                z = rng.choice(zchoices)
-                while z in row:
-                    z = rng.choice(zchoices)
-                zs.append(z)
-            edges = _edge_rows(rows, v, zs)
+            edges = _edge_rows(rows, v, _draw_zs(rng, rows, zchoices))
             failure = co.first_failure(edges, rows, required)
             if failure is None:
                 continue

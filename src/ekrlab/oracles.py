@@ -11,7 +11,10 @@ vertex without materializing its C(n-1, k-1) edges.
 The sampled star checks ask their queries a batch at a time through
 :meth:`FamilyOracle.first_failure`.  Its default asks them one by one;
 the star answers a batch in closed form, by whole-batch tests, as long
-as its ``contains`` and ``degree`` are its own.
+as its ``contains`` and ``degree`` are its own.  Likewise :func:`link`
+asks :meth:`FamilyOracle.link_pairs` first, which the star answers in
+closed form as long as its ``enumerate_extensions`` is its own; every
+other oracle enumerates.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from functools import cached_property
 from itertools import chain, combinations, islice
 from math import comb
 from operator import eq
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .family import Family, FamilyParams
 from .masks import (
@@ -75,6 +78,12 @@ class FamilyOracle(ABC):
 
     def first_edge(self) -> Optional[Mask]:
         return self.extension(0)
+
+    def link_pairs(self, base: Mask) -> Optional[Sequence[Mask]]:
+        """The pairs T with T | ``base`` an edge, for a (k-2)-set ``base``, in
+        canonical order, as one enumeration query; None (this default) when
+        the oracle has no closed form, and :func:`link` enumerates."""
+        return None
 
     def first_failure(self, edges, sets=None, required: int = 0) -> Optional[BatchFailure]:
         """Ask a batch of samples in order and stop at the first failure.
@@ -203,6 +212,22 @@ class StarOracle(FamilyOracle):
         for rest in iter_subsets_within(p.full & ~core, need):
             yield core | rest
 
+    def link_pairs(self, base: Mask) -> Optional[Sequence[Mask]]:
+        """The link of ``base`` in closed form: every pair of the vertices
+        outside ``base`` when it holds the center, else the center with each
+        vertex outside ``base`` and the center.  A subclass that overrides
+        ``enumerate_extensions``, or a wrapper patched onto the class, gets
+        None, and :func:`link` enumerates its own answers."""
+        if type(self).enumerate_extensions is not _STAR_ENUMERATE:
+            return None
+        full = self._params.full
+        if base & ~full:
+            return ()
+        free = list(iter_bits(full & ~(base | self._cbit)))
+        if base & self._cbit:
+            return [high | low for t, high in enumerate(free) for low in free[:t]]
+        return [self._cbit | z for z in free]
+
     def first_failure(self, edges, sets=None, required: int = 0) -> Optional[BatchFailure]:
         """The default's answer, by whole-batch tests on the label rows.
 
@@ -239,6 +264,7 @@ class StarOracle(FamilyOracle):
 
 
 _STAR_CONTAINS, _STAR_DEGREE = StarOracle.contains, StarOracle.degree
+_STAR_ENUMERATE = StarOracle.enumerate_extensions
 
 
 def _star_closed_form(oracle: FamilyOracle) -> bool:
@@ -257,17 +283,22 @@ def as_oracle(source: FamilyOracle | Family) -> FamilyOracle:
 def link(source: FamilyOracle | Family, base: Mask) -> Family:
     """Link of a (k-2)-set: the pairs T with T | base an edge, as a 2-uniform family on [n].
 
-    That each enumerated edge is a k-set of [n] holding ``base`` is
-    ``CountingOracle``'s check, so the pairs are 2-sets of [n].  Removing
-    the same bits from each edge keeps the enumeration's order, which the
-    sort (one pass over an ordered run) enforces on an oracle that breaks
-    it; an enumeration that repeats an edge raises ValueError.
+    The pairs are the oracle's closed-form ``link_pairs`` when it has
+    one, else each enumerated edge less ``base``.  ``CountingOracle``
+    checks that they are 2-sets of [n] outside ``base``: edge by edge on
+    an enumeration (each a k-set of [n] holding ``base``), and in one pass
+    over a closed-form batch.  The sort (one pass over an ordered run)
+    enforces canonical order on an oracle that breaks it; an answer that
+    repeats an edge raises ValueError.
     """
     oracle = as_oracle(source)
     p = oracle.params
     if popcount(base) != p.k - 2:
         raise ValueError(f"base must have size k-2 = {p.k - 2}")
-    pairs = sorted(e & ~base for e in oracle.enumerate_extensions(base))
+    pairs = oracle.link_pairs(base)
+    if pairs is None:
+        pairs = [e & ~base for e in oracle.enumerate_extensions(base)]
+    pairs = sorted(pairs)
     if any(map(eq, pairs, islice(pairs, 1, None))):
         raise ValueError(f"the enumeration through {labels(base)} repeats an edge")
     return Family._trusted(FamilyParams(p.n, 2), tuple(pairs))

@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from conftest import ref_sample_subset
@@ -25,6 +26,7 @@ from ekrlab.constructions import (
     cherry_reduce,
     shrink_core_k1,
     shrink_core_k2,
+    _draw_zs,
     _random_floats,
     _sample_subsets,
     _select_outside,
@@ -32,7 +34,7 @@ from ekrlab.constructions import (
 from ekrlab.family import Family, FamilyParams, covers_size2, is_complete_star_on
 from ekrlab.generators import complete_star, hilton_milner
 from ekrlab.graphs import MATCHING3, PATTERN_Q
-from ekrlab.masks import bit, full_mask, labels, mask_of, popcount, row_masks
+from ekrlab.masks import bit, full_mask, iter_bits, labels, mask_of, popcount, row_masks
 from ekrlab.oracles import ExplicitOracle, StarOracle
 
 
@@ -113,6 +115,81 @@ class TestSampleSubsets:
     def test_rejects_oversized_sample(self):
         with pytest.raises(ValueError, match="cannot sample 3 of 2"):
             next(_sample_subsets(random.Random(0), mask_of([4, 9]), 3, 1))
+
+
+def choice_zs(rng, rows, zchoices):
+    """The plain redraw loop that ``_draw_zs`` replaces: rng.choice per row,
+    redrawn until it avoids the row."""
+    zs = []
+    for row in rows.tolist():
+        z = rng.choice(zchoices)
+        while z in row:
+            z = rng.choice(zchoices)
+        zs.append(z)
+    return zs
+
+
+class BlockRecordingRandom(random.Random):
+    """A Random that records the width of each getrandbits call."""
+
+    def getrandbits(self, k):
+        self.widths = getattr(self, "widths", []) + [k]
+        return super().getrandbits(k)
+
+
+class TestDrawZs:
+    @pytest.mark.parametrize(
+        "n,k,v,count,seed",
+        [
+            (441, 40, 17, SAMPLE_BATCH, 5),  # k = 40 at n = 441: in-row hits are frequent
+            (441, 40, 441, 1, 8),
+            (257, 12, 4, SAMPLE_BATCH, 2),  # 256 choices, a power of two: half the words overshoot
+            (257, 12, 4, 1, 3),
+            (232, 3, 1, 37, 11),
+        ],
+        ids=["k40", "k40-one-row", "pow2", "pow2-one-row", "k3-ragged"],
+    )
+    def test_matches_choice_loop(self, n, k, v, count, seed):
+        pool = full_mask(n) & ~bit(v)
+        zchoices = [zb.bit_length() - 1 for zb in iter_bits(pool)]
+        rows = next(_sample_subsets(random.Random(seed), pool, k - 2, count))
+        assert rows.shape == (count, k - 2)
+        ref_rng, rng = random.Random(seed), BlockRecordingRandom(seed)
+        expected = choice_zs(ref_rng, rows, zchoices)
+        assert _draw_zs(rng, rows, zchoices) == expected
+        assert rng.getstate() == ref_rng.getstate()
+        assert rng.widths[0] == 32 * count
+        if count > 1:
+            assert len(rng.widths) > 1  # some rows redrew
+    @pytest.mark.parametrize("size", [440, 256])
+    def test_block_runs_out_inside_a_row(self, size):
+        # a one-row batch whose first word is refused: the row's next
+        # candidate comes from a second one-word block
+        zchoices = list(range(size))
+        row = list(range(0, 76, 2))
+        rows = np.array([row], np.uint16)
+
+        def first_refused(seed):
+            ref = random.Random(seed)
+            c = ref.getrandbits(32) >> (32 - size.bit_length())
+            return c >= size or c in row
+
+        seed = next(s for s in range(1000) if first_refused(s))
+        ref_rng, rng = random.Random(seed), BlockRecordingRandom(seed)
+        assert _draw_zs(rng, rows, zchoices) == choice_zs(ref_rng, rows, zchoices)
+        assert rng.getstate() == ref_rng.getstate()
+        assert rng.widths[:2] == [32, 32]
+
+    def test_final_check_stream_unchanged(self):
+        # the k-2 final check's z's and final state equal the choice loop's
+        n, k, v, samples = 441, 40, 9, 600
+        pool = full_mask(n) & ~bit(v)
+        zchoices = [zb.bit_length() - 1 for zb in iter_bits(pool)]
+        ref_rng, rng = random.Random(4), random.Random(4)
+        expected = [z for rows in _sample_subsets(ref_rng, pool, k - 2, samples) for z in choice_zs(ref_rng, rows, zchoices)]
+        got = [z for rows in _sample_subsets(rng, pool, k - 2, samples) for z in _draw_zs(rng, rows, zchoices)]
+        assert got == expected
+        assert rng.getstate() == ref_rng.getstate()
 
 
 class TestShrinkK1:

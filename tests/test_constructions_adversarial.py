@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from math import comb
 from pathlib import Path
 
@@ -733,3 +734,186 @@ class TestRuledOutStates:
         monkeypatch.setattr(constructions, "_part_pairs_k2", lambda co, current, parts, v, trace: (current, 2))
         with pytest.raises(InternalContradictionError, match=r"cover \(1, 3\) avoids the designated vertex 2$"):
             shrink_core_k2(StarOracle(230, 3, 1), mask_of([1, 2, 3]))
+
+
+class RecordingOracle(FamilyOracle):
+    """Delegates every query to ``inner`` and tallies each edge it answers
+    with: extensions, enumerated edges and the edges T | base of a
+    closed-form link (``closed=False`` hides the closed form, so links
+    enumerate); batches pass straight to ``inner``."""
+
+    def __init__(self, inner: FamilyOracle, closed: bool = True):
+        self.inner, self.closed = inner, closed
+        self.answers = Counter()
+
+    @property
+    def params(self):
+        return self.inner.params
+
+    def contains(self, e):
+        return self.inner.contains(e)
+
+    def degree(self, s):
+        return self.inner.degree(s)
+
+    def extension(self, base):
+        e = self.inner.extension(base)
+        if e is not None:
+            self.answers[e] += 1
+        return e
+
+    def enumerate_extensions(self, base):
+        for e in self.inner.enumerate_extensions(base):
+            self.answers[e] += 1
+            yield e
+
+    def link_pairs(self, base):
+        pairs = self.inner.link_pairs(base) if self.closed else None
+        if pairs is not None:
+            self.answers.update(t | base for t in pairs)
+        return pairs
+
+    def first_failure(self, edges, sets=None, required=0):
+        return self.inner.first_failure(edges, sets, required)
+
+
+class TestSharedCounter:
+    # a shrink or cherry reduction given a CountingOracle asks through it,
+    # so the answers of one certification are validated by one counter
+    @pytest.mark.parametrize(
+        "shrink, oracle",
+        [(shrink_core_k1, StarOracle(14, 4, 2)), (shrink_core_k1, StarOracle(9, 2, 5)), (shrink_core_k2, StarOracle(232, 3, 4))],
+        ids=["k1", "k1-k2", "k2"],
+    )
+    def test_queries_used_is_the_counters_increase(self, shrink, oracle):
+        e = oracle.first_edge()
+        fresh = shrink(oracle, e)
+        co = CountingOracle(oracle)
+        co.degree(0)
+        co.contains(e)
+        shared = shrink(co, e)
+        assert shared.trace.queries_used == fresh.trace.queries_used > 0
+        assert co.queries == 2 + fresh.trace.queries_used
+        again = shrink(co, e)
+        assert again.trace.queries_used == fresh.trace.queries_used
+        assert again.trace.steps == shared.trace.steps == fresh.trace.steps
+
+    @pytest.mark.parametrize("closed", [True, False], ids=["closed-form-links", "enumerated-links"])
+    def test_each_answer_is_validated_once(self, monkeypatch, closed):
+        validated = Counter()
+        checked, link_pairs = CountingOracle._checked, CountingOracle.link_pairs
+
+        def spy_checked(co, answers, base, query):
+            for e in checked(co, answers, base, query):
+                validated[e] += 1
+                yield e
+
+        def spy_link_pairs(co, base):
+            pairs = link_pairs(co, base)
+            if pairs is not None:
+                validated.update(t | base for t in pairs)
+            return pairs
+
+        monkeypatch.setattr(CountingOracle, "_checked", spy_checked)
+        monkeypatch.setattr(CountingOracle, "link_pairs", spy_link_pairs)
+        oracle = RecordingOracle(StarOracle(232, 3, 9), closed)
+        cert = certify_star_k2(oracle, samples=300, spot=32, seed=1)
+        assert cert.is_star
+        assert sum(oracle.answers.values()) > 232
+        assert validated == oracle.answers
+
+    def test_cherry_reduce_raises_on_a_raw_liar(self):
+        oracle = BreachStarOracle(155, 3, 1, "enumerate")
+        sub = TracedFamily(oracle.params, (mask_of([1, 2, 3]),), mask_of([1, 2, 3]))
+        with pytest.raises(InternalContradictionError, match=r"oracle enumeration answer \(1, 2, 3, 4\) violates"):
+            cherry_reduce(oracle, sub, bit(4), mask_of(range(5, 20)))
+
+    @pytest.mark.parametrize("breach", ["wide", "off-base"])
+    def test_shrink_raises_on_a_counted_liar(self, breach):
+        co = CountingOracle(BreachStarOracle(7, 3, 1, breach))
+        with pytest.raises(InternalContradictionError, match="oracle extension answer .* violates the query contract"):
+            shrink_core_k1(co, mask_of([1, 2, 3]))
+
+
+class EnumeratingStarOracle(StarOracle):
+    """The complete star, with ``enumerate_extensions`` overridden by a copy
+    of its own, which turns the closed-form link off."""
+
+    def enumerate_extensions(self, base):
+        yield from super().enumerate_extensions(base)
+
+
+def enumerated_link(oracle, base):
+    """The link's pairs read off the enumeration, as ``link`` reads them without a closed form."""
+    return tuple(sorted(e & ~base for e in oracle.enumerate_extensions(base)))
+
+
+LINK_CASES = [(9, 3, 1), (9, 3, 5), (12, 4, 12), (14, 5, 3), (232, 3, 117)]
+
+
+def link_bases(n, k, center):
+    """(k-2)-sets through the center, avoiding it, and reaching past [n]."""
+    cbit, full = bit(center), full_mask(n)
+    through = cbit | smallest_subset(full & ~cbit, k - 3)
+    avoiding = [smallest_subset(full & ~cbit, k - 2), mask_of([v for v in range(n, 0, -1) if v != center][: k - 2])]
+    past = bit(n + 1) | smallest_subset(full & ~cbit, k - 3)
+    return [through, *avoiding, past]
+
+
+class TestClosedFormLinks:
+    @pytest.mark.parametrize("n,k,center", LINK_CASES)
+    def test_equal_to_the_enumeration(self, n, k, center):
+        star = StarOracle(n, k, center)
+        enumerating = EnumeratingStarOracle(n, k, center)
+        for base in link_bases(n, k, center):
+            assert popcount(base) == k - 2
+            assert star.link_pairs(base) is not None
+            assert enumerating.link_pairs(base) is None
+            want = enumerated_link(star, base)
+            assert tuple(star.link_pairs(base)) == want
+            assert link(star, base).edges == link(enumerating, base).edges == want
+            co = CountingOracle(star)
+            assert link(co, base).edges == want
+            assert co.queries == 1
+            if n <= 14:
+                assert link(ExplicitOracle(complete_star(n, k, center)), base).edges == want
+
+    @pytest.mark.parametrize("shrink", [shrink_core_k2, certify_star_k2])
+    def test_an_enumerate_override_defers_with_the_same_counts(self, monkeypatch, shrink):
+        n, k, center = 232, 3, 5
+        args = (mask_of([5, 6, 7]),) if shrink is shrink_core_k2 else ()
+        kwargs = {} if shrink is shrink_core_k2 else {"samples": 64, "spot": 16}
+        closed = shrink(StarOracle(n, k, center), *args, **kwargs)
+        asked = []
+        enumerate_extensions = StarOracle.enumerate_extensions
+
+        def spy(oracle, base):
+            asked.append(base)
+            return enumerate_extensions(oracle, base)
+
+        monkeypatch.setattr(EnumeratingStarOracle, "enumerate_extensions", spy)
+        subclass = shrink(EnumeratingStarOracle(n, k, center), *args, **kwargs)
+        assert asked and subclass.trace == closed.trace
+        monkeypatch.undo()
+        asked.clear()
+        monkeypatch.setattr(StarOracle, "enumerate_extensions", spy)
+        assert StarOracle(n, k, center).link_pairs(bit(9)) is None
+        patched = shrink(StarOracle(n, k, center), *args, **kwargs)
+        assert asked and patched.trace == closed.trace
+
+    @pytest.mark.parametrize(
+        "extra, shown",
+        [
+            (mask_of([2, 4, 6]), r"\(2, 4, 6\) of \(3,\)"),  # a 3-set
+            (mask_of([3, 4]), r"\(3, 4\) of \(3,\)"),  # holds a base vertex
+            (mask_of([1, 10]), r"\(1, 10\) of \(3,\)"),  # reaches past [n]
+        ],
+        ids=["wide", "overlaps-base", "outside"],
+    )
+    def test_a_bad_batch_fails_the_contract_check(self, monkeypatch, extra, shown):
+        link_pairs = StarOracle.link_pairs
+        monkeypatch.setattr(StarOracle, "link_pairs", lambda oracle, base: [*link_pairs(oracle, base), extra])
+        oracle = StarOracle(9, 3, 1)
+        assert len(link(oracle, bit(3))) == 8  # uncounted, the raw answer is taken as given
+        with pytest.raises(InternalContradictionError, match=rf"^oracle link pair {shown} violates the query contract$"):
+            link(CountingOracle(oracle), bit(3))

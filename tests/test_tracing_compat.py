@@ -99,3 +99,4 @@ def test_traced_star_certificates_count_every_query_by_kind():
     finally:
         instrumentation.uninstall()
     assert oracles.StarOracle.contains is oracles._STAR_CONTAINS
+    assert oracles.StarOracle.enumerate_extensions is oracles._STAR_ENUMERATE
