@@ -69,16 +69,23 @@ MUTANTS = (
     Mutant(
         "cherry-reduction-ends-loop",  # the part-pair loop stops after its first cherry reduction
         "constructions.py",
-        "current = trace.record(2, nonstar, None, res.reduced)\n            continue",
-        "current = trace.record(2, nonstar, None, res.reduced)\n            return current, None",
+        "current = trace.record(2, sel, None, reduced)\n            continue",
+        "current = trace.record(2, sel, None, reduced)\n            return current, None",
         (f"{GOLDEN}::test_final_consolidation_digests",),
     ),
     Mutant(
         "aux-union-never-grown",  # the consolidation's second query set ignores the reduced covers
         "constructions.py",
-        "        aux_union |= pr\n",
-        "        pass\n",
+        "aux_union = reduce(or_, cov.edges, 0)",
+        "aux_union = 0",
         (f"{GOLDEN}::test_direct_consolidation_outcomes",),
+    ),
+    Mutant(
+        "pattern-step-refetches-link",  # a part pair's cherry reduction asks for the link it holds again
+        "constructions.py",
+        "_reduce_link(current, sel, area, lk)",
+        "_reduce_link(current, sel, area, link(co, sel))",
+        (f"{GOLDEN}::test_final_consolidation_digests",),
     ),
     Mutant(
         "consolidation-skips-own-center",  # a star link at v is treated as a star elsewhere
@@ -151,6 +158,13 @@ MUTANTS = (
         (f"{ADVERSARIAL}::TestQueryContractBreaches",),
     ),
     Mutant(
+        "link-trusts-unwrapped",  # an oracle without a counter has its link answers taken as given
+        "oracles.py",
+        "checked = pairs is None and oracle.checks_answers",
+        "checked = pairs is None",
+        (f"{ADVERSARIAL}::TestQueryContractBreaches::test_link_refuses_a_liar_unwrapped",),
+    ),
+    Mutant(
         "swap-visit-before-test",  # a clique joins the visited set before its images are tested
         "generators.py",
         "        known = not visited.isdisjoint(graph.images(clique))\n        visited.add(clique)\n",
@@ -200,10 +214,10 @@ MUTANTS = (
         ("tests/test_constructions.py::TestDrawZs",),
     ),
     Mutant(
-        "closed-form-link-uncounted",  # a closed-form link is validated but not counted as a query
+        "closed-form-link-uncounted",  # a closed-form link is not counted as a query
         "constructions.py",
-        "        self.queries += 1\n        off = base | ~self.params.full\n",
-        "        off = base | ~self.params.full\n",
+        "        if pairs is not None:\n            self.queries += 1\n",
+        "",
         (f"{ADVERSARIAL}::TestClosedFormLinks",),
     ),
     Mutant(

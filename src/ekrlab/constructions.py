@@ -54,15 +54,11 @@ from .masks import (
     smallest_subset,
     fill_to_size,
 )
-from .oracles import BatchFailure, FamilyOracle, as_oracle, link, min_degree
+from .oracles import BatchFailure, FamilyOracle, InternalContradictionError, as_oracle, link, min_degree
 
 SAMPLE_BUDGET = 10_000  # seeded final-claim samples on non-explicit oracles
 SPOT_BUDGET = 256  # per-window spot checks on non-explicit oracles
 SAMPLE_BATCH = 256  # samples per batch of _sample_subsets: one getrandbits call, one swap pass
-
-
-class InternalContradictionError(RuntimeError):
-    """A state the underlying arguments rule out; indicates an inconsistent oracle or a bug."""
 
 
 class _Message(Formatter):
@@ -283,10 +279,12 @@ class CountingOracle(FamilyOracle):
 
     One counter serves a whole procedure: ``_shrink`` and ``cherry_reduce``
     ask through the counter they are given rather than wrapping it again,
-    so each answer is validated once.  A closed-form link
-    (``link_pairs``) counts as one enumeration query and is validated
-    whole, in one pass over its pairs.
+    so each answer is validated once, and :func:`link` does not check an
+    enumeration again.  A closed-form link (``link_pairs``) counts as one
+    enumeration query; :func:`link` validates it whole, in one pass.
     """
+
+    checks_answers = True
 
     def __init__(self, inner: FamilyOracle):
         self.inner = inner
@@ -317,19 +315,10 @@ class CountingOracle(FamilyOracle):
         return self._checked(self.inner.enumerate_extensions(base), base, "enumeration")
 
     def link_pairs(self, base: Mask) -> Optional[Sequence[Mask]]:
-        """The inner oracle's closed-form link of the (k-2)-set ``base``,
-        refused unless each pair T makes T | ``base`` a k-set of [n] holding
-        ``base``: T is a 2-set of [n] outside ``base``.  The whole batch is
-        tested by one union and one size map; a failing batch is walked
-        for its first bad pair."""
+        """The inner oracle's closed-form link of ``base``, counted as one query."""
         pairs = self.inner.link_pairs(base)
-        if pairs is None:
-            return None
-        self.queries += 1
-        off = base | ~self.params.full
-        if reduce(or_, pairs, 0) & off or any(map((2).__ne__, map(popcount, pairs))):
-            bad = next(t for t in pairs if t & off or popcount(t) != 2)
-            _require(False, "oracle link pair {:labels} of {:labels} violates the query contract", bad, base)
+        if pairs is not None:
+            self.queries += 1
         return pairs
 
     def _checked(self, answers: Iterable[Mask], base: Mask, query: str) -> Iterator[Mask]:
@@ -582,8 +571,7 @@ def cherry_reduce(
     shrink's own), else through a fresh one.
     """
     co = _counting(source)
-    p = co.params
-    n, k = p.n, p.k
+    n, k = co.params.n, co.params.k
     if popcount(base) != k - 2:
         raise ValueError(f"base must be a (k-2)-set, got {labels(base)}")
     if base & area:
@@ -593,20 +581,24 @@ def cherry_reduce(
     lk = link(co, base)
     required = n - k + 1
     if len(lk) < required:
-        raise ValueError(
-            f"degree of {labels(base)} is {len(lk)}, below the required {required}"
-        )
+        raise ValueError(f"degree of {labels(base)} is {len(lk)}, below the required {required}")
     center = is_star_graph(lk)
     if center is not None:
         return CherryReduceResult(star_center=center, reduced=None, pattern=None)
+    reduced, witness, _ = _reduce_link(sub, base, area, lk)
+    return CherryReduceResult(star_center=None, reduced=reduced, pattern=witness)
+
+
+def _reduce_link(sub: TracedFamily, base: Mask, area: Mask, lk: Family) -> tuple[TracedFamily, object, Family]:
+    """:func:`cherry_reduce`'s pattern step on ``lk``, the non-star link of ``base``: ``sub``
+    with the pattern's edges added, the pattern, and their size-two covers inside ``area``."""
     witness = find_pattern(lk)
     _require(witness is not None, "link with >= 6 edges and no star center admits no 3-matching, Q, or K4")
-    new_edges = [base | xy for xy in witness.edges]
-    reduced = sub.add(new_edges)
+    reduced = sub.add([base | xy for xy in witness.edges])
     _require(popcount(reduced.vertex_set) <= popcount(sub.vertex_set) + 6, "a pattern added over six vertices")
     cov = covers_size2(reduced, area)
     _require(is_subgraph_of_cherry(cov.edges), "the covers left inside the area form no subgraph of a cherry")
-    return CherryReduceResult(star_center=None, reduced=reduced, pattern=witness)
+    return reduced, witness, cov
 
 
 # ---------------------------------------------------------------------------
@@ -792,11 +784,11 @@ def _part_pairs_k2(
             sel = smallest_subset(others & ~(area | parts[r] | parts[r2]), co.params.k - 2)
             lk = _link_at_least(co, sel)
             entries.append((sel, lk, is_star_graph(lk)))
-        nonstar = next((sel for sel, _, center in entries if center is None), None)
+        nonstar = next((ent for ent in entries if ent[2] is None), None)
         if nonstar is not None:
-            res = cherry_reduce(co, current, nonstar, area)
-            _require(not res.is_star_link, "the link at {:labels} turned into a star", nonstar)
-            current = trace.record(2, nonstar, None, res.reduced)
+            sel, lk, _ = nonstar
+            reduced, _, _ = _reduce_link(current, sel, area, lk)
+            current = trace.record(2, sel, None, reduced)
             continue
         first = entries[0]
         second = next((ent for ent in entries if ent[2] != first[2]), None)
@@ -826,8 +818,7 @@ def _consolidate_k2(
     for first, second in combinations(parts, 2):
         cov = covers_size2(current, first | second)
         _require(is_subgraph_of_cherry(cov.edges), "a reduced part pair keeps covers beyond a cherry")
-        for pr in cov.edges:
-            cover_union |= pr
+        cover_union |= reduce(or_, cov.edges, 0)
     _require(popcount(cover_union) <= 3 * len(parts) ** 2, "the covers span over 3s^2 vertices")
     current, sel = _select_outside(current, cover_union | vbit)
     lk = _link_at_least(co, sel)
@@ -839,12 +830,9 @@ def _consolidate_k2(
         # A star away from v caps the cover count below the degree floor.
         ctx = current.add(_star_edges(sel, lk, center, current.vertex_set))
         raise _Refuted(_refute_by_outside_query(co, ctx.edges, ctx.vertex_set))
-    res = cherry_reduce(co, current, sel, cover_union)
-    _require(not res.is_star_link, "the link at {:labels} turned into a star", sel)
-    current = trace.record(2, sel, None, res.reduced)
-    aux_union = 0
-    for pr in covers_size2(current, cover_union).edges:
-        aux_union |= pr
+    reduced, _, cov = _reduce_link(current, sel, cover_union, lk)
+    current = trace.record(2, sel, None, reduced)
+    aux_union = reduce(or_, cov.edges, 0)
     current, sel2 = _select_outside(current, aux_union | vbit)
     lk2 = _link_at_least(co, sel2)
     off = next((t for t in lk2.edges if not t & vbit), None)

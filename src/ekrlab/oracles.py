@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, combinations, islice
 from math import comb
-from operator import eq
+from operator import eq, or_
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .family import Family, FamilyParams
@@ -51,11 +51,16 @@ class BatchFailure(NamedTuple):
     degree: Optional[int]
 
 
+class InternalContradictionError(RuntimeError):
+    """A state the underlying arguments rule out; indicates an inconsistent oracle or a bug."""
+
+
 class FamilyOracle(ABC):
     """Query access to a k-uniform family on [n]: membership, the degree of
     a set, and the edges holding a base, the smallest one or all of them."""
 
     family: Optional[Family] = None  # the explicit family the oracle answers for, if it has one
+    checks_answers = False  # True on a wrapper that refuses each query answer outside the contract
 
     @property
     @abstractmethod
@@ -283,21 +288,25 @@ def as_oracle(source: FamilyOracle | Family) -> FamilyOracle:
 def link(source: FamilyOracle | Family, base: Mask) -> Family:
     """Link of a (k-2)-set: the pairs T with T | base an edge, as a 2-uniform family on [n].
 
-    The pairs are the oracle's closed-form ``link_pairs`` when it has
-    one, else each enumerated edge less ``base``.  ``CountingOracle``
-    checks that they are 2-sets of [n] outside ``base``: edge by edge on
-    an enumeration (each a k-set of [n] holding ``base``), and in one pass
-    over a closed-form batch.  The sort (one pass over an ordered run)
-    enforces canonical order on an oracle that breaks it; an answer that
-    repeats an edge raises ValueError.
+    The pairs are the oracle's closed-form ``link_pairs`` when it has one,
+    else each enumerated edge XOR ``base``.  One union and one size map
+    refuse a pair that is not a 2-set of [n] outside ``base``, unless an
+    oracle that ``checks_answers`` (``CountingOracle``) has enumerated them.
+    The sort (one pass over an ordered run) enforces canonical order on an
+    oracle that breaks it; an answer that repeats an edge raises ValueError.
     """
     oracle = as_oracle(source)
     p = oracle.params
     if popcount(base) != p.k - 2:
         raise ValueError(f"base must have size k-2 = {p.k - 2}")
     pairs = oracle.link_pairs(base)
+    checked = pairs is None and oracle.checks_answers
     if pairs is None:
-        pairs = [e & ~base for e in oracle.enumerate_extensions(base)]
+        pairs = [e ^ base for e in oracle.enumerate_extensions(base)]
+    off = base | ~p.full
+    if not checked and (reduce(or_, pairs, 0) & off or any(map((2).__ne__, map(popcount, pairs)))):
+        bad = next(t for t in pairs if t & off or popcount(t) != 2)
+        raise InternalContradictionError(f"oracle link pair {labels(bad)} of {labels(base)} violates the query contract")
     pairs = sorted(pairs)
     if any(map(eq, pairs, islice(pairs, 1, None))):
         raise ValueError(f"the enumeration through {labels(base)} repeats an edge")

@@ -15,8 +15,9 @@ inputs are shrunk from their first edge alone.  Every certificate
 and shrink witness from a source that answers as one family must also
 re-verify against a fresh copy of that source.
 
-The same digests must come out under ``python -O``, which strips bare
-asserts.  Run this file as a script to print both maps as JSON.
+The same digests, and those of the k-2 final consolidation below, must
+come out under ``python -O``, which strips bare asserts.  Run this file
+as a script to print the three maps as JSON.
 """
 
 from __future__ import annotations
@@ -190,6 +191,35 @@ def sha256(text: str) -> str:
 
 def digest(run) -> str:
     return sha256(outcome(attempt(run)))
+
+
+def without(text: str, keys: frozenset[str]) -> str:
+    """The JSON report ``text`` with ``keys`` removed from every object in
+    it, re-encoded; an outcome that is not a JSON object (an error) as it is."""
+
+    def strip(value):
+        if isinstance(value, dict):
+            return {key: strip(item) for key, item in value.items() if key not in keys}
+        if isinstance(value, list):
+            return [strip(item) for item in value]
+        return value
+
+    return json.dumps(strip(json.loads(text))) if text.startswith("{") else text
+
+
+# A change that moves a field of a pinned report pins each moved report
+# twice: in full, and without the moved fields by the digest the report
+# had before the change.  The cherry reductions of the k-2 shrink stopped
+# asking again for the link their caller holds, so ``queries_used`` fell
+# by one per reduction and every other field stayed.
+QUERIES_MOVED = frozenset({"queries_used"})
+
+
+def assert_pinned(outcomes: dict[str, str], golden: dict[str, str], before: dict[str, str]) -> None:
+    """Each outcome's digest is ``golden``'s, and each outcome named in
+    ``before`` has ``before``'s digest once its QUERIES_MOVED fields are removed."""
+    assert {name: sha256(text) for name, text in outcomes.items()} == golden
+    assert {name: sha256(without(outcomes[name], QUERIES_MOVED)) for name in before} == before
 
 
 @functools.cache
@@ -420,7 +450,8 @@ def test_digests_under_optimize_flag():
     done = subprocess.run(
         [sys.executable, "-O", __file__], env=env, capture_output=True, text=True, check=True, timeout=120
     )
-    assert json.loads(done.stdout) == {"certify": GOLDEN, "shrink": SHRINK_GOLDEN}
+    consolidation = {**CONSOLIDATION_GOLDEN, **DIRECT_CONSOLIDATION_GOLDEN}
+    assert json.loads(done.stdout) == {"certify": GOLDEN, "shrink": SHRINK_GOLDEN, "consolidation": consolidation}
 
 
 def test_shrink_digests():
@@ -481,12 +512,20 @@ def test_single_family_witnesses_verify():
 # consolidation also merges the covers of a reduced pair into its union,
 # and with the centers 2 and 7 that union moves the consolidation's base set.
 CONSOLIDATION_GOLDEN: dict[str, str] = {
-    "shrink/two-stars-230-3-1-2": "a56fc18dc2705dfc67850af54a1538c80ff8cfb3fdd7d9cd7619688c6ed2b3e5",
+    "shrink/two-stars-230-3-1-2": "ada383cdd3bce2ecf0361d9c7219a24d06c97c640674ca90e7d3d81db74db930",
     "certify/two-stars-230-3-1-2": "6591f4d2fce54a5851f3d53bf76796e2fd7a6e1abe9fe1a60b30be975ee25ec3",
-    "shrink/two-stars-232-3-5-9": "8520dfe11d94c998202c231eb8feff7d893c80bd4f1eed9a882dbe5212133974",
-    "certify/two-stars-232-3-5-9": "9c5e7d6404ce1800c4e771e7d02d3219280894bd9832062191fe0a7d9ec7eec0",
-    "shrink/two-stars-232-3-2-7": "64602b006684783b98c2d4b0fa1d4b6df4a822d65605cbd9a5b3c89adb5d7d64",
-    "certify/two-stars-232-3-2-7": "55bb2dc682eba09a3fdbb4c50c77d19681842bcc85d3e3520ebee85303add5c1",
+    "shrink/two-stars-232-3-5-9": "18a1ab0fab16c6d7e29a9ea6fb2725dd9ec6f91f3af57338df960f4061b84c72",
+    "certify/two-stars-232-3-5-9": "554f3d83bd7d450da7a3547a3456f102006385be3fdd478f5902225b358daf9c",
+    "shrink/two-stars-232-3-2-7": "3cf67c6aa5d4ddb880ec87e68d3a152fc7f1b2229817f86a783362659ecbb021",
+    "certify/two-stars-232-3-2-7": "c41766b1dca2aa63bae25cc2f094e7e70d308e40d830d6bbb51656f94abafadb",
+}
+# without queries_used: the digests before the cherry reductions reused their link
+CONSOLIDATION_BEFORE: dict[str, str] = {
+    "shrink/two-stars-230-3-1-2": "8f4261a1d11eb2727c0277e52b15545f575f6a3af8b7994a623864a03261f31b",
+    "shrink/two-stars-232-3-5-9": "ff1067dd9dbab25014f50071bf1b99bfd206e20c60faaea8e0a7de7f9592153b",
+    "certify/two-stars-232-3-5-9": "b0977446594aeab1e2e05b40166255074e3fc9852210ec908a033f1f7b8a3cfc",
+    "shrink/two-stars-232-3-2-7": "b6781c278e1d1216ef597d4aa5bc0fcb23ffaee41aa3f90f870a6b111d51286b",
+    "certify/two-stars-232-3-2-7": "78b82702266c464874a7bfc769dacb3f79f8004ffbbb9603bbc0706b2b2dba2d",
 }
 
 
@@ -494,13 +533,18 @@ def _shrink_from_first_edge(oracle):
     return shrink_core_k2(oracle, oracle.first_edge())
 
 
-def test_final_consolidation_digests():
+def consolidation_outcomes() -> dict[str, str]:
+    """The outcomes of the shrink from the first edge and of the certificate, per two-star union."""
     got = {}
     for n, a, b in ((230, 1, 2), (232, 5, 9), (232, 2, 7)):
         name = f"two-stars-{n}-3-{a}-{b}"
-        got[f"shrink/{name}"] = digest(lambda: _shrink_from_first_edge(TwoStarOracle(n, 3, a, b)))
-        got[f"certify/{name}"] = digest(lambda: certify_star_k2(TwoStarOracle(n, 3, a, b)))
-    assert got == CONSOLIDATION_GOLDEN
+        got[f"shrink/{name}"] = outcome(attempt(lambda: _shrink_from_first_edge(TwoStarOracle(n, 3, a, b))))
+        got[f"certify/{name}"] = outcome(attempt(lambda: certify_star_k2(TwoStarOracle(n, 3, a, b))))
+    return got
+
+
+def test_final_consolidation_digests():
+    assert_pinned(consolidation_outcomes(), CONSOLIDATION_GOLDEN, CONSOLIDATION_BEFORE)
 
 
 # Direct calls of the final consolidation (``_consolidate_k2``) reach each
@@ -551,8 +595,13 @@ def consolidate(oracle) -> ShrinkResult:
 DIRECT_CONSOLIDATION_GOLDEN: dict[str, str] = {
     "link-star-at-v": "3ec7d4318ad37710f142adfdc13038e6126247a4d814a7df85759b5b52f95423",
     "link-star-away-from-v": "20a48c05c088e5934eac3c139bd85315a948024ba5f5e5cc06cfade41c37e2a0",
-    "cover-kept": "c2119c38489f369b1cf61f998ea079c1cf2f46485283c40a73eb809a6067c40c",
-    "cover-broken": "47e49c5484a5082df6a3dd50287009f9f6c7a861b6ed74c14b192ea145ba4f8e",
+    "cover-kept": "9f75eef5619a8b7004bca08ca33887d0b28c5866b9b7ebdd64d6454ae26daf12",
+    "cover-broken": "ff60fd699be0c2699ebae07e2e59fc418c1cf2457da99660b419fa75a19338cd",
+}
+# without queries_used: the digests before the cherry reductions reused their link
+DIRECT_CONSOLIDATION_BEFORE: dict[str, str] = {
+    "cover-kept": "4f057d70c2c937080e3a84eda36b05428c27f7fadb01639c4b5cbfb92daeb9ee",
+    "cover-broken": "27f6194e9c2fa6e531a4e77a6412f8a31390eee6b018da1f02d093285ac5884a",
 }
 
 
@@ -567,14 +616,14 @@ def test_direct_consolidation_outcomes():
             head = (result.violation.to_dict(),)
         # (cover vertex and edge count, or witness), trace steps, queries
         shapes[name] = (*head, len(result.trace.steps), result.trace.queries_used)
-        got[name] = sha256(outcome(result))
+        got[name] = outcome(result)
     assert shapes == {
         "link-star-at-v": (1, 14, 1, 1),
         "link-star-away-from-v": ({"kind": "disjoint-edges", "first": [1, 2, 13], "second": [3, 4, 5]}, 0, 2),
-        "cover-kept": ({"kind": "disjoint-edges", "first": [1, 2, 13], "second": [3, 4, 5]}, 1, 4),
-        "cover-broken": (1, 8, 2, 3),
+        "cover-kept": ({"kind": "disjoint-edges", "first": [1, 2, 13], "second": [3, 4, 5]}, 1, 3),
+        "cover-broken": (1, 8, 2, 2),
     }
-    assert got == DIRECT_CONSOLIDATION_GOLDEN
+    assert_pinned(got, DIRECT_CONSOLIDATION_GOLDEN, DIRECT_CONSOLIDATION_BEFORE)
 
 
 # The k-2 final check's sampled degree test on an oracle (not an explicit
@@ -595,4 +644,6 @@ def test_sampled_low_codegree_digests():
 
 
 if __name__ == "__main__":
-    print(json.dumps({"certify": all_digests(), "shrink": all_shrink_digests()}, indent=1))
+    consolidation = {name: sha256(text) for name, text in consolidation_outcomes().items()}
+    consolidation.update((name, sha256(outcome(consolidate(oracle)))) for name, oracle in consolidation_oracles().items())
+    print(json.dumps({"certify": all_digests(), "shrink": all_shrink_digests(), "consolidation": consolidation}, indent=1))

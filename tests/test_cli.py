@@ -251,6 +251,9 @@ class TestCheckSearchBounds:
             (["search", "--n", "7", "--k", "3", "--d", "2", "--target", "2", "--budget-ms", "-5"], "max_ms must be >= 0, got -5"),
             (["bounds", "--k-min", "3", "--k-max", "5", "--d-rule", "d=x"], "--d-rule expects k-1, k-2 or d=<int>, got 'd=x'"),
             (["bounds", "--k-min", "3", "--k-max", "5", "--d-rule", "k-3"], "--d-rule expects k-1, k-2 or d=<int>, got 'k-3'"),
+            (["certify", "k1", "--star", "20,3,25"], "center 25 outside [1..20]"),
+            (["gen", "hm", "--n", "5", "--k", "1"], "k >= 2 required"),
+            (["construct", "k1", "--star", "10,1,1"], "k >= 2 required"),
         ],
         ids=[
             "star-short",
@@ -264,6 +267,9 @@ class TestCheckSearchBounds:
             "budget-ms-negative",
             "d-rule-not-int",
             "d-rule-unknown",
+            "star-center-outside",
+            "hm-k-1",
+            "construct-k-1",
         ],
     )
     def test_malformed_flag_exit_1(self, argv, message, capsys):

@@ -656,6 +656,21 @@ class BreachStarOracle(StarOracle):
             yield e
 
 
+class StrayLinkStarOracle(StarOracle):
+    """The complete star, except that an enumeration through {1, 2} also
+    yields the sets ``strays``, by default {1, 2} | {7, 8, 9} and {20}:
+    neither is a k-set holding the base."""
+
+    def __init__(self, n: int, k: int, center: int, strays=([1, 2, 7, 8, 9], [20])):
+        super().__init__(n, k, center)
+        self.strays = [mask_of(stray) for stray in strays]
+
+    def enumerate_extensions(self, base):
+        yield from super().enumerate_extensions(base)
+        if base == mask_of([1, 2]):
+            yield from self.strays
+
+
 class TestQueryContractBreaches:
     # the counting wrapper refuses an answer outside the query contract
     # before any shrink step reads it; the k-1 shrink asks extensions at
@@ -684,6 +699,20 @@ class TestQueryContractBreaches:
     def test_link_refuses_a_repeated_edge(self):
         with pytest.raises(ValueError, match=r"^the enumeration through \(5,\) repeats an edge$"):
             link(CountingOracle(BreachStarOracle(155, 3, 1, "repeat")), bit(5))
+
+    def test_link_refuses_a_liar_unwrapped(self):
+        # an unwrapped oracle's link checks the pairs itself: an answer of
+        # five vertices and one missing the base are not link pairs
+        liar = StrayLinkStarOracle(12, 4, 1)
+        with pytest.raises(InternalContradictionError, match=r"^oracle link pair \(7, 8, 9\) of \(1, 2\) violates"):
+            link(liar, mask_of([1, 2]))
+        with pytest.raises(InternalContradictionError, match=r"^oracle link pair \(1, 2, 20\) of \(1, 2\) violates"):
+            link(StrayLinkStarOracle(12, 4, 1, strays=[[20]]), mask_of([1, 2]))
+        # counted, the same answers fail the counter's own check, with its message
+        with pytest.raises(InternalContradictionError, match=r"^oracle enumeration answer \(1, 2, 7, 8, 9\) violates"):
+            link(CountingOracle(liar), mask_of([1, 2]))
+        assert link(liar, mask_of([3, 4])).edges == link(StarOracle(12, 4, 1), mask_of([3, 4])).edges
+
 
 
 class TestRuledOutStates:
@@ -914,6 +943,6 @@ class TestClosedFormLinks:
         link_pairs = StarOracle.link_pairs
         monkeypatch.setattr(StarOracle, "link_pairs", lambda oracle, base: [*link_pairs(oracle, base), extra])
         oracle = StarOracle(9, 3, 1)
-        assert len(link(oracle, bit(3))) == 8  # uncounted, the raw answer is taken as given
-        with pytest.raises(InternalContradictionError, match=rf"^oracle link pair {shown} violates the query contract$"):
-            link(CountingOracle(oracle), bit(3))
+        for source in (oracle, CountingOracle(oracle)):  # counted or not, the link checks the batch
+            with pytest.raises(InternalContradictionError, match=rf"^oracle link pair {shown} violates the query contract$"):
+                link(source, bit(3))

@@ -13,6 +13,7 @@ import ekrlab.canonical as canonical
 import ekrlab.generators as generators
 import ekrlab.oracles as oracles
 import ekrlab.verify as verify
+from ekrlab.family import Family, FamilyParams
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -33,6 +34,10 @@ def _tracing_module():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _query_count(instrumentation) -> int:
+    return sum(n for name, n in instrumentation.tracer.counts.items() if name.startswith("oracles.queries."))
 
 
 def test_traced_check_matches_untraced_and_uninstalls():
@@ -91,12 +96,49 @@ def test_traced_star_certificates_count_every_query_by_kind():
     instrumentation.install()
     try:
         for (certify, oracle), want in zip(runs, untraced):
-            before = sum(n for name, n in instrumentation.tracer.counts.items() if name.startswith("oracles.queries."))
+            before = _query_count(instrumentation)
             cert = certify(oracle, samples=600, seed=3)
-            after = sum(n for name, n in instrumentation.tracer.counts.items() if name.startswith("oracles.queries."))
             assert to_json(cert) == want
-            assert after - before == cert.trace.queries_used > 600
+            assert _query_count(instrumentation) - before == cert.trace.queries_used > 600
     finally:
         instrumentation.uninstall()
     assert oracles.StarOracle.contains is oracles._STAR_CONTAINS
     assert oracles.StarOracle.enumerate_extensions is oracles._STAR_ENUMERATE
+
+
+def test_traced_explicit_runs_match_untraced_and_count_every_query():
+    # the benchmark's traced certify-explicit run checks the same two
+    # things: each report equals the untraced one, and the per-kind query
+    # counts sum to queries_used.  The union shrink's 11 cherry
+    # reductions run under the tracer.
+    from ekrlab.constructions import certify_star_k1, shrink_core_k2
+    from ekrlab.generators import complete_star, hilton_milner
+    from ekrlab.io import to_json
+
+    union = Family.from_masks(FamilyParams(230, 3), complete_star(230, 3, 1).edges + complete_star(230, 3, 2).edges)
+    runs = [
+        lambda: certify_star_k1(oracles.ExplicitOracle(hilton_milner(11, 3))),
+        lambda: certify_star_k1(oracles.ExplicitOracle(complete_star(11, 3, 4))),
+        lambda: shrink_core_k2(oracles.ExplicitOracle(union), union.edges[0]),
+    ]
+    untraced = [to_json(run()) for run in runs]
+    instrumentation = _tracing_module().Instrumentation()
+    instrumentation.install()
+    saved = list(instrumentation._saved)  # (owner, attribute, original) per patch
+    try:
+        traces = []
+        for run, want in zip(runs, untraced):
+            before = _query_count(instrumentation)
+            report = run()
+            assert to_json(report) == want
+            assert _query_count(instrumentation) - before == report.trace.queries_used
+            traces.append(report.trace)
+    finally:
+        instrumentation.uninstall()
+    assert [trace.queries_used for trace in traces] == [5, 7, 36]
+    assert sum(step.phase == 2 and step.returned_edge is None for step in traces[2].steps) == 11
+    # uninstall restores every attribute install patched, not only PATCHED's
+    assert len(saved) > len(PATCHED)
+    for owner, attr, original in saved:
+        assert not hasattr(original, "__wrapped__"), (owner, attr)
+        assert (owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)) is original, (owner, attr)
