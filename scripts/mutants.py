@@ -193,6 +193,20 @@ MUTANTS = (
         (f"{VERIFY}::TestLabeledCut::test_same_report_at_any_achiever_cap",),
     ),
     Mutant(
+        "search-cut-keeps-partial-count",  # an exhausted search counts only the families through [k]
+        "verify.py",
+        "count = _labeled_count(len(graph.verts), sizes)\n                break",
+        "break",
+        (f"{VERIFY}::TestSearchCut::test_same_answer_as_the_full_walk",),
+    ),
+    Mutant(
+        "search-cut-skips-first-branch",  # the search leaves the walk at the first clique through [k]
+        "verify.py",
+        "if not clique & 1:",
+        "if clique & 1:",
+        (f"{VERIFY}::TestSearchCut::test_same_answer_as_the_full_walk",),
+    ),
+    Mutant(
         "require-debug-only",  # the checks of ruled-out states vanish under python -O, like bare asserts
         "constructions.py",
         "    if not holds:\n",

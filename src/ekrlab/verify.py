@@ -252,11 +252,20 @@ def search_counterexample(
 ) -> SearchReport:
     """Search for an intersecting family with delta_d >= target.
 
-    Monotonicity reduces the search to maximal families, so the clique
-    stream is scanned, each clique dropped at the first d-set with fewer
-    than ``target`` holders, with re-verification on a hit.  Exhausting the
-    stream certifies nonexistence at (n, k, d); a budget stop reports
-    inconclusive instead.
+    Monotonicity reduces the search to maximal families, so the labeled
+    clique stream is scanned, each clique dropped at the first d-set with
+    fewer than ``target`` holders, with re-verification on a hit.
+
+    The walk needs only the maximal families through [k] (vertex 0):
+    every family with delta_d >= target relabels onto one of them, with
+    its size and delta_d, and the walk pivots on [k] at its root, so they
+    come first.  A hit, if any exists, is among them: the same clique,
+    after the same nodes, as in the whole walk.  So the search leaves the
+    walk at its first clique without [k] with "exhausted", which
+    certifies nonexistence at (n, k, d), and counts the families checked
+    as ``check_theorem`` does, C(n, k) times the sum of 1/|F| over the
+    families through [k].  A budget stop reports "inconclusive" with the
+    families met so far, as the whole walk would at the same node.
     """
     if not (1 <= d < k):
         raise ValueError("require 1 <= d < k")
@@ -269,12 +278,17 @@ def search_counterexample(
     graph = compatibility_graph(n, k)
     degrees = graph.containment(d)
     count = 0
+    sizes: Counter[int] = Counter()  # the families through [k] by size
     hit: Optional[Family] = None
     hit_val: Optional[int] = None
     outcome = "exhausted"
     try:
         for clique in maximal_cliques(graph, "labeled", budget):
+            if not clique & 1:  # past every family through [k], which stand for the rest
+                count = _labeled_count(len(graph.verts), sizes)
+                break
             count += 1
+            sizes[clique.bit_count()] += 1
             if degrees.below(clique, target):
                 continue
             fam = graph.family(clique)

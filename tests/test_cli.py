@@ -128,6 +128,12 @@ class TestCheckSearchBounds:
         payload = json.loads(captured.out)
         assert (payload["verdict"], payload["families_checked"], payload["nodes"]) == ("inconclusive", 90, 256)
 
+    def test_search_budget_past_the_cut_exhausts(self, capsys):
+        # the whole walk takes 14,544 nodes, so this budget stopped it "inconclusive"
+        code, out = run(capsys, "search", "--n", "7", "--k", "3", "--d", "2", "--target", "2", "--budget-nodes", "5000")
+        payload = json.loads(out)
+        assert (code, payload["outcome"], payload["families_checked"], payload["nodes"]) == (0, "exhausted", 6127, 4407)
+
     def test_check_csv_header(self, capsys):
         code, out = run(capsys, "--format", "csv", "check", "--n", "6", "--k", "2", "--d", "1")
         lines = out.strip().splitlines()

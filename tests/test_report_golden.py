@@ -5,8 +5,10 @@
 cells cover labeled and canonical ``check_theorem`` (one canonical cell
 stopped by a node budget), both search outcomes, enumeration reports in
 both dedup modes, a bound table and structure sweeps at 5, 7 and 8
-vertices.  The same digests must come out under ``python -O``, which
-strips bare asserts.  Run this file as a script to print the map as JSON.
+vertices.  A report whose fields moved is also pinned without them, by
+the digest it had before the move.  The same digests must come out under
+``python -O``, which strips bare asserts.  Run this file as a script to
+print the map as JSON.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from ekrlab.generators import Budget, enumeration_report
 from ekrlab.graphs import structure_sweep
 from ekrlab.io import to_json
 from ekrlab.verify import check_theorem, search_counterexample
+from test_certify_golden import sha256, without
 
 
 def report_cases() -> dict:
@@ -68,7 +71,7 @@ REPORT_GOLDEN: dict[str, str] = {
     "check/canonical-9-3-2": "f1e837663401847a0b9761ead77ab6c5d73b13afea079c5fefa556ae2e87e1a9",
     "check/canonical-8-4-3-nodes-20000": "c8c99d05e54128c8991663b936a2c1de68744811feedbda4c823dfd942dfd712",
     "search/6-3-2-2": "dbcde593b6b1b7c57098251339e6899d708709cf95d15e9f76996c49e83ffca8",
-    "search/7-3-2-2": "961398667344d425118ca2df622a89f670bb14ff5da14b03d99e1164b087d0fc",
+    "search/7-3-2-2": "abb76a46553353ae78dbb9df9a2bb8ac0126e44e8cf35da56173c8eb8464cd9c",
     "enumeration/labeled-6-3": "3bad756ba1c142217ca5303f44aeecf5a5e7fc98edb86e38a7731be40167d819",
     "enumeration/canonical-6-3": "7bed4dfc0e0e0ae2d0373c09187f46087fe153f0af2d19fd44b2af3f4a66732e",
     "bounds/k-2-2-8": "5e4e4db856d21672076144d703502e88a6ba315f7b3057279db3d1093e936f53",
@@ -78,8 +81,24 @@ REPORT_GOLDEN: dict[str, str] = {
 }
 
 
+# As in test_certify_golden.py, a moved report is pinned twice: in full
+# above, and here without its moved fields by the digest it had before.
+# A search leaves the walk at its first clique without [k], so the
+# exhausted (7,3,2) search walks 4,407 nodes instead of 14,544 and every
+# other field stays.
+NODES_MOVED = frozenset({"elapsed_ms", "nodes"})
+REPORT_BEFORE: dict[str, str] = {
+    "search/7-3-2-2": "a1cd364621f62b53094a76bcaf5f9358abbab21c62571c1e8b1b460e6d2706c3",
+}
+
+
 def test_report_digests():
     assert all_digests() == REPORT_GOLDEN
+
+
+def test_moved_reports_keep_their_digest_before():
+    cases = report_cases()
+    assert {name: sha256(without(to_json(cases[name]()), NODES_MOVED)) for name in REPORT_BEFORE} == REPORT_BEFORE
 
 
 def test_report_digests_under_optimize_flag():

@@ -9,10 +9,11 @@ import pytest
 
 import ekrlab.verify as verify
 from ekrlab.bounds import applicable_threshold, codegree_bound
-from ekrlab.family import Family, FamilyParams, covers_size1
+from ekrlab.family import Family, FamilyParams, covers_size1, is_intersecting
 from ekrlab.generators import Budget, BudgetExceeded, compatibility_graph, maximal_cliques
 from ekrlab.io import to_json
-from ekrlab.verify import CSV_HEADER, BoundReport, check_theorem, search_counterexample
+from ekrlab.oracles import ExplicitOracle, min_degree_scan
+from ekrlab.verify import CSV_HEADER, BoundReport, SearchReport, check_theorem, search_counterexample
 
 
 class TestCheckTheorem:
@@ -210,6 +211,73 @@ def test_labeled_walk_meets_every_family_through_k_first(n, k):
     through = [bool(clique & 1) for clique in maximal_cliques(compatibility_graph(n, k))]
     first_without = through.index(False)
     assert any(through) and not any(through[first_without:])
+
+
+def full_walk_search(n, k, d, target, budget=None):
+    """``search_counterexample``'s loop over the whole walk, with no cut:
+    every maximal clique is met until the first that reaches ``target``."""
+    budget = budget or Budget()
+    graph = compatibility_graph(n, k)
+    degrees = graph.containment(d)
+    count, hit, hit_val, outcome = 0, None, None, "exhausted"
+    try:
+        for clique in maximal_cliques(graph, "labeled", budget):
+            count += 1
+            if degrees.below(clique, target):
+                continue
+            fam = graph.family(clique)
+            sval, _ = min_degree_scan(ExplicitOracle(fam), d)
+            assert is_intersecting(fam) and sval >= target
+            hit, hit_val, outcome = fam, sval, "found"
+            break
+    except BudgetExceeded:
+        outcome = "inconclusive"
+    return SearchReport(
+        n=n,
+        k=k,
+        d=d,
+        target=target,
+        outcome=outcome,
+        delta_found=hit_val,
+        families_checked=count,
+        nodes=budget.nodes,
+        elapsed_ms=0.0,
+        budget_ms=budget.max_ms,
+        budget_nodes=budget.max_nodes,
+        family=hit.edges if hit is not None else None,
+    )
+
+
+def answer(report):
+    return report.outcome, report.delta_found, report.family, report.families_checked
+
+
+SEARCH_CELLS = [(n, 2, 1) for n in range(2, 11)] + [(n, 3, d) for n in range(3, 10) for d in (1, 2)]
+
+
+class TestSearchCut:
+    """A search stops at the first clique without [k] and counts the
+    families checked from the families through [k]."""
+
+    @pytest.mark.parametrize("excess", [1, 2])
+    @pytest.mark.parametrize("n,k,d", SEARCH_CELLS)
+    def test_same_answer_as_the_full_walk(self, n, k, d, excess):
+        target = codegree_bound(n, k, d) + excess
+        assert answer(search_counterexample(n, k, d, target)) == answer(full_walk_search(n, k, d, target))
+
+    # at (7,3) the walk meets its first clique without [k] at node 4,407
+    @pytest.mark.parametrize("max_nodes", [3, 300, 4_406])
+    def test_same_budget_stop_inside_the_first_branch(self, max_nodes):
+        got = search_counterexample(7, 3, 2, 2, budget=Budget(max_nodes=max_nodes))
+        assert got.outcome == "inconclusive"
+        assert untimed(got) == untimed(full_walk_search(7, 3, 2, 2, Budget(max_nodes=max_nodes)))
+
+    @pytest.mark.parametrize("max_nodes", [4_407, 5_000])
+    def test_a_budget_past_the_cut_now_exhausts(self, max_nodes):
+        # the whole walk takes 14,544 nodes, so this budget stopped it "inconclusive"
+        assert full_walk_search(7, 3, 2, 2, Budget(max_nodes=max_nodes)).outcome == "inconclusive"
+        rep = search_counterexample(7, 3, 2, 2, budget=Budget(max_nodes=max_nodes))
+        assert (rep.outcome, rep.families_checked, rep.nodes) == ("exhausted", 6_127, 4_407)
 
 
 class TestSearch:
